@@ -17,8 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bayes_factors import StatFamily, TestStatistic, log_bf10
-from .effect_map import DesignKind, tau_sq_for
+# log_bf10 is not called here any more; it stays bound in this module
+# because bench/tracing.py wraps this module's bindings.
+from .bayes_factors import StatFamily, TestStatistic, log_bf10, log_bf10_batch  # noqa: F401
+from .effect_map import DesignKind, EffectSize, tau_sq_for
 from .priors import jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
 __all__ = [
@@ -98,23 +100,68 @@ class StudySet:
         return jeffreys_log_prior_nm(r)
 
 
-def per_study_log_bf(study_set: StudySet, omega: float, r: float) -> list[float]:
-    """Per-study log BF10 at common effect omega and shape r."""
+def _log_bf_rows(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[list]:
+    """Per-study log BF10 at common effect omega for every shape in rs, one
+    list per r, with all (r, study) series evaluated by one batched
+    log_bf10_batch pass.  Where the evaluation of a study raises, its entry is
+    the exception instead of a float."""
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    out = []
-    for i, study in enumerate(study_set.studies):
-        try:
-            tau_sq = tau_sq_for(study.design, omega, r, study.stat.k)
-            out.append(log_bf10(study.stat, tau_sq, r))
-        except Exception as exc:
-            raise type(exc)(f"study {i}: {exc}") from exc
-    return out
+    effect = EffectSize(float(omega))  # validated once, not once per row
+    values: list = []
+    slots, items = [], []
+    for r in rs:
+        for study in study_set.studies:
+            try:
+                tau_sq = tau_sq_for(study.design, effect, r, study.stat.k)
+            except Exception as exc:
+                values.append(exc)
+                continue
+            slots.append(len(values))
+            values.append(None)
+            items.append((study.stat, tau_sq, r))
+    for slot, value in zip(slots, log_bf10_batch(items)):
+        values[slot] = value
+    n = len(study_set.studies)
+    return [values[i : i + n] for i in range(0, len(values), n)]
+
+
+def _raise_first_error(per_study: list) -> None:
+    for i, value in enumerate(per_study):
+        if isinstance(value, Exception):
+            raise type(value)(f"study {i}: {value}") from value
+
+
+def per_study_log_bf(study_set: StudySet, omega: float, r: float) -> list[float]:
+    """Per-study log BF10 at common effect omega and shape r."""
+    per_study = _log_bf_rows(study_set, omega, (r,))[0]
+    _raise_first_error(per_study)
+    return per_study
 
 
 def combined_log_bf(study_set: StudySet, omega: float, r: float) -> float:
     """Sum of per-study log Bayes factors (the product law in log space)."""
     return sum(per_study_log_bf(study_set, omega, r))
+
+
+def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[float]:
+    """The MMAP objective combined_log_bf + log Jeffreys prior at each r in
+    rs, all through one _log_bf_rows pass.
+
+    One-sided brackets with the statistic strongly opposing the prior
+    direction can fall below double-precision resolution at large r (the log
+    BF there is enormously negative).  Such r can never be the maximizer, so
+    an ArithmeticError makes that r's objective -inf rather than aborting the
+    search; any other error propagates, tagged with its study.
+    """
+    out = []
+    for r, per_study in zip(rs, _log_bf_rows(study_set, omega, rs)):
+        try:
+            _raise_first_error(per_study)
+            out.append(sum(per_study) + study_set.jeffreys_log_prior(r))
+        except ArithmeticError:
+            out.append(float("-inf"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,21 +171,21 @@ class MmapResult:
     at_boundary: bool
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_max(objectives, lo: float, hi: float, tol: float) -> tuple[float, float]:
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
+    fc, fd = objectives((c, d))
     while hi - lo > tol:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            fc = fn(c)
+            (fc,) = objectives((c,))
         else:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            fd = fn(d)
+            (fd,) = objectives((d,))
     x = 0.5 * (lo + hi)
-    return x, fn(x)
+    return x, objectives((x,))[0]
 
 
 def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResult:
@@ -149,24 +196,24 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     golden-section search refines the maximizer to ~1e-4 in r.  at_boundary
     flags a maximizer pinned against r_max, which would otherwise silently
     clip sets with very consistent effects.
+
+    The objective is evaluated a batch of r values at a time, every (r,
+    study) series of a batch in one vectorised kernel pass: the scan is one
+    pass over all 32 x studies rows, the two initial golden-section points
+    one pass, and each further golden-section step and the final evaluation
+    one pass over the studies.  The values are bit for bit those of
+    combined_log_bf.
     """
     if not r_max >= 1.0:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
 
-    def objective(r: float) -> float:
-        # One-sided brackets with the statistic strongly opposing the prior
-        # direction can fall below double-precision resolution at large r
-        # (the log BF there is enormously negative).  Such r can never be the
-        # maximizer, so they enter the search as -inf rather than aborting it.
-        try:
-            return combined_log_bf(study_set, omega, r) + study_set.jeffreys_log_prior(r)
-        except ArithmeticError:
-            return float("-inf")
+    def objectives(rs: Sequence[float]) -> list[float]:
+        return _objectives(study_set, omega, rs)
 
     if r_max == 1.0:
-        return MmapResult(1.0, objective(1.0), True)
+        return MmapResult(1.0, objectives((1.0,))[0], True)
     scan = np.exp(np.linspace(0.0, math.log(r_max), _SCAN_POINTS))
-    values = [objective(r) for r in scan]
+    values = objectives(scan.tolist())
     if not any(math.isfinite(v) for v in values):
         raise ArithmeticError(
             f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
@@ -174,7 +221,7 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     best = int(np.argmax(values))
     lo = scan[best - 1] if best > 0 else scan[0]
     hi = scan[best + 1] if best < _SCAN_POINTS - 1 else scan[-1]
-    r_star, obj = _golden_max(objective, float(lo), float(hi), _R_TOL)
+    r_star, obj = _golden_max(objectives, float(lo), float(hi), _R_TOL)
     # endpoints can beat the interior point returned by the search
     for r_edge, obj_edge in ((1.0, values[0]), (r_max, values[-1])):
         if obj_edge > obj:

@@ -7,13 +7,16 @@ reference value, monotonicity, and the large-nu / large-m limits.
 
 import math
 
+import numpy as np
 import pytest
 
+import bffkit.bayes_factors as bf
 from bffkit.bayes_factors import (
     Sidedness,
     StatFamily,
     TestStatistic,
     log_bf10,
+    log_bf10_batch,
     log_bf10_chisq,
     log_bf10_f,
     log_bf10_t_one,
@@ -211,3 +214,146 @@ class TestDispatcher:
             log_bf10_chisq(-1.0, 2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             log_bf10_f(1.0, 2.0, 0.0, 1.0, 1.0)
+
+
+def _forbid_kernels(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a series kernel was reached")
+
+    for name in ("log_1f1", "log_2f1", "log_1f1_batch", "log_2f1_batch"):
+        monkeypatch.setattr(bf, name, fail)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestDomainGuards:
+    """Argument domains fail with ValueError before any series is summed."""
+
+    def test_rounded_argument_at_one_is_value_error(self, monkeypatch):
+        _forbid_kernels(monkeypatch)
+        # y^2 (t) and x (F) round to exactly 1 for these finite inputs
+        with pytest.raises(ValueError, match="not below 1"):
+            log_bf10_t_two(1e9, 10.0, 1e17, 1.0)
+        with pytest.raises(ValueError, match="not below 1"):
+            log_bf10_t_one(1e9, 10.0, 1e17, 1.0)
+        with pytest.raises(ValueError, match="not below 1"):
+            log_bf10_f(1e16, 1.0, 1.0, 1e17, 1.0)
+
+    def test_infinite_tau_sq_is_value_error(self, monkeypatch):
+        _forbid_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="tau_sq"):
+            log_bf10_t_two(1.0, 10.0, INF, 1.0)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_hyperparameters(self, monkeypatch, bad):
+        _forbid_kernels(monkeypatch)
+        calls = [
+            lambda tau_sq, r: log_bf10_z_two(1.0, tau_sq, r),
+            lambda tau_sq, r: log_bf10_z_one(1.0, tau_sq, r),
+            lambda tau_sq, r: log_bf10_t_two(1.0, 10.0, tau_sq, r),
+            lambda tau_sq, r: log_bf10_t_one(1.0, 10.0, tau_sq, r),
+            lambda tau_sq, r: log_bf10_chisq(1.0, 2.0, tau_sq, r),
+            lambda tau_sq, r: log_bf10_f(1.0, 2.0, 10.0, tau_sq, r),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tau_sq"):
+                call(bad, 1.0)
+            with pytest.raises(ValueError, match="r must be"):
+                call(1.0, bad)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_statistic_fields(self, monkeypatch, bad):
+        _forbid_kernels(monkeypatch)
+        one, two = Sidedness.ONE_SIDED, Sidedness.TWO_SIDED
+        builds = [
+            lambda: TestStatistic(StatFamily.Z, bad, one),
+            lambda: TestStatistic(StatFamily.Z, bad, two),
+            lambda: TestStatistic(StatFamily.T, bad, one, nu=10.0),
+            lambda: TestStatistic(StatFamily.T, 1.0, two, nu=bad),
+            lambda: TestStatistic(StatFamily.CHI_SQ, bad, k=2.0),
+            lambda: TestStatistic(StatFamily.CHI_SQ, 1.0, k=bad),
+            lambda: TestStatistic(StatFamily.F, bad, k=2.0, m=10.0),
+            lambda: TestStatistic(StatFamily.F, 1.0, k=bad, m=10.0),
+            lambda: TestStatistic(StatFamily.F, 1.0, k=2.0, m=bad),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
+        # the closed forms guard their own arguments as well
+        forms = [
+            lambda: log_bf10_z_two(bad, 1.0, 1.0),
+            lambda: log_bf10_z_one(bad, 1.0, 1.0),
+            lambda: log_bf10_t_two(bad, 10.0, 1.0, 1.0),
+            lambda: log_bf10_t_one(1.0, bad, 1.0, 1.0),
+            lambda: log_bf10_chisq(bad, 2.0, 1.0, 1.0),
+            lambda: log_bf10_chisq(1.0, bad, 1.0, 1.0),
+            lambda: log_bf10_f(bad, 2.0, 10.0, 1.0, 1.0),
+            lambda: log_bf10_f(1.0, 2.0, bad, 1.0, 1.0),
+        ]
+        for form in forms:
+            with pytest.raises(ValueError):
+                form()
+
+    def test_batch_reports_value_errors_per_item(self, monkeypatch):
+        _forbid_kernels(monkeypatch)
+        stat = TestStatistic(StatFamily.T, 1.0, Sidedness.ONE_SIDED, nu=10.0)
+        big = TestStatistic(StatFamily.T, 1e9, Sidedness.TWO_SIDED, nu=10.0)
+        out = log_bf10_batch([(stat, NAN, 1.0), (stat, 1.0, INF), (big, 1e17, 1.0)])
+        assert all(isinstance(v, ValueError) for v in out)
+
+
+def _scalar_or_error(stat, tau_sq, r):
+    try:
+        return log_bf10(stat, tau_sq, r)
+    except Exception as exc:
+        return exc
+
+
+class TestBatch:
+    """log_bf10_batch against log_bf10, item by item and bit for bit."""
+
+    def _items(self):
+        rng = np.random.default_rng(5)
+        one, two = Sidedness.ONE_SIDED, Sidedness.TWO_SIDED
+        items = []
+        for _ in range(40):
+            tau_sq = float(rng.uniform(0.05, 60.0))
+            r = float(rng.uniform(1.0, 12.0))
+            v = float(rng.uniform(-6.0, 6.0))
+            nu = float(rng.uniform(3.0, 300.0))
+            k = float(rng.integers(1, 6))
+            items += [
+                (TestStatistic(StatFamily.Z, v, one), tau_sq, r),
+                (TestStatistic(StatFamily.Z, v, two), tau_sq, r),
+                (TestStatistic(StatFamily.T, v, one, nu=nu), tau_sq, r),
+                (TestStatistic(StatFamily.T, v, two, nu=nu), tau_sq, r),
+                (TestStatistic(StatFamily.CHI_SQ, v * v, k=k), tau_sq, r),
+                (TestStatistic(StatFamily.F, v * v, k=k, m=nu), tau_sq, r),
+            ]
+        z0 = TestStatistic(StatFamily.Z, 0.0, one)
+        items += [(z0, 1.0, 2.0), (z0, 0.0, 2.0)]  # y = 0; tau_sq = 0
+        # a bracket that cancels below double precision (ArithmeticError)
+        items.append((TestStatistic(StatFamily.Z, -8.0, one), 10.0, 2.0))
+        return items
+
+    def test_matches_log_bf10(self):
+        items = self._items()
+        expected = [_scalar_or_error(*item) for item in items]
+        assert any(isinstance(e, ArithmeticError) for e in expected)
+        got = log_bf10_batch(items)
+        for g, e in zip(got, expected):
+            if isinstance(e, Exception):
+                assert type(g) is type(e) and str(g) == str(e)
+            else:
+                assert g == e
+
+    def test_one_kernel_call_per_function(self, monkeypatch):
+        calls = []
+        for name in ("log_1f1_batch", "log_2f1_batch"):
+            real = getattr(bf, name)
+            monkeypatch.setattr(
+                bf, name, lambda *a, real=real, name=name: (calls.append(name), real(*a))[1]
+            )
+        log_bf10_batch(self._items())
+        assert sorted(calls) == ["log_1f1_batch", "log_2f1_batch"]

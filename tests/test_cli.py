@@ -166,6 +166,26 @@ class TestCurve:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "table, policy, golden",
+        [
+            ("fig1", ["--r", "1"], "curve_fig1_r1.csv"),
+            ("stroop", [], "curve_stroop.csv"),
+            ("correlation", [], "curve_correlation.csv"),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, capsys, table, policy, golden):
+        # the golden files were written by an earlier release that evaluated
+        # every study and every r one at a time
+        out_file = tmp_path / "curve.csv"
+        code, _, _ = run(
+            capsys,
+            "curve", "--file", str(DATA / f"{table}.csv"), "--omega-step", "0.08",
+            *policy, "--out", str(out_file),
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (DATA / golden).read_bytes()
+
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys,

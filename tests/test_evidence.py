@@ -1,13 +1,17 @@
 """Tests for study-set combination, MMAP maximization, and BFF curves."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bffkit.bayes_factors as bf
+import bffkit.specfun as sf
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 from bffkit.effect_map import DesignKind, DesignTag, fisher_z, tau_sq_for
 from bffkit.evidence import (
+    _SCAN_POINTS,
     EffectGrid,
     FixedR,
     MmapR,
@@ -18,6 +22,8 @@ from bffkit.evidence import (
     mmap_r,
     per_study_log_bf,
 )
+from bffkit.evidence import _objectives
+from bffkit.specfun import NonConvergenceError
 
 
 def z_study(z, n, sided=Sidedness.ONE_SIDED):
@@ -272,3 +278,79 @@ class TestStroopRefinement:
         )
         assert abs(window_coarse.maximizer.omega - window_fine.maximizer.omega) <= 0.005 + 1e-12
         assert abs(window_coarse.maximizer.log_bf10 - window_fine.maximizer.log_bf10) < 0.05
+
+
+class TestBatchedObjective:
+    """mmap_r evaluates its objective through one batched kernel pass per
+    batch of r values; these pin the behaviours of the one-at-a-time path."""
+
+    def test_arithmetic_error_only_drops_that_r(self):
+        # z = -8 one-sided opposes the prior: its bracket cancels below double
+        # precision at some r of the scan and not at others
+        studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
+        omega = 0.3
+        rs = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS)).tolist()
+        expected = []
+        for r in rs:
+            try:
+                per_study = [
+                    log_bf10(s.stat, tau_sq_for(s.design, omega, r), r) for s in studies.studies
+                ]
+                expected.append(sum(per_study) + studies.jeffreys_log_prior(r))
+            except ArithmeticError:
+                expected.append(float("-inf"))
+        got = _objectives(studies, omega, rs)
+        assert got == expected
+        assert any(v == float("-inf") for v in got)
+        assert any(math.isfinite(v) for v in got)
+        mmap_r(studies, omega)  # the -inf points do not abort the search
+
+    def test_errors_tagged_with_study(self, monkeypatch):
+        # study 1's series needs more than one block; study 0's never does
+        two = Sidedness.TWO_SIDED
+        studies = StudySet.build([z_study(0.5, 50, two), z_study(12.0, 50, two)])
+        monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
+        with pytest.raises(NonConvergenceError, match="^study 1: series did not converge"):
+            mmap_r(studies, 0.5)
+        with pytest.raises(NonConvergenceError, match="^study 1: series did not converge"):
+            per_study_log_bf(studies, 0.5, 1.0)
+
+    def test_value_error_tagged_with_study(self):
+        # F = 1e16 with tau^2 >= 1e18 rounds the 2F1 argument to exactly 1
+        design = DesignKind(DesignTag.LINEAR_MODEL_F, n=10**22)
+        studies = StudySet.build(
+            [
+                (TestStatistic(StatFamily.F, 2.0, k=1.0, m=30.0), design),
+                (TestStatistic(StatFamily.F, 1e16, k=1.0, m=1.0), design),
+            ]
+        )
+        with pytest.raises(ValueError, match="^study 1: 2F1 argument"):
+            mmap_r(studies, 0.5)
+        with pytest.raises(ValueError, match="^study 0: r must be"):
+            per_study_log_bf(studies, 0.5, 0.5)
+
+
+class TestKernelPasses:
+    def test_mmap_point_is_one_pass_per_batch(self, monkeypatch):
+        """One Stroop MMAP point: one scan pass, at most 30 golden-section
+        passes and one final pass, and no one-value kernel call at all (a
+        silent fallback to per-study evaluation fails here, not in a timing)."""
+        from bffkit.cli import load_studies
+
+        studies = load_studies(str(Path(__file__).parent / "data" / "stroop.csv"))
+        n = len(studies.studies)
+
+        def fail(*args):
+            raise AssertionError("one-value or 1F1 kernel called")
+
+        passes = []
+        real = bf.log_2f1_batch
+        monkeypatch.setattr(bf, "log_2f1_batch", lambda *a: (passes.append(len(a[0])), real(*a))[1])
+        for name in ("log_1f1", "log_2f1", "log_1f1_batch"):
+            monkeypatch.setattr(bf, name, fail)
+        mmap_r(studies, 0.5)
+        # one-sided t rows with t != 0 carry two series each
+        assert passes[0] == _SCAN_POINTS * n * 2
+        assert passes[1] == 2 * n * 2  # the two initial golden-section points
+        assert all(p == n * 2 for p in passes[2:])
+        assert len(passes) - 2 <= 30

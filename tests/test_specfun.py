@@ -291,3 +291,96 @@ class Test2F1:
         monkeypatch.setattr(sf, "TERM_CAP", 256)
         with pytest.raises(NonConvergenceError):
             log_2f1(5.0, 5.0, 0.5, 0.999999)
+
+
+def _scalar_or_error(fn, *args):
+    try:
+        return fn(*args).log_magnitude
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _assert_rows_match(batch, scalar_fn, columns):
+    values, errors = batch
+    for j, args in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in columns))):
+        expected = _scalar_or_error(scalar_fn, *args)
+        if isinstance(expected, Exception):
+            assert j in errors and np.isnan(values[j])
+            assert type(errors[j]) is type(expected) and str(errors[j]) == str(expected)
+        else:
+            assert j not in errors
+            assert values[j] == expected  # bit for bit
+
+
+class TestBatchKernel:
+    """log_1f1_batch / log_2f1_batch against the one-value functions, row by
+    row and bit for bit (exact ==, not approx)."""
+
+    def test_1f1_rows(self):
+        rng = np.random.default_rng(11)
+        a = rng.uniform(0.5, 30.0, 300)
+        b = rng.uniform(0.5, 5.0, 300)
+        x = rng.exponential(40.0, 300)
+        x[::17] = 0.0
+        _assert_rows_match(sf.log_1f1_batch(a, b, x), log_1f1, (a, b, x))
+
+    def test_2f1_rows_raw_and_euler(self):
+        rng = np.random.default_rng(12)
+        n = 300
+        a = rng.uniform(0.2, 80.0, n)
+        b = rng.uniform(0.2, 6.0, n)
+        c = rng.uniform(0.5, 90.0, n)
+        x = rng.uniform(0.0, 0.999, n)
+        x[::13] = 0.0
+        # Euler rows: x > 0.9 with c - a and c - b both positive
+        a[:40], b[:40], c[:40], x[:40] = 0.3, 0.7, 5.0, rng.uniform(0.91, 0.999, 40)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        euler = (x > 0.9) & (c - lo > 0.0) & (c - hi > 0.0)
+        assert euler.sum() >= 40 and (~euler & (x > 0.9)).any()
+        _assert_rows_match(sf.log_2f1_batch(a, b, c, x), log_2f1, (a, b, c, x))
+
+    def test_symmetric_pairs_match(self):
+        # log_2f1 normalizes (a, b); the batch must do the same per row
+        a, b = [3.7, 1.2], [1.2, 3.7]
+        values, _ = sf.log_2f1_batch(a, b, [0.5, 0.5], [0.42, 0.42])
+        assert values[0] == values[1] == log_2f1(3.7, 1.2, 0.5, 0.42).log_magnitude
+
+    def test_chunk_mixing_one_block_and_long_series(self, monkeypatch):
+        # rows around the first chunk boundary need ~1000 terms, the rest one block
+        n = 2 * sf._CHUNK + 7
+        log_x = np.full(n, math.log(0.3))
+        a = np.full(n, 1.5)
+        b = np.full(n, 2.0)
+        long_rows = np.arange(sf._CHUNK - 6, sf._CHUNK + 6)
+        log_x[long_rows] = math.log(600.0)
+        log_x[-1] = math.log(900.0)
+        out = sf._log_series_sums(log_x, (a,), (b, 1.0))
+        for j in range(n):
+            assert out[j] == sf._log_series_sum(float(log_x[j]), (a[j],), (b[j], 1.0))
+        # with a one-block cap, exactly the long rows fail to converge
+        monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
+        capped = sf._log_series_sums(log_x, (a,), (b, 1.0))
+        assert set(np.flatnonzero(np.isnan(capped))) == {*long_rows.tolist(), n - 1}
+
+    def test_domain_errors_per_row(self):
+        a = [1.0, 0.0, 1.0, 2.0]
+        b = [2.0, 1.0, 1.0, 3.0]
+        c = [3.0, 1.0, 1.0, 4.0]
+        x = [0.5, 0.5, 1.0, -0.1]
+        _assert_rows_match(sf.log_2f1_batch(a, b, c, x), log_2f1, (a, b, c, x))
+        _assert_rows_match(
+            sf.log_1f1_batch([1.0, -1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, -2.0]),
+            log_1f1,
+            ([1.0, -1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, -2.0]),
+        )
+
+    def test_term_cap_per_row(self, monkeypatch):
+        monkeypatch.setattr(sf, "TERM_CAP", 256)
+        a, b, c, x = [5.0, 1.0], [5.0, 1.0], [0.5, 2.0], [0.999999, 0.5]
+        values, errors = sf.log_2f1_batch(a, b, c, x)
+        assert set(errors) == {0} and isinstance(errors[0], NonConvergenceError)
+        _assert_rows_match((values, errors), log_2f1, (a, b, c, x))
+
+    def test_empty_batch(self):
+        values, errors = sf.log_1f1_batch([], [], [])
+        assert len(values) == 0 and errors == {}
