@@ -2,9 +2,11 @@
 
 Closed-form log Bayes factors under non-local priors indexed by standardized
 effect size, evidence combination across replicated studies, and MMAP
-maximization of the prior shape r.  The `oracle` submodule is in-repo test
-support (quadrature and simulation cross-checks) and not part of this public
-surface.
+maximization of the prior shape r: the package exports what that method needs
+and nothing more.  Special functions return plain float logs.  The `oracle`
+submodule is in-repo test support (quadrature and simulation cross-checks,
+and the randomized tuples of the oracle validation) and not part of this
+public surface.
 """
 
 from .bayes_factors import (
@@ -25,9 +27,7 @@ from .effect_map import (
     EffectSize,
     effective_n,
     fisher_z,
-    mode_consistency_check,
     rmses,
-    target_noncentrality,
     tau_sq_for,
 )
 from .evidence import (
@@ -55,14 +55,11 @@ from .priors import (
     sample,
 )
 from .specfun import (
-    LogValue,
     NonConvergenceError,
-    digamma,
     log_1f1,
     log_2f1,
     log_gamma,
     log_gamma_half_ratio,
-    log_pochhammer,
     trigamma,
 )
 

@@ -3,9 +3,10 @@
 Each function returns log BF10 against a point null, under a non-local prior
 on the non-centrality parameter: a normal-moment prior (two-sided or one-sided)
 for z/t, and a Gamma(k/2 + r, 1/(2 tau_sq)) prior for chi-square/F.  All
-arithmetic is carried out in log space; the one-sided and two-sided z/t forms
-combine their two hypergeometric terms with a signed log-sum-exp because the
-second term carries the sign of the statistic.
+arithmetic is carried out on plain float logs; the one-sided z/t forms combine
+their two hypergeometric terms with a signed log-sum-exp (_signed_bracket)
+because the second term carries the sign of the statistic.  log_bf10_batch
+evaluates many statistics through the batched series kernel.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -53,10 +54,7 @@ class TestStatistic:
     """One observed test statistic with the metadata its family requires.
 
     nu is the t denominator degrees of freedom; k the chi-square/F numerator
-    degrees of freedom; m the F denominator degrees of freedom.  n_eff is
-    effective-sample-size metadata consumed by the effect-size map (e.g. n,
-    n1 n2/(n1+n2), or n-3 for Fisher-transformed correlations); it plays no
-    role in the Bayes factor formulas themselves.
+    degrees of freedom; m the F denominator degrees of freedom.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -67,7 +65,6 @@ class TestStatistic:
     nu: float | None = None
     k: float | None = None
     m: float | None = None
-    n_eff: float | None = None
 
     def __post_init__(self):
         for name in ("value", "nu", "k", "m"):
@@ -99,8 +96,6 @@ class TestStatistic:
                     raise ValueError("F statistics require m > 0")
             elif self.m is not None:
                 raise ValueError("m is not meaningful for chisq statistics")
-        if self.n_eff is not None and not self.n_eff > 0.0:
-            raise ValueError(f"n_eff must be > 0, got {self.n_eff}")
 
 
 def _check_hyperparams(tau_sq: float, r: float) -> None:
@@ -145,8 +140,8 @@ def _evaluate(kernel, terms) -> float:
     if terms is None:
         return 0.0
     second = terms[2]
-    log_first = kernel(*terms[1]).log_magnitude
-    log_second = None if second is None else kernel(*second[0]).log_magnitude
+    log_first = kernel(*terms[1])
+    log_second = None if second is None else kernel(*second[0])
     return _assemble(terms, log_first, log_second)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -25,17 +24,16 @@ import numpy as np
 from .bayes_factors import Sidedness, StatFamily, TestStatistic
 from .effect_map import DesignKind, DesignTag, fisher_z
 from .evidence import (
-    BffCurve,
     EffectGrid,
     FixedR,
     MmapR,
     StudySet,
     bff_curve,
-    evidence_thresholds,
+    crossings,
+    jeffreys_log_prior,
     mmap_r,
     per_study_log_bf,
 )
-from .priors import jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
 DEFAULT_LEVELS = (-1.0, -3.0, -5.0)
 DEFAULT_R_MAX = 200.0
@@ -72,39 +70,31 @@ def _opt_int(row: dict, key: str, row_no: int) -> int | None:
     return int(val)
 
 
-_DESIGNS = {tag.value: tag for tag in DesignTag}
-_TESTS = {"z": StatFamily.Z, "t": StatFamily.T, "chisq": StatFamily.CHI_SQ, "f": StatFamily.F}
-_SIDED = {"one": Sidedness.ONE_SIDED, "two": Sidedness.TWO_SIDED}
+def _cell(row: dict, key: str) -> str:
+    return str(row.get(key) or "").strip().lower()
 
-_TWO_SAMPLE_TAGS = (DesignTag.TWO_SAMPLE_Z, DesignTag.TWO_SAMPLE_T)
+
+def _lookup(enum, row: dict, key: str, what: str, row_no: int):
+    """The member of enum whose value (its CSV spelling) is the row's cell."""
+    try:
+        return enum(_cell(row, key))
+    except ValueError:
+        raise ParseError(f"row {row_no}: unknown {what} {row.get(key)!r}")
 
 
 def _study_from_row(row: dict, row_no: int) -> tuple[TestStatistic, DesignKind]:
-    test = str(row.get("test") or "").strip().lower()
-    if test not in _TESTS:
-        raise ParseError(f"row {row_no}: unknown test {row.get('test')!r}")
-    family = _TESTS[test]
-
-    design_raw = str(row.get("design") or "").strip().lower()
-    if design_raw not in _DESIGNS:
-        raise ParseError(f"row {row_no}: unknown design {row.get('design')!r}")
-    tag = _DESIGNS[design_raw]
+    family = _lookup(StatFamily, row, "test", "test", row_no)
+    tag = _lookup(DesignTag, row, "design", "design", row_no)
 
     n = _opt_int(row, "n", row_no)
     n1 = _opt_int(row, "n1", row_no)
     n2 = _opt_int(row, "n2", row_no)
     try:
-        if tag in _TWO_SAMPLE_TAGS:
-            design = DesignKind(tag, n1=n1, n2=n2)
-        else:
-            design = DesignKind(tag, n=n)
+        design = DesignKind(tag, n=n, n1=n1, n2=n2)
     except ValueError as exc:
         raise ParseError(f"row {row_no}: {exc}")
 
-    sided_raw = str(row.get("sided") or "").strip().lower()
-    sided = _SIDED.get(sided_raw) if sided_raw else None
-    if sided_raw and sided is None:
-        raise ParseError(f"row {row_no}: unknown sidedness {row.get('sided')!r}")
+    sided = _lookup(Sidedness, row, "sided", "sidedness", row_no) if _cell(row, "sided") else None
 
     stat = _opt_float(row, "stat", row_no)
     rho = _opt_float(row, "rho", row_no)
@@ -117,12 +107,8 @@ def _study_from_row(row: dict, row_no: int) -> tuple[TestStatistic, DesignKind]:
                 raise ParseError(
                     f"row {row_no}: rho entry requires test=z, design=correlation_z"
                 )
-            if n is None:
-                raise ParseError(f"row {row_no}: rho entry requires n")
             statistic = fisher_z(rho, n, sided) if sided else fisher_z(rho, n)
         elif family in (StatFamily.Z, StatFamily.T):
-            if sided is None:
-                raise ParseError(f"row {row_no}: z/t rows require 'sided'")
             statistic = TestStatistic(
                 family, stat, sided, nu=_opt_float(row, "nu", row_no)
             )
@@ -211,12 +197,6 @@ def cmd_point(args) -> int:
     return 0
 
 
-def _jeffreys_for(prior_family: str, k: float | None):
-    if prior_family == "gamma":
-        return lambda r: jeffreys_log_prior_gamma(r, k)
-    return jeffreys_log_prior_nm
-
-
 def summarize_rows(
     rows: list[tuple[float, float, float]],
     prior_family: str,
@@ -235,8 +215,7 @@ def summarize_rows(
     rstars = np.array([r[1] for r in rows])
     logbf = np.array([r[2] for r in rows])
     if policy_is_mmap:
-        jeffreys = _jeffreys_for(prior_family, k)
-        objective = logbf + np.array([jeffreys(r) for r in rstars])
+        objective = logbf + np.array([jeffreys_log_prior(r, k) for r in rstars])
     else:
         objective = logbf
     best = int(np.argmax(logbf))
@@ -247,16 +226,8 @@ def summarize_rows(
         f"# r_star_at_max: {_fmt(float(rstars[best]))}",
         f"# max_log_bf10: {_fmt(float(logbf[best]))}",
     ]
-    for level in levels:
-        above = np.nonzero(objective >= level)[0]
-        if len(above) == 0 or above[-1] == len(objective) - 1:
-            lines.append(f"# crossing level={_fmt(level)}: absent")
-            continue
-        j = int(above[-1])
-        w = omegas[j] + (level - objective[j]) * (omegas[j + 1] - omegas[j]) / (
-            objective[j + 1] - objective[j]
-        )
-        lines.append(f"# crossing level={_fmt(level)}: {_fmt(float(w))}")
+    for level, w in zip(levels, crossings(omegas, objective, levels)):
+        lines.append(f"# crossing level={_fmt(level)}: {'absent' if w is None else _fmt(w)}")
     return lines
 
 
@@ -320,52 +291,6 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _validate_tuple_grid(family: str, count: int, rng) -> list[tuple]:
-    """Randomized (statistic, tau_sq, r) tuples kept inside quadrature-friendly
-    ranges, rejecting near-zero log BF so relative error is well defined."""
-    from .priors import PriorFamily, PriorSpec
-
-    out = []
-    while len(out) < count:
-        tau_sq = float(rng.uniform(0.05, 5.0))
-        r = float(rng.uniform(1.0, 3.5))
-        if family in ("z_one", "z_two"):
-            stat_val = float(rng.uniform(-3.5, 3.5))
-            sided = Sidedness.ONE_SIDED if family == "z_one" else Sidedness.TWO_SIDED
-            stat = TestStatistic(StatFamily.Z, stat_val, sided)
-            if family == "z_one":
-                prior = PriorSpec(PriorFamily.NORMAL_MOMENT_POSITIVE, tau_sq, r)
-            else:
-                prior = PriorSpec(PriorFamily.NORMAL_MOMENT_TWO_SIDED, tau_sq, r)
-        elif family in ("t_one", "t_two"):
-            stat_val = float(rng.uniform(-3.5, 3.5))
-            nu = float(rng.uniform(4.0, 60.0))
-            sided = Sidedness.ONE_SIDED if family == "t_one" else Sidedness.TWO_SIDED
-            stat = TestStatistic(StatFamily.T, stat_val, sided, nu=nu)
-            if family == "t_one":
-                prior = PriorSpec(PriorFamily.NORMAL_MOMENT_POSITIVE, tau_sq, r)
-            else:
-                prior = PriorSpec(PriorFamily.NORMAL_MOMENT_TWO_SIDED, tau_sq, r)
-        elif family == "chisq":
-            k = float(rng.integers(1, 8))
-            stat = TestStatistic(StatFamily.CHI_SQ, float(rng.uniform(0.1, 25.0)), k=k)
-            prior = PriorSpec(PriorFamily.GAMMA_NONLOCAL, tau_sq, r, k=k)
-        elif family == "f":
-            k = float(rng.integers(1, 8))
-            m = float(rng.uniform(5.0, 120.0))
-            stat = TestStatistic(StatFamily.F, float(rng.uniform(0.05, 12.0)), k=k, m=m)
-            prior = PriorSpec(PriorFamily.GAMMA_NONLOCAL, tau_sq, r, k=k)
-        else:
-            raise ParseError(f"unknown validation family {family!r}")
-        from .bayes_factors import log_bf10
-
-        closed = log_bf10(stat, tau_sq, r)
-        if abs(closed) < 0.05:
-            continue  # relative comparison needs the log away from zero
-        out.append((stat, prior, closed))
-    return out
-
-
 _VALIDATE_FAMILIES = {
     "z": ("z_one", "z_two"),
     "t": ("t_one", "t_two"),
@@ -375,7 +300,7 @@ _VALIDATE_FAMILIES = {
 
 
 def cmd_validate(args) -> int:
-    from .oracle import marginal_bf_quadrature, rate_harness
+    from .oracle import marginal_bf_quadrature, rate_harness, validation_tuples
 
     requested = [f.strip() for f in args.families.split(",") if f.strip()]
     for fam in requested:
@@ -385,7 +310,7 @@ def cmd_validate(args) -> int:
     rng = np.random.default_rng(args.seed)
     all_pass = True
     for check in checks:
-        tuples = _validate_tuple_grid(check, args.tuples, rng)
+        tuples = validation_tuples(check, args.tuples, rng)
         max_rel = 0.0
         for stat, prior, closed in tuples:
             oracle_val = marginal_bf_quadrature(stat, prior)
@@ -397,15 +322,9 @@ def cmd_validate(args) -> int:
             f"max_rel_err={max_rel:.3e} {'pass' if ok else 'FAIL'}"
         )
     if args.rate:
-        fam_map = {
-            "z": StatFamily.Z,
-            "t": StatFamily.T,
-            "chisq": StatFamily.CHI_SQ,
-            "f": StatFamily.F,
-        }
         for fam in requested:
             rep = rate_harness(
-                fam_map[fam],
+                StatFamily(fam),
                 r=1.0,
                 beta=0.5,
                 gamma=0.3,

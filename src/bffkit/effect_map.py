@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Sequence
 
 from .bayes_factors import Sidedness, StatFamily, TestStatistic
-from .priors import PriorFamily, PriorSpec, mode
 
 __all__ = [
     "DesignTag",
@@ -22,8 +21,6 @@ __all__ = [
     "EffectSize",
     "tau_sq_for",
     "effective_n",
-    "target_noncentrality",
-    "mode_consistency_check",
     "fisher_z",
     "rmses",
 ]
@@ -105,15 +102,12 @@ def tau_sq_for(
     omega: "EffectSize | float",
     r: float,
     k: float | None = None,
-    *,
-    linear_model_denominator: float = 4.0,
 ) -> float:
     """Prior scale tau^2 for the given design, effect size, and shape r.
 
-    k is required for the chi-square/F designs.  linear_model_denominator
-    exposes the linear-model F variant: the default 4 matches the published
-    rmses-form of that entry; passing 2 forces the same denominator as the
-    other vector designs for sensitivity checks.
+    k is required for the chi-square/F designs.  The linear-model F entry
+    uses denominator 4, the published rmses form of that entry; the other
+    vector designs use 2.
     """
     if not r >= 1.0:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -123,52 +117,13 @@ def tau_sq_for(
     if tag in _VECTOR_EFFECT:
         if k is None or not k > 0.0:
             raise ValueError(f"{tag.value} requires numerator df k > 0")
-        denom = linear_model_denominator if tag is DesignTag.LINEAR_MODEL_F else 2.0
+        denom = 4.0 if tag is DesignTag.LINEAR_MODEL_F else 2.0
         return design.n * k * w * w / (denom * (k / 2.0 + r - 1.0))
     if k is not None:
         raise ValueError(f"k is not meaningful for {tag.value}")
     if eff.is_rmses:
         raise ValueError(f"{tag.value} takes a scalar effect, not an RMSES")
     return effective_n(design) * w * w / (2.0 * r)
-
-
-def target_noncentrality(
-    design: DesignKind,
-    omega: "EffectSize | float",
-    k: float | None = None,
-    *,
-    linear_model_denominator: float = 4.0,
-) -> float:
-    """Non-centrality the prior mode is pinned to: sqrt(n_eff) omega for z/t;
-    n k rmses^2 for multinomial/likelihood-ratio; half that for the linear
-    model (under the default denominator)."""
-    eff = _as_omega(omega)
-    w = eff.omega
-    if design.tag in _VECTOR_EFFECT:
-        if k is None or not k > 0.0:
-            raise ValueError(f"{design.tag.value} requires numerator df k > 0")
-        scale = 2.0 / linear_model_denominator if design.tag is DesignTag.LINEAR_MODEL_F else 1.0
-        return design.n * k * w * w * scale
-    return math.sqrt(effective_n(design)) * w
-
-
-def mode_consistency_check(
-    design: DesignKind,
-    omega: "EffectSize | float",
-    r: float,
-    k: float | None = None,
-) -> float:
-    """Build the design's prior at tau_sq_for(...) and return its mode.
-
-    The returned mode must equal target_noncentrality(design, omega, k) for
-    every r; callers (and the test suite) assert that identity.
-    """
-    tau_sq = tau_sq_for(design, omega, r, k)
-    if design.tag in _VECTOR_EFFECT:
-        spec = PriorSpec(PriorFamily.GAMMA_NONLOCAL, tau_sq, r, k)
-    else:
-        spec = PriorSpec(PriorFamily.NORMAL_MOMENT_POSITIVE, tau_sq, r)
-    return mode(spec)
 
 
 def fisher_z(
@@ -185,9 +140,7 @@ def fisher_z(
     if n <= 3:
         raise ValueError(f"fisher_z requires n > 3, got {n}")
     z = math.sqrt(n - 3.0) / 2.0 * math.log((1.0 + rho_hat) / (1.0 - rho_hat))
-    return TestStatistic(
-        family=StatFamily.Z, value=z, sided=sided, n_eff=float(n - 3)
-    )
+    return TestStatistic(family=StatFamily.Z, value=z, sided=sided)
 
 
 def rmses(omega_vec: Sequence[float]) -> float:

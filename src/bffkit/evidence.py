@@ -12,7 +12,7 @@ an r-independent factor (the null marginals), so the two maximizations agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,17 +87,20 @@ class StudySet:
         return cls(tuple(Study(stat, design) for stat, design in pairs), label)
 
     @property
-    def family_homogeneous(self) -> bool:
-        return True  # enforced at construction
-
-    @property
     def uses_gamma_prior(self) -> bool:
         return self.studies[0].stat.family in _GAMMA_STAT_FAMILIES
 
     def jeffreys_log_prior(self, r: float) -> float:
-        if self.uses_gamma_prior:
-            return jeffreys_log_prior_gamma(r, self.studies[0].stat.k)
+        # k is None for z/t studies and shared by chi-square/F sets
+        return jeffreys_log_prior(r, self.studies[0].stat.k)
+
+
+def jeffreys_log_prior(r: float, k: float | None = None) -> float:
+    """Log Jeffreys prior on r: the gamma-prior form for chi-square/F
+    numerator df k, the normal-moment form when k is None."""
+    if k is None:
         return jeffreys_log_prior_nm(r)
+    return jeffreys_log_prior_gamma(r, k)
 
 
 def _log_bf_rows(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[list]:
@@ -213,19 +216,20 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     if r_max == 1.0:
         return MmapResult(1.0, objectives((1.0,))[0], True)
     scan = np.exp(np.linspace(0.0, math.log(r_max), _SCAN_POINTS))
+    scan[0], scan[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
     values = objectives(scan.tolist())
     if not any(math.isfinite(v) for v in values):
         raise ArithmeticError(
             f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
         )
     best = int(np.argmax(values))
-    lo = scan[best - 1] if best > 0 else scan[0]
-    hi = scan[best + 1] if best < _SCAN_POINTS - 1 else scan[-1]
+    lo = scan[max(best - 1, 0)]
+    hi = scan[min(best + 1, _SCAN_POINTS - 1)]
     r_star, obj = _golden_max(objectives, float(lo), float(hi), _R_TOL)
-    # endpoints can beat the interior point returned by the search
-    for r_edge, obj_edge in ((1.0, values[0]), (r_max, values[-1])):
-        if obj_edge > obj:
-            r_star, obj = r_edge, obj_edge
+    # the best scan point beats a worse search result: an endpoint maximum,
+    # or a final search point whose objective is -inf
+    if values[best] > obj:
+        r_star, obj = float(scan[best]), values[best]
     return MmapResult(r_star, obj, at_boundary=r_max - r_star <= 2.0 * _R_TOL)
 
 
@@ -294,7 +298,6 @@ class BffPoint:
 @dataclass(frozen=True)
 class BffCurve:
     points: tuple[BffPoint, ...]
-    grid: EffectGrid
     label: str = ""
 
     @property
@@ -336,7 +339,7 @@ def bff_curve(
                 at_r_boundary=boundary,
             )
         )
-    return BffCurve(tuple(points), grid, study_set.label)
+    return BffCurve(tuple(points), study_set.label)
 
 
 def evidence_thresholds(
@@ -350,16 +353,24 @@ def evidence_thresholds(
     cross the plain curve.  A level the curve never crosses downward (never
     above it, or still above it at the end of the grid) maps to None.
     """
-    omegas = curve.omega_array()
     values = curve.objective_array() if on_objective else curve.log_bf_array()
-    out: dict[float, float | None] = {}
+    return dict(zip(levels, crossings(curve.omega_array(), values, levels)))
+
+
+def crossings(
+    omegas: np.ndarray, values: np.ndarray, levels: Sequence[float]
+) -> list[float | None]:
+    """For each level, the smallest omega beyond which values stays below it,
+    linearly interpolated between grid points; None where the values never
+    cross the level downward."""
+    out: list[float | None] = []
     for level in levels:
         above = np.nonzero(values >= level)[0]
         if len(above) == 0 or above[-1] == len(values) - 1:
-            out[level] = None
+            out.append(None)
             continue
         j = int(above[-1])
         w0, w1 = omegas[j], omegas[j + 1]
         v0, v1 = values[j], values[j + 1]
-        out[level] = float(w0 + (level - v0) * (w1 - w0) / (v1 - v0))
+        out.append(float(w0 + (level - v0) * (w1 - w0) / (v1 - v0)))
     return out

@@ -33,6 +33,7 @@ __all__ = [
     "density_null",
     "density_noncentral",
     "marginal_bf_quadrature",
+    "validation_tuples",
     "RateReport",
     "rate_harness",
 ]
@@ -313,6 +314,43 @@ def marginal_bf_quadrature(
             f"{10.0 * q.rel_tol:.1e} x |marginal| = {10.0 * q.rel_tol * abs(m1):.3e}"
         )
     return math.log(m1) - math.log(density_null(stat))
+
+
+def validation_tuples(check: str, count: int, rng) -> list[tuple]:
+    """count randomized (statistic, prior, closed-form log BF10) tuples for
+    one check (z_one, z_two, t_one, t_two, chisq or f), kept inside
+    quadrature-friendly ranges and rejecting near-zero log BF so that
+    relative error is well defined."""
+    if check not in ("z_one", "z_two", "t_one", "t_two", "chisq", "f"):
+        raise ValueError(f"unknown validation check {check!r}")
+    family, _, side = check.partition("_")
+    out = []
+    while len(out) < count:
+        tau_sq = float(rng.uniform(0.05, 5.0))
+        r = float(rng.uniform(1.0, 3.5))
+        if family in ("z", "t"):
+            value = float(rng.uniform(-3.5, 3.5))
+            nu = float(rng.uniform(4.0, 60.0)) if family == "t" else None
+            stat = TestStatistic(StatFamily(family), value, Sidedness(side), nu=nu)
+            prior_family = (
+                PriorFamily.NORMAL_MOMENT_POSITIVE
+                if side == "one"
+                else PriorFamily.NORMAL_MOMENT_TWO_SIDED
+            )
+            prior = PriorSpec(prior_family, tau_sq, r)
+        else:
+            k = float(rng.integers(1, 8))
+            if family == "chisq":
+                stat = TestStatistic(StatFamily.CHI_SQ, float(rng.uniform(0.1, 25.0)), k=k)
+            else:
+                m = float(rng.uniform(5.0, 120.0))
+                stat = TestStatistic(StatFamily.F, float(rng.uniform(0.05, 12.0)), k=k, m=m)
+            prior = PriorSpec(PriorFamily.GAMMA_NONLOCAL, tau_sq, r, k=k)
+        closed = log_bf10(stat, tau_sq, r)
+        if abs(closed) < 0.05:
+            continue  # relative comparison needs the log away from zero
+        out.append((stat, prior, closed))
+    return out
 
 
 @dataclass(frozen=True)

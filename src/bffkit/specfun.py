@@ -1,11 +1,12 @@
 """Log-domain special functions, one value at a time or row-wise over arrays.
 
-Everything here returns natural-log magnitudes so that callers never touch
-quantities like 1F1(13, 0.5, 900), whose linear value overflows double
-precision by hundreds of orders of magnitude.  The hypergeometric series are
-summed by streaming log-sum-exp over buffered blocks of terms; all in-scope
-calls have positive parameters and non-negative argument, so every term is
-positive and the series is unimodal in the term index.
+Everything here returns natural logs, as plain floats or float arrays, so
+that callers never touch quantities like 1F1(13, 0.5, 900), whose linear
+value overflows double precision by hundreds of orders of magnitude.  The
+hypergeometric series are summed by streaming log-sum-exp over buffered
+blocks of terms; all in-scope calls have positive parameters and non-negative
+argument, so every term is positive and the series is unimodal in the term
+index.
 
 log_1f1 and log_2f1 evaluate one function value.  log_1f1_batch and
 log_2f1_batch evaluate many at once through one block kernel that advances
@@ -18,18 +19,14 @@ cheaper through the one-value functions, whose per-call overhead is lower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LogValue",
     "NonConvergenceError",
     "log_gamma",
     "log_gamma_half_ratio",
-    "digamma",
     "trigamma",
-    "log_pochhammer",
     "log_1f1",
     "log_2f1",
 ]
@@ -47,63 +44,6 @@ class NonConvergenceError(RuntimeError):
     """A hypergeometric series failed to satisfy its stopping rule."""
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as (log |x|, sign).
-
-    sign is 0 exactly when the value is zero, in which case log_magnitude is
-    meaningless and ignored.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(float("-inf"), 0)
-
-    @classmethod
-    def one(cls) -> "LogValue":
-        return cls(0.0, 1)
-
-    @classmethod
-    def from_log(cls, log_magnitude: float, sign: int = 1) -> "LogValue":
-        return cls(log_magnitude, sign)
-
-    def scaled(self, log_factor: float, sign: int = 1) -> "LogValue":
-        """Multiply by sign * exp(log_factor)."""
-        if self.sign == 0:
-            return self
-        return LogValue(self.log_magnitude + log_factor, self.sign * sign)
-
-    def plus(self, other: "LogValue") -> "LogValue":
-        """Signed log-sum-exp of two values."""
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        m = max(self.log_magnitude, other.log_magnitude)
-        v = self.sign * math.exp(self.log_magnitude - m) + other.sign * math.exp(
-            other.log_magnitude - m
-        )
-        if v == 0.0:
-            return LogValue.zero()
-        return LogValue(m + math.log(abs(v)), 1 if v > 0 else -1)
-
-    def value(self) -> float:
-        """Linear-domain value; overflows to +/-inf for huge magnitudes."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_magnitude)
-        except OverflowError:
-            return self.sign * float("inf")
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0.0:
@@ -111,19 +51,9 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-# Asymptotic tails: psi(x) ~ ln x - 1/(2x) - sum B_2k/(2k x^2k),
-# psi_1(x) ~ 1/x + 1/(2x^2) + sum B_2k/x^(2k+1).  With the recurrence shift
-# to x >= 6 the truncation error is below 2e-13, well inside the 1e-10
-# contract.
-_DIGAMMA_TAIL = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
+# Asymptotic tail psi_1(x) ~ 1/x + 1/(2x^2) + sum B_2k/x^(2k+1).  With the
+# recurrence shift to x >= 6 the truncation error is below 2e-13, well inside
+# the 1e-10 contract.
 _TRIGAMMA_TAIL = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -134,23 +64,6 @@ _TRIGAMMA_TAIL = (
     7.0 / 6.0,
 )
 _PSI_SHIFT = 6.0
-
-
-def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _PSI_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_TAIL:
-        tail += c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
 
 
 def trigamma(x: float) -> float:
@@ -213,15 +126,6 @@ def log_gamma_half_ratio(x: float) -> float:
         + _stirling_tail(x + 0.5)
         - _stirling_tail(x)
     )
-
-
-def log_pochhammer(a: float, i: int) -> float:
-    """ln of the rising factorial (a)(a+1)...(a+i-1); (a)^(0) = 1."""
-    if i < 0:
-        raise ValueError(f"log_pochhammer requires i >= 0, got {i}")
-    if i == 0:
-        return 0.0
-    return log_gamma(a + i) - log_gamma(a)
 
 
 _IDX = np.arange(_BLOCK, dtype=np.float64)
@@ -367,19 +271,19 @@ def _check_2f1(a: float, b: float, c: float, x: float) -> None:
         raise ValueError(f"log_2f1 requires 0 <= x < 1, got x={x}")
 
 
-def log_1f1(a: float, b: float, x: float) -> LogValue:
-    """Log of the confluent hypergeometric function 1F1(a, b; x).
+def log_1f1(a: float, b: float, x: float) -> float:
+    """Log of the confluent hypergeometric function 1F1(a, b; x); 0.0 at x = 0.
 
     Requires a > 0, b > 0, x >= 0, which keeps every series term positive.
     """
     _check_1f1(a, b, x)
     if x == 0.0:
-        return LogValue.one()
-    return LogValue(_log_series_sum(math.log(x), (a,), (b, 1.0)), 1)
+        return 0.0
+    return _log_series_sum(math.log(x), (a,), (b, 1.0))
 
 
-def log_2f1(a: float, b: float, c: float, x: float) -> LogValue:
-    """Log of the Gaussian hypergeometric function 2F1(a, b; c; x).
+def log_2f1(a: float, b: float, c: float, x: float) -> float:
+    """Log of the Gaussian hypergeometric function 2F1(a, b; c; x); 0.0 at x = 0.
 
     Requires a, b, c > 0 and 0 <= x < 1.  For x > 0.9 the Euler
     transformation 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) is applied
@@ -389,13 +293,13 @@ def log_2f1(a: float, b: float, c: float, x: float) -> LogValue:
     """
     _check_2f1(a, b, c, x)
     if x == 0.0:
-        return LogValue.one()
+        return 0.0
     if a > b:  # symmetric in (a, b); normalize so results match bit-for-bit
         a, b = b, a
     if x > _EULER_X and c - a > 0.0 and c - b > 0.0:
         log_sum = _log_series_sum(math.log(x), (c - a, c - b), (c, 1.0))
-        return LogValue((c - a - b) * math.log1p(-x) + log_sum, 1)
-    return LogValue(_log_series_sum(math.log(x), (a, b), (c, 1.0)), 1)
+        return (c - a - b) * math.log1p(-x) + log_sum
+    return _log_series_sum(math.log(x), (a, b), (c, 1.0))
 
 
 def _batch(check, params: tuple, bad: np.ndarray, x: np.ndarray, num: tuple, den: tuple):
@@ -426,8 +330,8 @@ def _batch(check, params: tuple, bad: np.ndarray, x: np.ndarray, num: tuple, den
 
 
 def log_1f1_batch(a, b, x) -> tuple[np.ndarray, dict[int, Exception]]:
-    """log_1f1(a[j], b[j], x[j]).log_magnitude for every row j of
-    equal-length float arrays, through one kernel pass.
+    """log_1f1(a[j], b[j], x[j]) for every row j of equal-length float
+    arrays, through one kernel pass.
 
     Returns (values, errors).  errors maps each row for which log_1f1 raises
     to the exception it raises, and that row's value is NaN; every other
@@ -439,9 +343,9 @@ def log_1f1_batch(a, b, x) -> tuple[np.ndarray, dict[int, Exception]]:
 
 
 def log_2f1_batch(a, b, c, x) -> tuple[np.ndarray, dict[int, Exception]]:
-    """log_2f1(a[j], b[j], c[j], x[j]).log_magnitude for every row j of
-    equal-length float arrays, through one kernel pass; returns (values,
-    errors) as log_1f1_batch does."""
+    """log_2f1(a[j], b[j], c[j], x[j]) for every row j of equal-length float
+    arrays, through one kernel pass; returns (values, errors) as
+    log_1f1_batch does."""
     a, b, c, x = (np.asarray(v, dtype=np.float64) for v in (a, b, c, x))
     bad = ~((a > 0.0) & (b > 0.0) & (c > 0.0)) | (x < 0.0) | (x >= 1.0)
     lo, hi = np.minimum(a, b), np.maximum(a, b)  # log_2f1's (a, b) normalization

@@ -42,7 +42,7 @@ from bffkit.bayes_factors import (
     log_bf10_z_one,
     log_bf10_z_two,
 )
-from bffkit.cli import _validate_tuple_grid, load_studies
+from bffkit.cli import load_studies
 from bffkit.effect_map import DesignKind, DesignTag
 from bffkit.evidence import (
     EffectGrid,
@@ -54,7 +54,7 @@ from bffkit.evidence import (
     evidence_thresholds,
     mmap_r,
 )
-from bffkit.oracle import marginal_bf_quadrature, rate_harness
+from bffkit.oracle import marginal_bf_quadrature, rate_harness, validation_tuples
 from bffkit.specfun import log_1f1, log_2f1, trigamma
 
 DATA = Path(__file__).parent / "data"
@@ -239,7 +239,7 @@ def test_criterion_4_oracle_equivalence():
     worst = {}
     for family in ("z_one", "z_two", "t_one", "t_two", "chisq", "f"):
         max_rel = 0.0
-        for stat, prior, closed in _validate_tuple_grid(family, 50, rng):
+        for stat, prior, closed in validation_tuples(family, 50, rng):
             oracle_val = marginal_bf_quadrature(stat, prior)
             max_rel = max(max_rel, abs(closed - oracle_val) / abs(closed))
         worst[family] = max_rel
@@ -362,9 +362,9 @@ def test_criterion_7_asymptotic_rates():
 def test_criterion_8_special_function_contract():
     """Direct unit contract on the series evaluators and trigamma."""
     for x in (1.0, 50.0, 500.0, 5000.0):
-        assert abs(log_1f1(1.0, 1.0, x).log_magnitude - x) / x <= 1e-12
+        assert abs(log_1f1(1.0, 1.0, x) - x) / x <= 1e-12
     closed = math.log(-math.log(0.5) / 0.5)
-    assert log_2f1(1.0, 1.0, 2.0, 0.5).log_magnitude == pytest.approx(
+    assert log_2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(
         closed, rel=1e-12
     )
     assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)

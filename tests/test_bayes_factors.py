@@ -53,10 +53,6 @@ class TestTestStatistic:
         with pytest.raises(ValueError):
             TestStatistic(StatFamily.T, 1.0, Sidedness.ONE_SIDED, nu=5.0, k=1.0)
 
-    def test_n_eff_positive(self):
-        with pytest.raises(ValueError):
-            TestStatistic(StatFamily.Z, 1.0, Sidedness.ONE_SIDED, n_eff=0.0)
-
 
 class TestNullStatisticValues:
     """Statistic at its null point: only the prefactor survives."""

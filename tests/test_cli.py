@@ -94,6 +94,24 @@ class TestParsing:
         assert code == 2
         assert "sided" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("q,one,1.0,,,,50,,,,one_sample_z", "unknown test 'q'"),
+            ("z,one,1.0,,,,50,,,,three_sample_z", "unknown design 'three_sample_z'"),
+            ("z,both,1.0,,,,50,,,,one_sample_z", "unknown sidedness 'both'"),
+            ("z,,1.0,,,,50,,,,one_sample_z", "z statistics require a sidedness"),
+            ("t,two,2.1,58,,,60,30,30,,two_sample_t", "two-sample designs take n1/n2, not n"),
+            ("z,one,1.0,,,,50,25,25,,one_sample_z", "one_sample_z takes a single sample size n"),
+        ],
+    )
+    def test_rejected_row(self, tmp_path, capsys, row, message):
+        f = tmp_path / "s.csv"
+        write_rows(f, ["z,one,1.0,,,,50,,,,one_sample_z", row])
+        code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
+        assert code == 2
+        assert f"row 3: {message}" in err
+
     def test_mixed_families_rejected(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_rows(
@@ -234,6 +252,17 @@ class TestValidate:
         assert out1 == out2
         assert "overall pass" in out1
         assert "check=oracle_z_one" in out1 and "check=oracle_z_two" in out1
+
+    def test_rate_maps_families(self, capsys):
+        # the rate harness gets each family's StatFamily: the H0 slope target
+        # is -(r + 1/2) for z/t and -(r + k/2) with k = 2 for chi-square/F
+        code, out, _ = run(
+            capsys, "validate", "--families", "z,chisq", "--tuples", "1",
+            "--rate", "--replicates", "5", "--seed", "42",
+        )
+        assert code in (0, 1)
+        assert "check=rate_z " in out and "target=-1.500" in out
+        assert "check=rate_chisq " in out and "target=-2.000" in out
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "validate", "--families", "bogus")

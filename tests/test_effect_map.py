@@ -13,11 +13,31 @@ from bffkit.effect_map import (
     EffectSize,
     effective_n,
     fisher_z,
-    mode_consistency_check,
     rmses,
-    target_noncentrality,
     tau_sq_for,
 )
+from bffkit.priors import PriorFamily, PriorSpec, mode
+
+_VECTOR_EFFECT = (
+    DesignTag.MULTINOMIAL_CHISQ,
+    DesignTag.LINEAR_MODEL_F,
+    DesignTag.LIKELIHOOD_RATIO_CHISQ,
+)
+
+
+def target_noncentrality(design, omega):
+    """Non-centrality a z/t design's prior mode is pinned to: sqrt(n_eff) omega."""
+    return math.sqrt(effective_n(design)) * omega
+
+
+def mode_consistency_check(design, omega, r, k=None):
+    """Mode of the design's prior at tau_sq_for(...), which must not depend
+    on r: sqrt(n_eff) omega for z/t designs, n k rmses^2 for the vector
+    designs (half that for the linear model)."""
+    tau_sq = tau_sq_for(design, omega, r, k)
+    if design.tag in _VECTOR_EFFECT:
+        return mode(PriorSpec(PriorFamily.GAMMA_NONLOCAL, tau_sq, r, k))
+    return mode(PriorSpec(PriorFamily.NORMAL_MOMENT_POSITIVE, tau_sq, r))
 
 
 class TestDesignKind:
@@ -71,8 +91,6 @@ class TestTauSqFor:
         # k/2 + r - 1 = 1 here; published form has denominator 4
         as_printed = tau_sq_for(design, eff, 1.0, k=2.0)
         assert as_printed == pytest.approx(50 * 2 * 0.09 / 4.0, rel=1e-14)
-        uniform = tau_sq_for(design, eff, 1.0, k=2.0, linear_model_denominator=2.0)
-        assert uniform == pytest.approx(2.0 * as_printed, rel=1e-14)
 
     def test_k_required_for_vector_designs(self):
         design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=50)
@@ -138,7 +156,6 @@ class TestFisherZ:
         stat = fisher_z(0.0, 50)
         assert stat.value == 0.0
         assert stat.family is StatFamily.Z
-        assert stat.n_eff == 47.0
 
     def test_table_entries(self):
         # first and fourth entries of the published correlation table

@@ -62,7 +62,6 @@ class TestStudySet:
 
     def test_flags(self):
         s = StudySet.build([z_study(1.0, 50), t_study(2.0, 30)])
-        assert s.family_homogeneous
         assert not s.uses_gamma_prior
         g = StudySet.build([chisq_study(3.0, 2.0, 50), chisq_study(4.0, 2.0, 70)])
         assert g.uses_gamma_prior
@@ -146,6 +145,26 @@ class TestMmap:
         assert res.r_star >= 1.0
         assert math.isfinite(res.objective)
 
+    def test_neg_inf_search_point_loses_to_the_scan(self):
+        # z = -8 one-sided opposes the prior: its bracket cancels below double
+        # precision at some r, among them the golden-section search's last point
+        studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
+        res = mmap_r(studies, 0.3)
+        scan = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS))
+        finite = [v for v in _objectives(studies, 0.3, scan.tolist()) if math.isfinite(v)]
+        assert math.isfinite(res.objective)
+        assert finite and res.objective >= max(finite)
+
+    def test_scan_ends_are_exact(self, monkeypatch):
+        # exp(log(200)) is 199.99999999999991; the scan must evaluate r_max itself
+        import bffkit.evidence as ev
+
+        scans = []
+        real = ev._objectives
+        monkeypatch.setattr(ev, "_objectives", lambda *a: (scans.append(list(a[2])), real(*a))[1])
+        mmap_r(StudySet.build([z_study(2.5, 100)]), 0.3, r_max=200.0)
+        assert scans[0][0] == 1.0 and scans[0][-1] == 200.0
+
 
 class TestEffectGrid:
     def test_from_range(self):
@@ -211,7 +230,7 @@ class TestThresholds:
         points = tuple(
             BffPoint(w, 1.0, v, (v,), v) for w, v in zip(omegas, values)
         )
-        return BffCurve(points, EffectGrid(tuple(omegas)))
+        return BffCurve(points)
 
     def test_constant_curve_above(self):
         curve = self._curve_from_values([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
@@ -243,7 +262,7 @@ class TestThresholds:
             BffPoint(0.1, 2.0, 1.0, (1.0,), 0.5),
             BffPoint(0.2, 2.0, 0.5, (0.5,), -0.5),
         )
-        curve = BffCurve(points, EffectGrid((0.1, 0.2)))
+        curve = BffCurve(points)
         crossing_obj = evidence_thresholds(curve, [0.0])[0.0]
         crossing_raw = evidence_thresholds(curve, [0.0], on_objective=False)[0.0]
         assert crossing_obj == pytest.approx(0.15)
