@@ -52,13 +52,11 @@ from .priors import (
     jeffreys_log_prior_nm,
     log_density,
     mode,
-    sample,
 )
 from .specfun import (
     NonConvergenceError,
     log_1f1,
     log_2f1,
-    log_gamma,
     log_gamma_half_ratio,
     trigamma,
 )

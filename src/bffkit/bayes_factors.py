@@ -6,7 +6,8 @@ for z/t, and a Gamma(k/2 + r, 1/(2 tau_sq)) prior for chi-square/F.  All
 arithmetic is carried out on plain float logs; the one-sided z/t forms combine
 their two hypergeometric terms with a signed log-sum-exp (_signed_bracket)
 because the second term carries the sign of the statistic.  log_bf10_batch
-evaluates many statistics through the batched series kernel.
+evaluates many statistics, summing all their series in one batched kernel
+pass per function.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -19,9 +20,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .specfun import log_1f1, log_1f1_batch, log_2f1, log_2f1_batch, log_gamma_half_ratio
+from .specfun import (
+    _log_series_sums,
+    _nonconvergence,
+    _plan_1f1,
+    _plan_2f1,
+    log_1f1,
+    log_2f1,
+    log_gamma_half_ratio,
+)
 
 __all__ = [
     "StatFamily",
@@ -112,8 +119,8 @@ def _check_hyperparams(tau_sq: float, r: float) -> None:
 # one-sided odd term.  Series arguments are those of log_1f1 (z, chi-square)
 # or log_2f1 (t, F).  _assemble turns the series' log values into log BF10;
 # the one-value forms below evaluate the series with log_1f1/log_2f1, and
-# log_bf10_batch evaluates the series of many statistics with one batched
-# kernel call per function.
+# log_bf10_batch plans the series of many statistics with specfun's planners
+# and sums them with one batched kernel pass per function.
 
 
 def _signed_bracket(log_first: float, log_second: float, sign: int) -> float:
@@ -198,7 +205,13 @@ def _t_args(t: float, nu: float, tau_sq: float, r: float) -> float:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _check_hyperparams(tau_sq, r)
-    y = math.sqrt(tau_sq) * t / math.sqrt((nu + t * t) * (1.0 + tau_sq))
+    spread = (nu + t * t) * (1.0 + tau_sq)
+    if not spread < math.inf:  # t * t overflowing would otherwise give y = 0
+        raise ValueError(
+            f"(nu + t^2)(1 + tau_sq) overflows at t={t}, nu={nu}, "
+            f"tau_sq={tau_sq}: the statistic is beyond double precision"
+        )
+    y = math.sqrt(tau_sq) * t / math.sqrt(spread)
     if not y * y < 1.0:
         raise ValueError(
             f"2F1 argument y^2 = {y * y} is not below 1 at t={t}, nu={nu}, "
@@ -326,42 +339,62 @@ def _terms(stat: TestStatistic, tau_sq: float, r: float):
     return True, _f_terms(stat.value, stat.k, stat.m, tau_sq, r)
 
 
+def _series_logs(rows: list) -> tuple[list, dict]:
+    """The log values of one function's series in log_bf10_batch, with every
+    plan summed in one _log_series_sums pass, and the exception of each
+    series that fails.  A row is a plan, None at x = 0, or the exception its
+    planner raised; a plan still running at TERM_CAP fails with
+    NonConvergenceError."""
+    plans = [row for row in rows if type(row) is tuple]
+    sums = _log_series_sums(plans) if plans else []
+    if len(plans) < len(rows):
+        found = iter(sums)
+        sums = [next(found) if type(row) is tuple else 0.0 if row is None else row for row in rows]
+    errors = {}
+    for j, value in enumerate(sums):
+        if type(value) is not float:
+            errors[j] = value
+        elif value != value:  # NaN
+            errors[j] = _nonconvergence(rows[j])
+    return sums, errors
+
+
 def log_bf10_batch(items) -> list:
     """log_bf10(stat, tau_sq, r) for every (stat, tau_sq, r) in items.
 
-    The series of all items go through one log_1f1_batch and one
-    log_2f1_batch call (each made only when needed); every value is bit for
-    bit log_bf10's.  Where log_bf10 would raise for an item, its entry in
-    the returned list is the exception instead of a float.
+    Each item's series are planned as log_1f1/log_2f1 plan them, and the
+    planned series of all items are summed in one _log_series_sums pass per
+    function (made only when needed); every value is bit for bit log_bf10's.
+    Where log_bf10 would raise for an item, its entry in the returned list is
+    the exception instead of a float.
     """
-    plans = []
-    series = ([], [])  # series arguments per kernel: 1F1, 2F1
+    series = ([], [])  # per function, 1F1 and 2F1: rows as _series_logs takes them
+    slots = []
     for stat, tau_sq, r in items:
         try:
             is_2f1, terms = _terms(stat, tau_sq, r)
         except Exception as exc:
-            plans.append(exc)
+            slots.append(exc)
             continue
         if terms is None:
-            plans.append(0.0)
+            slots.append(0.0)
             continue
-        rows = series[is_2f1]
-        first = len(rows)
-        rows.append(terms[1])
-        if terms[2] is not None:
-            rows.append(terms[2][0])
-        plans.append((is_2f1, terms, first))
-    results = []
-    for kernel, rows in zip((log_1f1_batch, log_2f1_batch), series):
-        values, errors = kernel(*np.array(rows).T) if rows else (np.empty(0), {})
-        results.append((values.tolist(), errors))
+        planner, rows = (_plan_2f1, series[1]) if is_2f1 else (_plan_1f1, series[0])
+        slots.append((is_2f1, terms, len(rows)))
+        try:  # like log_bf10, stop at the first series that fails
+            rows.append(planner(*terms[1]))
+            if terms[2] is not None:
+                rows.append(planner(*terms[2][0]))
+        except Exception as exc:
+            rows.append(exc)
+    logs = [_series_logs(rows) for rows in series]
     out = []
-    for plan in plans:
-        if not isinstance(plan, tuple):  # 0.0 at tau_sq = 0, or an exception
-            out.append(plan)
+    for slot in slots:
+        if not isinstance(slot, tuple):  # 0.0 at tau_sq = 0, or an exception
+            out.append(slot)
             continue
-        is_2f1, terms, first = plan
-        values, errors = results[is_2f1]
+        is_2f1, terms, first = slot
+        values, errors = logs[is_2f1]
         two = terms[2] is not None
         if errors and (first in errors or (two and first + 1 in errors)):
             out.append(errors.get(first) or errors[first + 1])

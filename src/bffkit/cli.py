@@ -31,8 +31,6 @@ from .evidence import (
     bff_curve,
     crossings,
     jeffreys_log_prior,
-    mmap_r,
-    per_study_log_bf,
 )
 
 DEFAULT_LEVELS = (-1.0, -3.0, -5.0)
@@ -100,25 +98,17 @@ def _study_from_row(row: dict, row_no: int) -> tuple[TestStatistic, DesignKind]:
     rho = _opt_float(row, "rho", row_no)
     if (stat is None) == (rho is None):
         raise ParseError(f"row {row_no}: exactly one of 'stat' or 'rho' is required")
+    fields = {key: _opt_float(row, key, row_no) for key in ("nu", "k", "m")}
 
     try:
-        if rho is not None:
-            if family is not StatFamily.Z or tag is not DesignTag.CORRELATION_Z:
-                raise ParseError(
-                    f"row {row_no}: rho entry requires test=z, design=correlation_z"
-                )
-            statistic = fisher_z(rho, n, sided) if sided else fisher_z(rho, n)
-        elif family in (StatFamily.Z, StatFamily.T):
-            statistic = TestStatistic(
-                family, stat, sided, nu=_opt_float(row, "nu", row_no)
-            )
+        if rho is None:
+            statistic = TestStatistic(family, stat, sided, **fields)
+        elif family is not StatFamily.Z or tag is not DesignTag.CORRELATION_Z:
+            raise ParseError(f"row {row_no}: rho entry requires test=z, design=correlation_z")
         else:
-            statistic = TestStatistic(
-                family,
-                stat,
-                k=_opt_float(row, "k", row_no),
-                m=_opt_float(row, "m", row_no),
-            )
+            # the Fisher-z statistic checks the row's other cells as any z row's
+            z = fisher_z(rho, n, sided) if sided else fisher_z(rho, n)
+            statistic = TestStatistic(z.family, z.value, z.sided, **fields)
     except ParseError:
         raise
     except ValueError as exc:
@@ -181,25 +171,19 @@ def cmd_point(args) -> int:
     studies = load_studies(args.file)
     if not args.omega > 0.0:
         raise ParseError(f"omega must be > 0, got {args.omega}")
-    if args.r is not None:
-        r_star = args.r
-    else:
-        res = mmap_r(studies, args.omega, args.r_max)
-        r_star = res.r_star
-        if res.at_boundary:
-            print(f"# warning: r* at search boundary r_max={_fmt(args.r_max)}")
-    per_study = per_study_log_bf(studies, args.omega, r_star)
+    (point,) = bff_curve(studies, EffectGrid((args.omega,)), _policy_from_args(args)).points
+    if point.at_r_boundary:
+        print(f"# warning: r* at search boundary r_max={_fmt(args.r_max)}")
     print(f"omega = {_fmt(args.omega)}")
-    print(f"r = {_fmt(r_star)}" if args.r is not None else f"r_star = {_fmt(r_star)}")
-    print(f"log_bf10 = {_fmt(sum(per_study))}")
-    for i, value in enumerate(per_study):
+    print(f"r = {_fmt(point.r_star)}" if args.r is not None else f"r_star = {_fmt(point.r_star)}")
+    print(f"log_bf10 = {_fmt(point.log_bf10)}")
+    for i, value in enumerate(point.per_study_log_bf):
         print(f"study {i}: log_bf10 = {_fmt(value)}")
     return 0
 
 
 def summarize_rows(
     rows: list[tuple[float, float, float]],
-    prior_family: str,
     k: float | None,
     policy_is_mmap: bool,
     levels: tuple[float, ...],
@@ -209,7 +193,9 @@ def summarize_rows(
     Works from the printed row values only, so re-summarizing a parsed file
     reproduces the file's own summary byte for byte.  Crossings follow the
     objective curve (log BF plus the log Jeffreys prior at r_star) under an
-    MMAP policy, the plain log-BF curve under fixed r.
+    MMAP policy, the plain log-BF curve under fixed r.  k is the shared
+    numerator df of a chi-square/F set (gamma prior) and None for z/t
+    (normal-moment prior).
     """
     omegas = np.array([r[0] for r in rows])
     rstars = np.array([r[1] for r in rows])
@@ -220,7 +206,7 @@ def summarize_rows(
         objective = logbf
     best = int(np.argmax(logbf))
     lines = [
-        f"# prior_family: {prior_family}" + (f" k={_fmt(k)}" if k is not None else ""),
+        "# prior_family: normal_moment" if k is None else f"# prior_family: gamma k={_fmt(k)}",
         f"# policy: {'mmap' if policy_is_mmap else 'fixed'}",
         f"# omega_star: {_fmt(float(omegas[best]))}",
         f"# r_star_at_max: {_fmt(float(rstars[best]))}",
@@ -264,8 +250,7 @@ def cmd_curve(args) -> int:
     policy = _policy_from_args(args)
     curve = bff_curve(studies, grid, policy)
     levels = tuple(args.levels)
-    prior_family = "gamma" if studies.uses_gamma_prior else "normal_moment"
-    k = studies.studies[0].stat.k if studies.uses_gamma_prior else None
+    k = studies.studies[0].stat.k  # None for z/t sets, shared by chi-square/F sets
 
     # round first, then summarize from the rounded values: re-parsing the
     # file and re-summarizing must reproduce the summary exactly
@@ -277,7 +262,7 @@ def cmd_curve(args) -> int:
         )
         for p in curve.points
     ]
-    summary = summarize_rows(rows, prior_family, k, isinstance(policy, MmapR), levels)
+    summary = summarize_rows(rows, k, isinstance(policy, MmapR), levels)
     out_lines = ["omega,r_star,log_bf10"]
     out_lines += [f"{_fmt(a)},{_fmt(b)},{_fmt(c)}" for a, b, c in rows]
     out_lines += summary

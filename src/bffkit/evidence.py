@@ -147,48 +147,56 @@ def combined_log_bf(study_set: StudySet, omega: float, r: float) -> float:
     return sum(per_study_log_bf(study_set, omega, r))
 
 
-def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[float]:
-    """The MMAP objective combined_log_bf + log Jeffreys prior at each r in
-    rs, all through one _log_bf_rows pass.
+def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[tuple]:
+    """(objective, per-study values) at each r in rs, where the MMAP
+    objective is combined_log_bf + log Jeffreys prior, all through one
+    _log_bf_rows pass.
 
     One-sided brackets with the statistic strongly opposing the prior
     direction can fall below double-precision resolution at large r (the log
     BF there is enormously negative).  Such r can never be the maximizer, so
     an ArithmeticError makes that r's objective -inf rather than aborting the
-    search; any other error propagates, tagged with its study.
+    search, and its per-study list keeps the exception; any other error
+    propagates, tagged with its study.
     """
     out = []
     for r, per_study in zip(rs, _log_bf_rows(study_set, omega, rs)):
         try:
             _raise_first_error(per_study)
-            out.append(sum(per_study) + study_set.jeffreys_log_prior(r))
+            out.append((sum(per_study) + study_set.jeffreys_log_prior(r), per_study))
         except ArithmeticError:
-            out.append(float("-inf"))
+            out.append((float("-inf"), per_study))
     return out
 
 
 @dataclass(frozen=True)
 class MmapResult:
+    """The MMAP maximizer r_star, its objective, and the per-study log BF10
+    values at r_star that the objective sums."""
+
     r_star: float
     objective: float
     at_boundary: bool
+    per_study_log_bf: tuple[float, ...]
 
 
-def _golden_max(objectives, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_max(evaluate, lo: float, hi: float, tol: float) -> tuple[float, tuple]:
+    """Golden-section search for the maximum objective on [lo, hi]; returns
+    the final point and its (objective, per-study values)."""
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = objectives((c, d))
+    (fc, _), (fd, _) = evaluate((c, d))
     while hi - lo > tol:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            (fc,) = objectives((c,))
+            ((fc, _),) = evaluate((c,))
         else:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            (fd,) = objectives((d,))
+            ((fd, _),) = evaluate((d,))
     x = 0.5 * (lo + hi)
-    return x, objectives((x,))[0]
+    return x, evaluate((x,))[0]
 
 
 def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResult:
@@ -205,19 +213,23 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     pass over all 32 x studies rows, the two initial golden-section points
     one pass, and each further golden-section step and the final evaluation
     one pass over the studies.  The values are bit for bit those of
-    combined_log_bf.
+    combined_log_bf.  The result carries the per-study values of the winning
+    evaluation, so a caller needs no further pass at r_star.
     """
     if not r_max >= 1.0:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
 
-    def objectives(rs: Sequence[float]) -> list[float]:
+    def objectives(rs: Sequence[float]) -> list[tuple]:
         return _objectives(study_set, omega, rs)
 
     if r_max == 1.0:
-        return MmapResult(1.0, objectives((1.0,))[0], True)
+        ((obj, per_study),) = objectives((1.0,))
+        _raise_first_error(per_study)  # no other r to fall back on
+        return MmapResult(1.0, obj, True, tuple(per_study))
     scan = np.exp(np.linspace(0.0, math.log(r_max), _SCAN_POINTS))
     scan[0], scan[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
-    values = objectives(scan.tolist())
+    evaluated = objectives(scan.tolist())
+    values = [obj for obj, _ in evaluated]
     if not any(math.isfinite(v) for v in values):
         raise ArithmeticError(
             f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
@@ -225,12 +237,12 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     best = int(np.argmax(values))
     lo = scan[max(best - 1, 0)]
     hi = scan[min(best + 1, _SCAN_POINTS - 1)]
-    r_star, obj = _golden_max(objectives, float(lo), float(hi), _R_TOL)
+    r_star, (obj, per_study) = _golden_max(objectives, float(lo), float(hi), _R_TOL)
     # the best scan point beats a worse search result: an endpoint maximum,
     # or a final search point whose objective is -inf
     if values[best] > obj:
-        r_star, obj = float(scan[best]), values[best]
-    return MmapResult(r_star, obj, at_boundary=r_max - r_star <= 2.0 * _R_TOL)
+        r_star, (obj, per_study) = float(scan[best]), evaluated[best]
+    return MmapResult(r_star, obj, r_max - r_star <= 2.0 * _R_TOL, tuple(per_study))
 
 
 @dataclass(frozen=True)
@@ -321,24 +333,20 @@ def bff_curve(
     points = []
     for omega in grid.omegas:
         if isinstance(r_policy, FixedR):
-            r_star, boundary = r_policy.r, False
-            penalty = 0.0
+            per_study = tuple(per_study_log_bf(study_set, omega, r_policy.r))
+            total = sum(per_study)
+            point = BffPoint(omega, r_policy.r, total, per_study, objective=total)
         else:
             res = mmap_r(study_set, omega, r_policy.r_max)
-            r_star, boundary = res.r_star, res.at_boundary
-            penalty = study_set.jeffreys_log_prior(r_star)
-        per_study = per_study_log_bf(study_set, omega, r_star)
-        total = sum(per_study)
-        points.append(
-            BffPoint(
-                omega=omega,
-                r_star=r_star,
-                log_bf10=total,
-                per_study_log_bf=tuple(per_study),
-                objective=total + penalty,
-                at_r_boundary=boundary,
+            point = BffPoint(
+                omega,
+                res.r_star,
+                sum(res.per_study_log_bf),
+                res.per_study_log_bf,
+                objective=res.objective,
+                at_r_boundary=res.at_boundary,
             )
-        )
+        points.append(point)
     return BffCurve(tuple(points), study_set.label)
 
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .specfun import log_gamma, trigamma
+from .specfun import trigamma
 
 __all__ = [
     "PriorFamily",
@@ -24,7 +22,6 @@ __all__ = [
     "mode",
     "jeffreys_log_prior_nm",
     "jeffreys_log_prior_gamma",
-    "sample",
 ]
 
 
@@ -74,7 +71,7 @@ def _log_density_nm_two(tau_sq: float, r: float, lam: float) -> float:
     return (
         r * math.log(lam * lam)
         - (r + 0.5) * math.log(2.0 * tau_sq)
-        - log_gamma(r + 0.5)
+        - math.lgamma(r + 0.5)
         - lam * lam / (2.0 * tau_sq)
     )
 
@@ -107,7 +104,7 @@ def log_density(spec: PriorSpec, lam: float) -> float:
         return float("-inf")
     shape = spec.k / 2.0 + spec.r
     rate = 1.0 / (2.0 * spec.tau_sq)
-    return shape * math.log(rate) - log_gamma(shape) + (shape - 1.0) * math.log(lam) - rate * lam
+    return shape * math.log(rate) - math.lgamma(shape) + (shape - 1.0) * math.log(lam) - rate * lam
 
 
 def mode(spec: PriorSpec) -> float:
@@ -143,22 +140,3 @@ def jeffreys_log_prior_gamma(r: float, k: float) -> float:
         raise ValueError(f"Jeffreys radicand not positive at r={r}, k={k}: {radicand}")
     return 0.5 * math.log(radicand)
 
-
-def sample(spec: PriorSpec, rng, size: int | None = None):
-    """Draw from the prior.
-
-    rng may be a seed or a numpy Generator; parallel callers must supply
-    independent streams.  Normal-moment draws use lam = sign * tau * sqrt(2 G)
-    with G ~ Gamma(r + 1/2, 1), which reproduces the density exactly.
-    """
-    rng = np.random.default_rng(rng)
-    if spec.family in _NORMAL_MOMENT_FAMILIES:
-        g = rng.gamma(shape=spec.r + 0.5, scale=1.0, size=size)
-        lam = np.sqrt(2.0 * spec.tau_sq * g)
-        if spec.family is PriorFamily.NORMAL_MOMENT_TWO_SIDED:
-            lam = lam * rng.choice((-1.0, 1.0), size=size)
-        elif spec.family is PriorFamily.NORMAL_MOMENT_NEGATIVE:
-            lam = -lam
-        return float(lam) if size is None else lam
-    lam = rng.gamma(shape=spec.k / 2.0 + spec.r, scale=2.0 * spec.tau_sq, size=size)
-    return float(lam) if size is None else lam

@@ -1,19 +1,24 @@
-"""Log-domain special functions, one value at a time or row-wise over arrays.
+"""Log-domain special functions.
 
-Everything here returns natural logs, as plain floats or float arrays, so
-that callers never touch quantities like 1F1(13, 0.5, 900), whose linear
-value overflows double precision by hundreds of orders of magnitude.  The
-hypergeometric series are summed by streaming log-sum-exp over buffered
-blocks of terms; all in-scope calls have positive parameters and non-negative
-argument, so every term is positive and the series is unimodal in the term
-index.
+Everything here returns natural logs, as plain floats, so that callers never
+touch quantities like 1F1(13, 0.5, 900), whose linear value overflows double
+precision by hundreds of orders of magnitude.  The hypergeometric series are
+summed by streaming log-sum-exp over buffered blocks of terms; all in-scope
+calls have positive parameters and non-negative argument, so every term is
+positive and the series is unimodal in the term index.
 
-log_1f1 and log_2f1 evaluate one function value.  log_1f1_batch and
-log_2f1_batch evaluate many at once through one block kernel that advances
-every series of a chunk of rows together (the blocked log-sum-exp of
-Pearson, Olver & Porter, arXiv:1407.7786, run over a batch axis); each row
-comes out bit for bit equal to the one-value function.  A single value is
-cheaper through the one-value functions, whose per-call overhead is lower.
+Each hypergeometric function is evaluated in two steps.  A planner
+(_plan_1f1, _plan_2f1) checks the arguments and decides which series to sum:
+the x = 0 shortcut, 2F1's (a, b) normalization and, for 2F1 arguments near
+1, the Euler transformation.  It returns the plan (log scale, log x, num,
+den), and the function's log is the log scale plus the log of the planned
+series.  A block kernel then sums the plan: _log_series_sum one plan, as
+log_1f1 and log_2f1 do, or _log_series_sums many plans of one arity at once,
+advancing every series of a chunk of rows together (the blocked log-sum-exp
+of Pearson, Olver & Porter, arXiv:1407.7786, run over a batch axis), as
+bayes_factors.log_bf10_batch does.  Each row of the batched kernel comes out
+bit for bit equal to the one-plan kernel, which is cheaper for a single
+value because its per-call overhead is lower.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "NonConvergenceError",
-    "log_gamma",
     "log_gamma_half_ratio",
     "trigamma",
     "log_1f1",
@@ -42,13 +46,6 @@ _EULER_X = 0.9
 
 class NonConvergenceError(RuntimeError):
     """A hypergeometric series failed to satisfy its stopping rule."""
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 # Asymptotic tail psi_1(x) ~ 1/x + 1/(2x^2) + sum B_2k/x^(2k+1).  With the
@@ -134,22 +131,68 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 _CHUNK = 128
 
 
-def _nonconvergence(log_x: float, num: tuple, den: tuple) -> NonConvergenceError:
+def _nonconvergence(plan: tuple) -> NonConvergenceError:
+    _, log_x, num, den = plan
     return NonConvergenceError(
         f"series did not converge within {TERM_CAP} terms "
         f"(x=e^{log_x:.3g}, num={num}, den={den})"
     )
 
 
-def _log_series_sum(log_x: float, num: tuple, den: tuple) -> float:
-    """Log of sum_{i>=0} t_i with t_0 = 1 and
-    t_{i+1}/t_i = x * prod(num + i) / prod(den + i).
+def _plan_1f1(a: float, b: float, x: float) -> tuple | None:
+    """The series of log_1f1(a, b, x) as (log scale, log x, num, den), or
+    None at x = 0."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"log_1f1 requires finite x >= 0, got x={x}")
+    if x == 0.0:
+        return None
+    plan = (0.0, math.log(x), (a,), (b, 1.0))
+    i = TERM_CAP - 1.0
+    if not x * (a + i) / ((b + i) * (1.0 + i)) < 1.0:
+        raise _nonconvergence(plan)  # see _plan_2f1
+    return plan
+
+
+def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple | None:
+    """The series of log_2f1(a, b, c, x) as (log scale, log x, num, den), or
+    None at x = 0.
+
+    Raises NonConvergenceError when the series cannot stop within TERM_CAP
+    terms: the terms are unimodal, so a term ratio not yet below 1 at the
+    last term the kernel forms means every term up to the cap is still
+    rising.
+    """
+    if not (a > 0.0 and b > 0.0 and c > 0.0):
+        raise ValueError(f"log_2f1 requires a, b, c > 0, got a={a}, b={b}, c={c}")
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"log_2f1 requires 0 <= x < 1, got x={x}")
+    if x == 0.0:
+        return None
+    if a > b:  # symmetric in (a, b); normalize so results match bit-for-bit
+        a, b = b, a
+    scale = 0.0
+    if x > _EULER_X and c - a > 0.0 and c - b > 0.0:
+        # Euler: 2F1(a, b; c; x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x)
+        scale, a, b = (c - a - b) * math.log1p(-x), c - a, c - b
+    plan = (scale, math.log(x), (a, b), (c, 1.0))
+    i = TERM_CAP - 1.0
+    if not x * (a + i) * (b + i) / ((c + i) * (1.0 + i)) < 1.0:
+        raise _nonconvergence(plan)
+    return plan
+
+
+def _log_series_sum(plan: tuple) -> float:
+    """log scale + log of sum_{i>=0} t_i for a plan (log scale, log x, num,
+    den), with t_0 = 1 and t_{i+1}/t_i = x * prod(num + i) / prod(den + i).
 
     Terms are positive; the series is unimodal in i.  Blocks of log-terms are
     accumulated with an online-rescaled log-sum-exp.  Stops when the latest
     term is <= 1e-16 of the running maximum AND the term ratio is < 1 (past
     the series peak); raises NonConvergenceError at the term cap.
     """
+    scale, log_x, num, den = plan
     log_max = 0.0
     acc = 1.0
     log_term = 0.0
@@ -177,14 +220,19 @@ def _log_series_sum(log_x: float, num: tuple, den: tuple) -> float:
         log_term = float(log_terms[-1])
         i0 += _BLOCK
         if inc[-1] < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
-            return log_max + math.log(acc)
-    raise _nonconvergence(log_x, num, den)
+            return scale + (log_max + math.log(acc))
+    raise _nonconvergence(plan)
 
 
-def _log_series_sums(log_x: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
-    """_log_series_sum row by row: row j sums the series with log argument
-    log_x[j] and parameters num[.][j], den[.][j] (a parameter may also be a
-    float shared by every row).
+def _column(values: tuple):
+    """One parameter of many plans: a float when every plan shares it."""
+    return values[0] if values.count(values[0]) == len(values) else np.array(values)
+
+
+def _log_series_sums(plans: list) -> list[float]:
+    """_log_series_sum of each plan; all plans have the same arity (the
+    lengths of num and den).  A plan still running at TERM_CAP comes back
+    as NaN.
 
     Rows go through in chunks of _CHUNK.  Each block advances every live row
     of a chunk together, with exactly the block, floor and stopping rule of
@@ -192,11 +240,16 @@ def _log_series_sums(log_x: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
     is bit for bit what _log_series_sum returns for it.  The rescale factor
     and the final log are taken per row with math.exp and math.log, as
     _log_series_sum takes them: numpy's exp and log may differ from them in
-    the last bit.  A row still running at TERM_CAP comes back as NaN.
+    the last bit.
     """
-    log_x = np.asarray(log_x, dtype=np.float64)
-    out = np.full(len(log_x), np.nan)
-    for lo in range(0, len(log_x), _CHUNK):
+    if not plans:
+        return []
+    scale, log_x, num, den = zip(*plans)
+    log_x = np.array(log_x)
+    num = [_column(p) for p in zip(*num)]
+    den = [_column(p) for p in zip(*den)]
+    out = np.full(len(plans), np.nan)
+    for lo in range(0, len(plans), _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         _sum_chunk(
             out[rows],
@@ -204,7 +257,7 @@ def _log_series_sums(log_x: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
             [p[rows] if np.ndim(p) else p for p in num],
             [p[rows] if np.ndim(p) else p for p in den],
         )
-    return out
+    return [s + v for s, v in zip(scale, out.tolist())]
 
 
 def _sum_chunk(out: np.ndarray, log_x: np.ndarray, num: list, den: list) -> None:
@@ -257,29 +310,14 @@ def _sum_chunk(out: np.ndarray, log_x: np.ndarray, num: list, den: list) -> None
             den = [p[keep] if np.ndim(p) else p for p in den]
 
 
-def _check_1f1(a: float, b: float, x: float) -> None:
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
-    if x < 0.0:
-        raise ValueError(f"log_1f1 requires x >= 0, got x={x}")
-
-
-def _check_2f1(a: float, b: float, c: float, x: float) -> None:
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise ValueError(f"log_2f1 requires a, b, c > 0, got a={a}, b={b}, c={c}")
-    if x < 0.0 or x >= 1.0:
-        raise ValueError(f"log_2f1 requires 0 <= x < 1, got x={x}")
-
-
 def log_1f1(a: float, b: float, x: float) -> float:
     """Log of the confluent hypergeometric function 1F1(a, b; x); 0.0 at x = 0.
 
-    Requires a > 0, b > 0, x >= 0, which keeps every series term positive.
+    Requires a > 0, b > 0 and finite x >= 0, which keeps every series term
+    positive.
     """
-    _check_1f1(a, b, x)
-    if x == 0.0:
-        return 0.0
-    return _log_series_sum(math.log(x), (a,), (b, 1.0))
+    plan = _plan_1f1(a, b, x)
+    return 0.0 if plan is None else _log_series_sum(plan)
 
 
 def log_2f1(a: float, b: float, c: float, x: float) -> float:
@@ -291,67 +329,5 @@ def log_2f1(a: float, b: float, c: float, x: float) -> float:
     (the term cap is generous enough for arguments arbitrarily close to the
     in-scope bound tau^2/(1+tau^2)).
     """
-    _check_2f1(a, b, c, x)
-    if x == 0.0:
-        return 0.0
-    if a > b:  # symmetric in (a, b); normalize so results match bit-for-bit
-        a, b = b, a
-    if x > _EULER_X and c - a > 0.0 and c - b > 0.0:
-        log_sum = _log_series_sum(math.log(x), (c - a, c - b), (c, 1.0))
-        return (c - a - b) * math.log1p(-x) + log_sum
-    return _log_series_sum(math.log(x), (a, b), (c, 1.0))
-
-
-def _batch(check, params: tuple, bad: np.ndarray, x: np.ndarray, num: tuple, den: tuple):
-    """Shared body of the batch entries: per-row domain errors, x == 0 rows,
-    and one kernel pass over the remaining rows.  Returns (log sums, errors);
-    a log sum is 0 where x == 0 and NaN on an error row."""
-    errors = {}
-    for j in np.flatnonzero(bad).tolist():
-        try:
-            check(*(float(p[j]) for p in params))
-        except ValueError as exc:
-            errors[j] = exc
-    sums = np.where(bad, np.nan, 0.0)
-    rows = np.flatnonzero(~bad & (x != 0.0))
-    if len(rows):
-        # math.log per row, as the one-value functions take it (see _log_series_sums)
-        log_x = np.array([math.log(v) for v in x[rows].tolist()])
-        num = tuple(p[rows] for p in num)
-        den = tuple(p[rows] if np.ndim(p) else p for p in den)
-        sums[rows] = _log_series_sums(log_x, num, den)
-        for k in np.flatnonzero(np.isnan(sums[rows])).tolist():
-            errors[int(rows[k])] = _nonconvergence(
-                float(log_x[k]),
-                tuple(float(p[k]) for p in num),
-                tuple(float(p[k]) if np.ndim(p) else p for p in den),
-            )
-    return sums, errors
-
-
-def log_1f1_batch(a, b, x) -> tuple[np.ndarray, dict[int, Exception]]:
-    """log_1f1(a[j], b[j], x[j]) for every row j of equal-length float
-    arrays, through one kernel pass.
-
-    Returns (values, errors).  errors maps each row for which log_1f1 raises
-    to the exception it raises, and that row's value is NaN; every other
-    value is bit for bit log_1f1's.
-    """
-    a, b, x = (np.asarray(v, dtype=np.float64) for v in (a, b, x))
-    bad = ~((a > 0.0) & (b > 0.0)) | (x < 0.0)
-    return _batch(_check_1f1, (a, b, x), bad, x, (a,), (b, 1.0))
-
-
-def log_2f1_batch(a, b, c, x) -> tuple[np.ndarray, dict[int, Exception]]:
-    """log_2f1(a[j], b[j], c[j], x[j]) for every row j of equal-length float
-    arrays, through one kernel pass; returns (values, errors) as
-    log_1f1_batch does."""
-    a, b, c, x = (np.asarray(v, dtype=np.float64) for v in (a, b, c, x))
-    bad = ~((a > 0.0) & (b > 0.0) & (c > 0.0)) | (x < 0.0) | (x >= 1.0)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)  # log_2f1's (a, b) normalization
-    euler = (x > _EULER_X) & (c - lo > 0.0) & (c - hi > 0.0)
-    num = (np.where(euler, c - lo, lo), np.where(euler, c - hi, hi))
-    sums, errors = _batch(_check_2f1, (a, b, c, x), bad, x, num, (c, 1.0))
-    for j in np.flatnonzero(euler & ~bad & (x != 0.0)).tolist():
-        sums[j] = float(c[j] - lo[j] - hi[j]) * math.log1p(-float(x[j])) + float(sums[j])
-    return sums, errors
+    plan = _plan_2f1(a, b, c, x)
+    return 0.0 if plan is None else _log_series_sum(plan)

@@ -6,11 +6,13 @@ reference value, monotonicity, and the large-nu / large-m limits.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import bffkit.bayes_factors as bf
+import bffkit.specfun as sf
 from bffkit.bayes_factors import (
     Sidedness,
     StatFamily,
@@ -24,6 +26,7 @@ from bffkit.bayes_factors import (
     log_bf10_z_one,
     log_bf10_z_two,
 )
+from bffkit.specfun import NonConvergenceError
 
 
 class TestTestStatistic:
@@ -216,7 +219,7 @@ def _forbid_kernels(monkeypatch):
     def fail(*args):
         raise AssertionError("a series kernel was reached")
 
-    for name in ("log_1f1", "log_2f1", "log_1f1_batch", "log_2f1_batch"):
+    for name in ("log_1f1", "log_2f1", "_log_series_sums"):
         monkeypatch.setattr(bf, name, fail)
 
 
@@ -299,6 +302,40 @@ class TestDomainGuards:
         assert all(isinstance(v, ValueError) for v in out)
 
 
+class TestBeyondDoublePrecision:
+    """Statistics whose series cannot be summed in double precision fail
+    typed at plan time, through log_bf10 and log_bf10_batch alike, instead
+    of spinning to the term cap or returning a wrong number."""
+
+    @pytest.mark.parametrize(
+        "stat, tau_sq, error",
+        [
+            # y^2 = 1 - 4.4e-16: the 2F1 series cannot stop within TERM_CAP terms
+            (TestStatistic(StatFamily.T, 1e9, Sidedness.ONE_SIDED, nu=10.0), 1.25e17,
+             NonConvergenceError),
+            # the 1F1 argument overflows to inf
+            (TestStatistic(StatFamily.Z, 1e200, Sidedness.TWO_SIDED), 1.0, ValueError),
+            # x = 2.5e307: the 1F1 series cannot stop within TERM_CAP terms
+            (TestStatistic(StatFamily.CHI_SQ, 1e308, k=2.0), 1.0, NonConvergenceError),
+            # t * t overflows, which would otherwise give y = 0
+            (TestStatistic(StatFamily.T, 1e200, Sidedness.TWO_SIDED, nu=10.0), 1.0, ValueError),
+        ],
+        ids=["t_one_near_one", "z_two_inf", "chisq_huge", "t_two_overflow"],
+    )
+    def test_beyond_double_precision_fails_fast(self, monkeypatch, stat, tau_sq, error):
+        def fail(*args):
+            raise AssertionError("a series kernel was reached")
+
+        monkeypatch.setattr(sf, "_log_series_sum", fail)
+        monkeypatch.setattr(bf, "_log_series_sums", fail)
+        start = time.perf_counter()
+        with pytest.raises(error):
+            log_bf10(stat, tau_sq, 1.0)
+        (batched,) = log_bf10_batch([(stat, tau_sq, 1.0)])
+        assert time.perf_counter() - start < 0.01
+        assert type(batched) is error
+
+
 def _scalar_or_error(stat, tau_sq, r):
     try:
         return log_bf10(stat, tau_sq, r)
@@ -345,11 +382,12 @@ class TestBatch:
                 assert g == e
 
     def test_one_kernel_call_per_function(self, monkeypatch):
-        calls = []
-        for name in ("log_1f1_batch", "log_2f1_batch"):
-            real = getattr(bf, name)
-            monkeypatch.setattr(
-                bf, name, lambda *a, real=real, name=name: (calls.append(name), real(*a))[1]
-            )
+        calls = []  # the set of series arities (1 for 1F1, 2 for 2F1) per pass
+        real = bf._log_series_sums
+        monkeypatch.setattr(
+            bf,
+            "_log_series_sums",
+            lambda plans: (calls.append({len(p[2]) for p in plans}), real(plans))[1],
+        )
         log_bf10_batch(self._items())
-        assert sorted(calls) == ["log_1f1_batch", "log_2f1_batch"]
+        assert sorted(calls, key=min) == [{1}, {2}]

@@ -103,6 +103,10 @@ class TestParsing:
             ("z,,1.0,,,,50,,,,one_sample_z", "z statistics require a sidedness"),
             ("t,two,2.1,58,,,60,30,30,,two_sample_t", "two-sample designs take n1/n2, not n"),
             ("z,one,1.0,,,,50,25,25,,one_sample_z", "one_sample_z takes a single sample size n"),
+            # stray cells go to TestStatistic, which rejects them
+            ("chisq,one,3.0,7,2,,50,,,,multinomial_chisq", "chisq statistics are inherently one-directional"),
+            ("z,one,1.5,,3,4,100,,,,one_sample_z", "k/m are not meaningful for z statistics"),
+            ("z,two,,7,3,,100,,,0.3,correlation_z", "k/m are not meaningful for z statistics"),
         ],
     )
     def test_rejected_row(self, tmp_path, capsys, row, message):
@@ -222,7 +226,7 @@ class TestCurve:
         )
         assert code == 0
         rows, meta = parse_curve_file(str(out_file))
-        regenerated = summarize_rows(rows, "normal_moment", None, False, (-1.0, -3.0, -5.0))
+        regenerated = summarize_rows(rows, None, False, (-1.0, -3.0, -5.0))
         in_file = [l.strip() for l in out_file.read_text().splitlines() if l.startswith("#")]
         assert regenerated == in_file
 

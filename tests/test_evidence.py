@@ -151,7 +151,7 @@ class TestMmap:
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         res = mmap_r(studies, 0.3)
         scan = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS))
-        finite = [v for v in _objectives(studies, 0.3, scan.tolist()) if math.isfinite(v)]
+        finite = [v for v, _ in _objectives(studies, 0.3, scan.tolist()) if math.isfinite(v)]
         assert math.isfinite(res.objective)
         assert finite and res.objective >= max(finite)
 
@@ -318,7 +318,7 @@ class TestBatchedObjective:
                 expected.append(sum(per_study) + studies.jeffreys_log_prior(r))
             except ArithmeticError:
                 expected.append(float("-inf"))
-        got = _objectives(studies, omega, rs)
+        got = [objective for objective, _ in _objectives(studies, omega, rs)]
         assert got == expected
         assert any(v == float("-inf") for v in got)
         assert any(math.isfinite(v) for v in got)
@@ -349,27 +349,59 @@ class TestBatchedObjective:
             per_study_log_bf(studies, 0.5, 0.5)
 
 
+def _stroop():
+    from bffkit.cli import load_studies
+
+    return load_studies(str(Path(__file__).parent / "data" / "stroop.csv"))
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record the row count of every batched kernel pass, which must be all
+    2F1 rows, and fail on any one-value kernel call."""
+
+    def fail(*args):
+        raise AssertionError("one-value kernel called")
+
+    passes = []
+
+    def count(plans):
+        assert all(len(plan[2]) == 2 for plan in plans), "1F1 rows in a pass"
+        passes.append(len(plans))
+        return real(plans)
+
+    real = bf._log_series_sums
+    monkeypatch.setattr(bf, "_log_series_sums", count)
+    for name in ("log_1f1", "log_2f1"):
+        monkeypatch.setattr(bf, name, fail)
+    return passes
+
+
 class TestKernelPasses:
     def test_mmap_point_is_one_pass_per_batch(self, monkeypatch):
         """One Stroop MMAP point: one scan pass, at most 30 golden-section
-        passes and one final pass, and no one-value kernel call at all (a
-        silent fallback to per-study evaluation fails here, not in a timing)."""
-        from bffkit.cli import load_studies
-
-        studies = load_studies(str(Path(__file__).parent / "data" / "stroop.csv"))
+        passes and one final pass, all of 2F1 series, and no one-value kernel
+        call at all (a silent fallback to per-study evaluation fails here,
+        not in a timing)."""
+        studies = _stroop()
         n = len(studies.studies)
-
-        def fail(*args):
-            raise AssertionError("one-value or 1F1 kernel called")
-
-        passes = []
-        real = bf.log_2f1_batch
-        monkeypatch.setattr(bf, "log_2f1_batch", lambda *a: (passes.append(len(a[0])), real(*a))[1])
-        for name in ("log_1f1", "log_2f1", "log_1f1_batch"):
-            monkeypatch.setattr(bf, name, fail)
+        passes = _count_passes(monkeypatch)
         mmap_r(studies, 0.5)
         # one-sided t rows with t != 0 carry two series each
         assert passes[0] == _SCAN_POINTS * n * 2
         assert passes[1] == 2 * n * 2  # the two initial golden-section points
         assert all(p == n * 2 for p in passes[2:])
         assert len(passes) - 2 <= 30
+
+    def test_bff_curve_point_adds_no_pass(self, monkeypatch):
+        """bff_curve builds an MMAP point from mmap_r's winning evaluation:
+        the point costs exactly mmap_r's passes, and carries its values."""
+        studies = _stroop()
+        passes = _count_passes(monkeypatch)
+        res = mmap_r(studies, 0.5)
+        mmap_passes = list(passes)
+        passes.clear()
+        (point,) = bff_curve(studies, EffectGrid((0.5,)), MmapR()).points
+        assert passes == mmap_passes
+        assert point.r_star == res.r_star and point.objective == res.objective
+        assert point.per_study_log_bf == res.per_study_log_bf
+        assert point.log_bf10 == sum(res.per_study_log_bf)

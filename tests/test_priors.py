@@ -15,7 +15,6 @@ from bffkit.priors import (
     jeffreys_log_prior_nm,
     log_density,
     mode,
-    sample,
 )
 from bffkit.specfun import trigamma
 
@@ -206,39 +205,3 @@ class TestJeffreys:
             jeffreys_log_prior_gamma(0.5, 2.0)
         with pytest.raises(ValueError):
             jeffreys_log_prior_gamma(1.0, 0.0)
-
-
-class TestSample:
-    def test_two_sided_second_moment(self):
-        # lam = +-tau sqrt(2G), G ~ Gamma(r+1/2, 1): E[lam^2] = (2r+1) tau_sq
-        spec = PriorSpec(NM_TWO, 1.0, 1.0)
-        draws = sample(spec, rng=1234, size=100_000)
-        target = 3.0
-        se = np.std(draws**2) / math.sqrt(draws.size)
-        assert abs(np.mean(draws**2) - target) <= 3.0 * se
-
-    def test_one_sided_support(self):
-        pos = sample(PriorSpec(NM_POS, 2.0, 1.5), rng=7, size=10_000)
-        neg = sample(PriorSpec(NM_NEG, 2.0, 1.5), rng=7, size=10_000)
-        assert np.all(pos > 0)
-        assert np.all(neg < 0)
-
-    def test_gamma_mean(self):
-        spec = PriorSpec(GAMMA, 1.0, 1.0, k=2.0)
-        draws = sample(spec, rng=99, size=100_000)
-        se = np.std(draws) / math.sqrt(draws.size)
-        assert abs(np.mean(draws) - 4.0) <= 3.0 * se
-
-    def test_scalar_draw(self):
-        value = sample(PriorSpec(NM_TWO, 1.0, 1.0), rng=0)
-        assert isinstance(value, float)
-
-    def test_matches_density_histogram(self):
-        # coarse distributional check: sample CDF vs integrated density
-        spec = PriorSpec(NM_POS, 1.0, 2.0)
-        draws = sample(spec, rng=42, size=50_000)
-        cut = mode(spec)
-        p_emp = float(np.mean(draws <= cut))
-        p_true, _ = integrate.quad(lambda x: math.exp(log_density(spec, x)), 0, cut)
-        se = math.sqrt(p_true * (1 - p_true) / draws.size)
-        assert abs(p_emp - p_true) <= 4.0 * se

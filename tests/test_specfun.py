@@ -17,34 +17,9 @@ from bffkit.specfun import (
     NonConvergenceError,
     log_1f1,
     log_2f1,
-    log_gamma,
     log_gamma_half_ratio,
     trigamma,
 )
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
-
-    def test_against_high_precision_series(self):
-        # frozen: mpmath 60-digit log(Gamma(10.3))
-        assert log_gamma(10.3) == pytest.approx(13.48203678613835697, rel=1e-13)
-
-    def test_relative_error_contract(self):
-        # spot checks across [0.5, 1e6] against the Stirling-based identity
-        # lgamma(x+1) = lgamma(x) + log(x)
-        for x in (0.5, 1.7, 42.0, 9999.5, 1e6 - 1):
-            assert log_gamma(x + 1.0) == pytest.approx(
-                log_gamma(x) + math.log(x), rel=1e-13, abs=1e-13
-            )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
 
 
 class TestPsiFunctions:
@@ -138,6 +113,9 @@ class Test1F1:
             log_1f1(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             log_1f1(1.0, 1.0, -0.5)
+        for x in (math.inf, math.nan):  # rejected before any term is summed
+            with pytest.raises(ValueError):
+                log_1f1(1.0, 1.0, x)
 
 
 class Test2F1:
@@ -216,6 +194,8 @@ class Test2F1:
             log_2f1(1.0, 1.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             log_2f1(0.0, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            log_2f1(1.0, 1.0, 1.0, math.nan)
 
     def test_term_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sf, "TERM_CAP", 256)
@@ -228,6 +208,28 @@ def _scalar_or_error(fn, *args):
         return fn(*args)
     except Exception as exc:  # compared by type and message
         return exc
+
+
+def _batch(planner, columns):
+    """The batched path as log_bf10_batch drives it: plan every row, sum the
+    planned rows in one _log_series_sums pass, and turn a NaN row into its
+    NonConvergenceError.  Returns (values, errors by row)."""
+    rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
+    values, errors, planned = np.zeros(len(rows)), {}, []
+    for j, args in enumerate(rows):
+        try:
+            plan = planner(*args)
+        except Exception as exc:
+            values[j], errors[j] = np.nan, exc
+            continue
+        if plan is not None:
+            planned.append((j, plan))
+    sums = sf._log_series_sums([plan for _, plan in planned])
+    for (j, plan), value in zip(planned, sums):
+        values[j] = value
+        if math.isnan(value):
+            errors[j] = sf._nonconvergence(plan)
+    return values, errors
 
 
 def _assert_rows_match(batch, scalar_fn, columns):
@@ -243,8 +245,8 @@ def _assert_rows_match(batch, scalar_fn, columns):
 
 
 class TestBatchKernel:
-    """log_1f1_batch / log_2f1_batch against the one-value functions, row by
-    row and bit for bit (exact ==, not approx)."""
+    """The planners plus the batched kernel against the one-value functions,
+    row by row and bit for bit (exact ==, not approx)."""
 
     def test_1f1_rows(self):
         rng = np.random.default_rng(11)
@@ -252,7 +254,7 @@ class TestBatchKernel:
         b = rng.uniform(0.5, 5.0, 300)
         x = rng.exponential(40.0, 300)
         x[::17] = 0.0
-        _assert_rows_match(sf.log_1f1_batch(a, b, x), log_1f1, (a, b, x))
+        _assert_rows_match(_batch(sf._plan_1f1, (a, b, x)), log_1f1, (a, b, x))
 
     def test_2f1_rows_raw_and_euler(self):
         rng = np.random.default_rng(12)
@@ -267,12 +269,12 @@ class TestBatchKernel:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         euler = (x > 0.9) & (c - lo > 0.0) & (c - hi > 0.0)
         assert euler.sum() >= 40 and (~euler & (x > 0.9)).any()
-        _assert_rows_match(sf.log_2f1_batch(a, b, c, x), log_2f1, (a, b, c, x))
+        _assert_rows_match(_batch(sf._plan_2f1, (a, b, c, x)), log_2f1, (a, b, c, x))
 
     def test_symmetric_pairs_match(self):
         # log_2f1 normalizes (a, b); the batch must do the same per row
         a, b = [3.7, 1.2], [1.2, 3.7]
-        values, _ = sf.log_2f1_batch(a, b, [0.5, 0.5], [0.42, 0.42])
+        values, _ = _batch(sf._plan_2f1, (a, b, [0.5, 0.5], [0.42, 0.42]))
         assert values[0] == values[1] == log_2f1(3.7, 1.2, 0.5, 0.42)
 
     def test_chunk_mixing_one_block_and_long_series(self, monkeypatch):
@@ -284,12 +286,13 @@ class TestBatchKernel:
         long_rows = np.arange(sf._CHUNK - 6, sf._CHUNK + 6)
         log_x[long_rows] = math.log(600.0)
         log_x[-1] = math.log(900.0)
-        out = sf._log_series_sums(log_x, (a,), (b, 1.0))
+        plans = [(0.0, float(log_x[j]), (a[j],), (b[j], 1.0)) for j in range(n)]
+        out = sf._log_series_sums(plans)
         for j in range(n):
-            assert out[j] == sf._log_series_sum(float(log_x[j]), (a[j],), (b[j], 1.0))
+            assert out[j] == sf._log_series_sum(plans[j])
         # with a one-block cap, exactly the long rows fail to converge
         monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
-        capped = sf._log_series_sums(log_x, (a,), (b, 1.0))
+        capped = sf._log_series_sums(plans)
         assert set(np.flatnonzero(np.isnan(capped))) == {*long_rows.tolist(), n - 1}
 
     def test_domain_errors_per_row(self):
@@ -297,9 +300,9 @@ class TestBatchKernel:
         b = [2.0, 1.0, 1.0, 3.0]
         c = [3.0, 1.0, 1.0, 4.0]
         x = [0.5, 0.5, 1.0, -0.1]
-        _assert_rows_match(sf.log_2f1_batch(a, b, c, x), log_2f1, (a, b, c, x))
+        _assert_rows_match(_batch(sf._plan_2f1, (a, b, c, x)), log_2f1, (a, b, c, x))
         _assert_rows_match(
-            sf.log_1f1_batch([1.0, -1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, -2.0]),
+            _batch(sf._plan_1f1, ([1.0, -1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, -2.0])),
             log_1f1,
             ([1.0, -1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, -2.0]),
         )
@@ -307,10 +310,11 @@ class TestBatchKernel:
     def test_term_cap_per_row(self, monkeypatch):
         monkeypatch.setattr(sf, "TERM_CAP", 256)
         a, b, c, x = [5.0, 1.0], [5.0, 1.0], [0.5, 2.0], [0.999999, 0.5]
-        values, errors = sf.log_2f1_batch(a, b, c, x)
+        values, errors = _batch(sf._plan_2f1, (a, b, c, x))
         assert set(errors) == {0} and isinstance(errors[0], NonConvergenceError)
         _assert_rows_match((values, errors), log_2f1, (a, b, c, x))
 
     def test_empty_batch(self):
-        values, errors = sf.log_1f1_batch([], [], [])
+        assert sf._log_series_sums([]) == []
+        values, errors = _batch(sf._plan_1f1, ([], [], []))
         assert len(values) == 0 and errors == {}
