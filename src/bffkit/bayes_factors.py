@@ -339,68 +339,44 @@ def _terms(stat: TestStatistic, tau_sq: float, r: float):
     return True, _f_terms(stat.value, stat.k, stat.m, tau_sq, r)
 
 
-def _series_logs(rows: list) -> tuple[list, dict]:
-    """The log values of one function's series in log_bf10_batch, with every
-    plan summed in one _log_series_sums pass, and the exception of each
-    series that fails.  A row is a plan, None at x = 0, or the exception its
-    planner raised; a plan still running at TERM_CAP fails with
-    NonConvergenceError."""
-    plans = [row for row in rows if type(row) is tuple]
-    sums = _log_series_sums(plans) if plans else []
-    if len(plans) < len(rows):
-        found = iter(sums)
-        sums = [next(found) if type(row) is tuple else 0.0 if row is None else row for row in rows]
-    errors = {}
-    for j, value in enumerate(sums):
-        if type(value) is not float:
-            errors[j] = value
-        elif value != value:  # NaN
-            errors[j] = _nonconvergence(rows[j])
-    return sums, errors
-
-
 def log_bf10_batch(items) -> list:
     """log_bf10(stat, tau_sq, r) for every (stat, tau_sq, r) in items.
 
     Each item's series are planned as log_1f1/log_2f1 plan them, and the
     planned series of all items are summed in one _log_series_sums pass per
-    function (made only when needed); every value is bit for bit log_bf10's.
-    Where log_bf10 would raise for an item, its entry in the returned list is
-    the exception instead of a float.
+    function (made only when needed); an item keeps the positions of its
+    series in its function's pass.  Every value is bit for bit log_bf10's.
+    Where log_bf10 would raise for an item, its entry in the returned list
+    is the exception instead of a float.
     """
-    series = ([], [])  # per function, 1F1 and 2F1: rows as _series_logs takes them
-    slots = []
+    series = ([], [])  # the plans of the 1F1 pass and of the 2F1 pass
+    out, owners = [], []  # owners: (index in out, uses 2F1, terms, first position)
     for stat, tau_sq, r in items:
-        try:
-            is_2f1, terms = _terms(stat, tau_sq, r)
-        except Exception as exc:
-            slots.append(exc)
-            continue
-        if terms is None:
-            slots.append(0.0)
-            continue
-        planner, rows = (_plan_2f1, series[1]) if is_2f1 else (_plan_1f1, series[0])
-        slots.append((is_2f1, terms, len(rows)))
         try:  # like log_bf10, stop at the first series that fails
-            rows.append(planner(*terms[1]))
-            if terms[2] is not None:
-                rows.append(planner(*terms[2][0]))
+            is_2f1, terms = _terms(stat, tau_sq, r)
+            if terms is not None:
+                planner = _plan_2f1 if is_2f1 else _plan_1f1
+                first = planner(*terms[1])
+                second = None if terms[2] is None else planner(*terms[2][0])
         except Exception as exc:
-            rows.append(exc)
-    logs = [_series_logs(rows) for rows in series]
-    out = []
-    for slot in slots:
-        if not isinstance(slot, tuple):  # 0.0 at tau_sq = 0, or an exception
-            out.append(slot)
+            out.append(exc)
             continue
-        is_2f1, terms, first = slot
-        values, errors = logs[is_2f1]
-        two = terms[2] is not None
-        if errors and (first in errors or (two and first + 1 in errors)):
-            out.append(errors.get(first) or errors[first + 1])
+        if terms is not None:  # the item's series go to positions i and i + 1
+            rows = series[is_2f1]
+            owners.append((len(out), is_2f1, terms, len(rows)))
+            rows.append(first)
+            if second is not None:
+                rows.append(second)
+        out.append(0.0)  # log BF10 at tau_sq = 0; an owner's entry is replaced below
+    sums = [_log_series_sums(rows) if rows else [] for rows in series]
+    for slot, is_2f1, terms, i in owners:
+        log_first = sums[is_2f1][i]
+        log_second = None if terms[2] is None else sums[is_2f1][i + 1]
+        if log_first != log_first or log_second != log_second:  # NaN: still running at TERM_CAP
+            out[slot] = _nonconvergence(series[is_2f1][i if log_first != log_first else i + 1])
             continue
         try:
-            out.append(_assemble(terms, values[first], values[first + 1] if two else None))
+            out[slot] = _assemble(terms, log_first, log_second)
         except ArithmeticError as exc:
-            out.append(exc)
+            out[slot] = exc
     return out

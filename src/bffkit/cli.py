@@ -27,6 +27,7 @@ from .evidence import (
     EffectGrid,
     FixedR,
     MmapR,
+    Study,
     StudySet,
     bff_curve,
     crossings,
@@ -80,7 +81,7 @@ def _lookup(enum, row: dict, key: str, what: str, row_no: int):
         raise ParseError(f"row {row_no}: unknown {what} {row.get(key)!r}")
 
 
-def _study_from_row(row: dict, row_no: int) -> tuple[TestStatistic, DesignKind]:
+def _study_from_row(row: dict, row_no: int) -> Study:
     family = _lookup(StatFamily, row, "test", "test", row_no)
     tag = _lookup(DesignTag, row, "design", "design", row_no)
 
@@ -99,21 +100,19 @@ def _study_from_row(row: dict, row_no: int) -> tuple[TestStatistic, DesignKind]:
     if (stat is None) == (rho is None):
         raise ParseError(f"row {row_no}: exactly one of 'stat' or 'rho' is required")
     fields = {key: _opt_float(row, key, row_no) for key in ("nu", "k", "m")}
+    if rho is not None and (family is not StatFamily.Z or tag is not DesignTag.CORRELATION_Z):
+        raise ParseError(f"row {row_no}: rho entry requires test=z, design=correlation_z")
 
     try:
         if rho is None:
             statistic = TestStatistic(family, stat, sided, **fields)
-        elif family is not StatFamily.Z or tag is not DesignTag.CORRELATION_Z:
-            raise ParseError(f"row {row_no}: rho entry requires test=z, design=correlation_z")
         else:
             # the Fisher-z statistic checks the row's other cells as any z row's
             z = fisher_z(rho, n, sided) if sided else fisher_z(rho, n)
             statistic = TestStatistic(z.family, z.value, z.sided, **fields)
-    except ParseError:
-        raise
+        return Study(statistic, design)
     except ValueError as exc:
         raise ParseError(f"row {row_no}: {exc}")
-    return statistic, design
 
 
 def load_studies(path: str) -> StudySet:
@@ -126,7 +125,7 @@ def load_studies(path: str) -> StudySet:
                 raise ParseError(f"invalid JSON in {path}: {exc}")
         if not isinstance(rows, list):
             raise ParseError(f"{path}: expected a JSON list of row objects")
-        pairs = [_study_from_row(row, i + 1) for i, row in enumerate(rows)]
+        studies = [_study_from_row(row, i + 1) for i, row in enumerate(rows)]
     else:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -135,14 +134,14 @@ def load_studies(path: str) -> StudySet:
             unknown = set(reader.fieldnames) - set(_CSV_FIELDS)
             if unknown:
                 raise ParseError(f"{path}: unknown columns {sorted(unknown)}")
-            pairs = [
+            studies = [
                 _study_from_row(row, i + 2)  # header is line 1
                 for i, row in enumerate(reader)
             ]
-    if not pairs:
+    if not studies:
         raise ParseError(f"{path}: no study rows")
     try:
-        return StudySet.build(pairs, label=os.path.basename(path))
+        return StudySet(tuple(studies), label=os.path.basename(path))
     except ValueError as exc:
         raise ParseError(str(exc))
 

@@ -48,8 +48,15 @@ _R_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Study:
+    """A statistic and its design.  The design must fit the statistic's
+    family, by tau_sq_for's rules (a chi-square/F design takes the numerator
+    df k, a z/t design none), so no prior scale of a built study fails."""
+
     stat: TestStatistic
     design: DesignKind
+
+    def __post_init__(self):
+        tau_sq_for(self.design, 0.0, 1.0, self.stat.k)
 
 
 @dataclass(frozen=True)
@@ -86,10 +93,6 @@ class StudySet:
     def build(cls, pairs: Iterable[tuple[TestStatistic, DesignKind]], label: str = "") -> "StudySet":
         return cls(tuple(Study(stat, design) for stat, design in pairs), label)
 
-    @property
-    def uses_gamma_prior(self) -> bool:
-        return self.studies[0].stat.family in _GAMMA_STAT_FAMILIES
-
     def jeffreys_log_prior(self, r: float) -> float:
         # k is None for z/t studies and shared by chi-square/F sets
         return jeffreys_log_prior(r, self.studies[0].stat.k)
@@ -107,24 +110,17 @@ def _log_bf_rows(study_set: StudySet, omega: float, rs: Sequence[float]) -> list
     """Per-study log BF10 at common effect omega for every shape in rs, one
     list per r, with all (r, study) series evaluated by one batched
     log_bf10_batch pass.  Where the evaluation of a study raises, its entry is
-    the exception instead of a float."""
+    the exception instead of a float.  tau_sq_for fails here only on r < 1,
+    which concerns no study: a built Study's design fits its statistic."""
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     effect = EffectSize(float(omega))  # validated once, not once per row
-    values: list = []
-    slots, items = [], []
-    for r in rs:
-        for study in study_set.studies:
-            try:
-                tau_sq = tau_sq_for(study.design, effect, r, study.stat.k)
-            except Exception as exc:
-                values.append(exc)
-                continue
-            slots.append(len(values))
-            values.append(None)
-            items.append((study.stat, tau_sq, r))
-    for slot, value in zip(slots, log_bf10_batch(items)):
-        values[slot] = value
+    items = [
+        (study.stat, tau_sq_for(study.design, effect, r, study.stat.k), r)
+        for r in rs
+        for study in study_set.studies
+    ]
+    values = log_bf10_batch(items)
     n = len(study_set.studies)
     return [values[i : i + n] for i in range(0, len(values), n)]
 

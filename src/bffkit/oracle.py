@@ -23,7 +23,7 @@ from scipy import integrate
 from scipy.special import gammaincc
 
 from .bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
-from .priors import PriorFamily, PriorSpec, log_density
+from .priors import _NORMAL_MOMENT_FAMILIES, PriorFamily, PriorSpec, log_density
 from .priors import mode as prior_mode
 
 __all__ = [
@@ -220,22 +220,15 @@ def density_noncentral(stat: TestStatistic, lam: float) -> float:
     return math.exp(_log_series(log_t0, ratio_f))
 
 
-_NM_FAMILIES = (
-    PriorFamily.NORMAL_MOMENT_TWO_SIDED,
-    PriorFamily.NORMAL_MOMENT_POSITIVE,
-    PriorFamily.NORMAL_MOMENT_NEGATIVE,
-)
-
-
 def _prior_sd(spec: PriorSpec) -> float:
-    if spec.family in _NM_FAMILIES:
+    if spec.family in _NORMAL_MOMENT_FAMILIES:
         return math.sqrt((2.0 * spec.r + 1.0) * spec.tau_sq)
     return math.sqrt(spec.k / 2.0 + spec.r) * 2.0 * spec.tau_sq
 
 
 def _prior_tail_mass(spec: PriorSpec, bound: float) -> float:
     """Prior mass beyond |lam| > bound."""
-    if spec.family in _NM_FAMILIES:
+    if spec.family in _NORMAL_MOMENT_FAMILIES:
         # lam^2/(2 tau^2) ~ Gamma(r + 1/2, 1)
         return float(gammaincc(spec.r + 0.5, bound * bound / (2.0 * spec.tau_sq)))
     return float(gammaincc(spec.k / 2.0 + spec.r, bound / (2.0 * spec.tau_sq)))
@@ -255,7 +248,7 @@ def marginal_bf_quadrature(
     by adaptive quadrature over the prior's support."""
     fam = stat.family
     if fam in (StatFamily.Z, StatFamily.T):
-        if spec.family not in _NM_FAMILIES:
+        if spec.family not in _NORMAL_MOMENT_FAMILIES:
             raise ValueError("z/t statistics pair with normal-moment priors")
     elif spec.family is not PriorFamily.GAMMA_NONLOCAL:
         raise ValueError("chi-square/F statistics pair with the gamma prior")

@@ -8,17 +8,20 @@ calls have positive parameters and non-negative argument, so every term is
 positive and the series is unimodal in the term index.
 
 Each hypergeometric function is evaluated in two steps.  A planner
-(_plan_1f1, _plan_2f1) checks the arguments and decides which series to sum:
-the x = 0 shortcut, 2F1's (a, b) normalization and, for 2F1 arguments near
-1, the Euler transformation.  It returns the plan (log scale, log x, num,
-den), and the function's log is the log scale plus the log of the planned
-series.  A block kernel then sums the plan: _log_series_sum one plan, as
-log_1f1 and log_2f1 do, or _log_series_sums many plans of one arity at once,
-advancing every series of a chunk of rows together (the blocked log-sum-exp
-of Pearson, Olver & Porter, arXiv:1407.7786, run over a batch axis), as
-bayes_factors.log_bf10_batch does.  Each row of the batched kernel comes out
-bit for bit equal to the one-plan kernel, which is cheaper for a single
-value because its per-call overhead is lower.
+(_plan_1f1, _plan_2f1) checks the arguments, decides which series to sum
+(2F1's (a, b) normalization and, for 2F1 arguments near 1, the Euler
+transformation) and rejects a series that cannot stop within TERM_CAP terms.
+It returns the plan (log scale, log x, num, den), and the function's log is
+the log scale plus the log of the planned series.  A block kernel then sums
+the plan: _log_series_sum one plan, as log_1f1 and log_2f1 do, or
+_log_series_sums many plans of one arity at once, as
+bayes_factors.log_bf10_batch does (the blocked log-sum-exp of Pearson, Olver
+& Porter, arXiv:1407.7786, run over a batch axis).  The batched kernel takes
+its plans in chunks of rows; a chunk is one array with a row (log x, *num,
+*den) per plan, and each block advances every live row of the chunk
+together.  Each of its rows comes out bit for bit equal to the one-plan
+kernel, which is cheaper for a single value because its per-call overhead
+is lower.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def log_gamma_half_ratio(x: float) -> float:
 
 _IDX = np.arange(_BLOCK, dtype=np.float64)
 # Rows per chunk of the batched kernel: large enough to amortize numpy's
-# per-call overhead, small enough to keep its (rows, _BLOCK) work arrays small.
+# per-call overhead, small enough to keep its per-block arrays small.
 _CHUNK = 128
 
 
@@ -139,47 +142,80 @@ def _nonconvergence(plan: tuple) -> NonConvergenceError:
     )
 
 
-def _plan_1f1(a: float, b: float, x: float) -> tuple | None:
-    """The series of log_1f1(a, b, x) as (log scale, log x, num, den), or
-    None at x = 0."""
+def _check_cap(plan: tuple) -> None:
+    """Raise NonConvergenceError when the series of plan cannot stop within
+    TERM_CAP terms.
+
+    The kernel stops by the cap exactly when the term at TERM_CAP is below
+    _LOG_TERM_FLOOR relative to the largest term.  The terms are unimodal,
+    so the largest is the first whose successor is not larger, found by
+    bisection on the term ratio, and the log of a term is a sum of lgamma
+    differences (Pochhammer symbols).  The test leaves a margin of 1 in log:
+    the kernel's running sum of log ratios agrees with the lgamma sums to far
+    better than that, so a series the kernel can sum is never rejected.
+    """
+    _, log_x, num, den = plan
+    lo, hi = 0, TERM_CAP
+    while lo < hi:
+        i = (lo + hi) // 2
+        if log_x + sum(math.log(p + i) for p in num) > sum(math.log(q + i) for q in den):
+            lo = i + 1
+        else:
+            hi = i
+    drop = (
+        (TERM_CAP - lo) * log_x
+        + sum(math.lgamma(p + TERM_CAP) - math.lgamma(p + lo) for p in num)
+        - sum(math.lgamma(q + TERM_CAP) - math.lgamma(q + lo) for q in den)
+    )
+    if drop > _LOG_TERM_FLOOR + 1.0:
+        raise _nonconvergence(plan)
+
+
+def _plan_1f1(a: float, b: float, x: float) -> tuple:
+    """The series of log_1f1(a, b, x) as (log scale, log x, num, den).
+
+    At x = 0 the series is its first term, 1: log x = -inf makes every
+    later term 0, and either kernel sums the plan to 0.0 in one block.
+    """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= x < math.inf:
         raise ValueError(f"log_1f1 requires finite x >= 0, got x={x}")
-    if x == 0.0:
-        return None
-    plan = (0.0, math.log(x), (a,), (b, 1.0))
-    i = TERM_CAP - 1.0
-    if not x * (a + i) / ((b + i) * (1.0 + i)) < 1.0:
-        raise _nonconvergence(plan)  # see _plan_2f1
+    plan = (0.0, math.log(x) if x > 0.0 else -math.inf, (a,), (b, 1.0))
+    h = 0.5 * TERM_CAP  # bound the term ratio as _plan_2f1 does
+    bound = x * (a + b + h) / ((b + h) * (1.0 + h))
+    if bound >= 1.0 or bound**h > 1e-16:
+        _check_cap(plan)
     return plan
 
 
-def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple | None:
-    """The series of log_2f1(a, b, c, x) as (log scale, log x, num, den), or
-    None at x = 0.
+def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
+    """The series of log_2f1(a, b, c, x) as (log scale, log x, num, den),
+    with log x = -inf at x = 0 (see _plan_1f1).
 
     Raises NonConvergenceError when the series cannot stop within TERM_CAP
-    terms: the terms are unimodal, so a term ratio not yet below 1 at the
-    last term the kernel forms means every term up to the cap is still
-    rising.
+    terms.  A one-ratio bound clears nearly every plan: for i >= h =
+    TERM_CAP / 2 (TERM_CAP is even), (a+i)/(c+i) = 1 + (a-c)/(c+i) is at
+    most (a+c+h)/(c+h) and (b+i)/(1+i) at most (b+1+h)/(1+h), so the terms
+    fall over the last h of the cap at least by the h-th power of their
+    product with x.  A plan it does not clear goes through _check_cap's
+    exact test.
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise ValueError(f"log_2f1 requires a, b, c > 0, got a={a}, b={b}, c={c}")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"log_2f1 requires 0 <= x < 1, got x={x}")
-    if x == 0.0:
-        return None
     if a > b:  # symmetric in (a, b); normalize so results match bit-for-bit
         a, b = b, a
     scale = 0.0
     if x > _EULER_X and c - a > 0.0 and c - b > 0.0:
         # Euler: 2F1(a, b; c; x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x)
         scale, a, b = (c - a - b) * math.log1p(-x), c - a, c - b
-    plan = (scale, math.log(x), (a, b), (c, 1.0))
-    i = TERM_CAP - 1.0
-    if not x * (a + i) * (b + i) / ((c + i) * (1.0 + i)) < 1.0:
-        raise _nonconvergence(plan)
+    plan = (scale, math.log(x) if x > 0.0 else -math.inf, (a, b), (c, 1.0))
+    h = 0.5 * TERM_CAP
+    bound = x * (a + c + h) * (b + 1.0 + h) / ((c + h) * (1.0 + h))
+    if bound >= 1.0 or bound**h > 1e-16:  # a power of a bound above 1 can overflow
+        _check_cap(plan)
     return plan
 
 
@@ -224,90 +260,62 @@ def _log_series_sum(plan: tuple) -> float:
     raise _nonconvergence(plan)
 
 
-def _column(values: tuple):
-    """One parameter of many plans: a float when every plan shares it."""
-    return values[0] if values.count(values[0]) == len(values) else np.array(values)
-
-
 def _log_series_sums(plans: list) -> list[float]:
     """_log_series_sum of each plan; all plans have the same arity (the
     lengths of num and den).  A plan still running at TERM_CAP comes back
     as NaN.
 
-    Rows go through in chunks of _CHUNK.  Each block advances every live row
-    of a chunk together, with exactly the block, floor and stopping rule of
-    _log_series_sum, and a row leaves the chunk once it stops, so every row
-    is bit for bit what _log_series_sum returns for it.  The rescale factor
-    and the final log are taken per row with math.exp and math.log, as
-    _log_series_sum takes them: numpy's exp and log may differ from them in
-    the last bit.
+    Rows go through in chunks of _CHUNK.  A chunk is one (rows, columns)
+    array with a row (log x, *num, *den) per plan.  Each block advances
+    every live row of a chunk together, with exactly the block, floor and
+    stopping rule of _log_series_sum, and a row leaves the chunk once it
+    stops, so every row is bit for bit what _log_series_sum returns for it.
+    The rescale factor and the final log are taken per row with math.exp
+    and math.log, as _log_series_sum takes them: numpy's exp and log may
+    differ from them in the last bit.
     """
-    if not plans:
-        return []
-    scale, log_x, num, den = zip(*plans)
-    log_x = np.array(log_x)
-    num = [_column(p) for p in zip(*num)]
-    den = [_column(p) for p in zip(*den)]
-    out = np.full(len(plans), np.nan)
+    out = [math.nan] * len(plans)
     for lo in range(0, len(plans), _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        _sum_chunk(
-            out[rows],
-            log_x[rows],
-            [p[rows] if np.ndim(p) else p for p in num],
-            [p[rows] if np.ndim(p) else p for p in den],
-        )
-    return [s + v for s, v in zip(scale, out.tolist())]
-
-
-def _sum_chunk(out: np.ndarray, log_x: np.ndarray, num: list, den: list) -> None:
-    """The block loop of _log_series_sum over the rows of one chunk, writing
-    each row's result into out as the row stops.  Live rows are kept
-    compacted at the top of three reused (rows, _BLOCK) work arrays."""
-    live = np.arange(len(log_x))
-    lx = log_x[:, None]
-    num = [p[:, None] if np.ndim(p) else p for p in num]
-    den = [p[:, None] if np.ndim(p) else p for p in den]
-    log_max = np.zeros(len(live))
-    acc = np.ones(len(live))
-    log_term = np.zeros(len(live))
-    work = np.empty((3, len(live), _BLOCK))
-    i0 = 0.0
-    while i0 < TERM_CAP:
-        inc, tmp, log_terms = work[:, : len(live)]
-        idx = i0 + _IDX
-        np.add(num[0], idx, out=inc)
-        for a in num[1:]:
-            inc *= np.add(a, idx, out=tmp)
-        np.add(den[0], idx, out=tmp)
-        for b in den[1:]:
-            tmp *= b + idx
-        inc /= tmp
-        np.log(inc, out=inc)
-        inc += lx
-        np.cumsum(inc, axis=1, out=log_terms)
-        log_terms += log_term[:, None]
-        block_max = log_terms.max(axis=1)
-        up = np.flatnonzero(block_max > log_max)
-        if len(up):
-            acc[up] *= [math.exp(d) for d in (log_max[up] - block_max[up]).tolist()]
-            log_max[up] = block_max[up]
-        acc += np.exp(np.subtract(log_terms, log_max[:, None], out=tmp), out=tmp).sum(axis=1)
-        log_term = log_terms[:, -1].copy()
-        i0 += _BLOCK
-        done = (inc[:, -1] < 0.0) & (log_term - log_max <= _LOG_TERM_FLOOR)
-        if done.any():
-            out[live[done]] = [
-                m + math.log(a) for m, a in zip(log_max[done].tolist(), acc[done].tolist())
-            ]
-            keep = np.flatnonzero(~done)
-            if len(keep) == 0:
-                return
-            live, lx, log_max, acc, log_term = (
-                v[keep] for v in (live, lx, log_max, acc, log_term)
-            )
-            num = [p[keep] if np.ndim(p) else p for p in num]
-            den = [p[keep] if np.ndim(p) else p for p in den]
+        chunk = plans[lo : lo + _CHUNK]
+        arity = len(chunk[0][2])
+        params = np.array([(log_x, *num, *den) for _, log_x, num, den in chunk], dtype=float)
+        live = np.arange(lo, lo + len(chunk))
+        log_max = np.zeros(len(live))
+        acc = np.ones(len(live))
+        log_term = np.zeros(len(live))
+        i0 = 0.0
+        while i0 < TERM_CAP:
+            idx = i0 + _IDX
+            inc = params[:, 1, None] + idx
+            for j in range(2, 1 + arity):
+                inc *= params[:, j, None] + idx
+            dprod = params[:, 1 + arity, None] + idx
+            for j in range(2 + arity, params.shape[1]):
+                dprod *= params[:, j, None] + idx
+            inc /= dprod
+            np.log(inc, out=inc)
+            inc += params[:, :1]
+            log_terms = np.cumsum(inc, axis=1)
+            log_terms += log_term[:, None]
+            block_max = log_terms.max(axis=1)
+            up = np.flatnonzero(block_max > log_max)
+            if len(up):
+                acc[up] *= [math.exp(d) for d in (log_max[up] - block_max[up]).tolist()]
+                log_max[up] = block_max[up]
+            acc += np.exp(log_terms - log_max[:, None]).sum(axis=1)
+            log_term = log_terms[:, -1]
+            i0 += _BLOCK
+            done = (inc[:, -1] < 0.0) & (log_term - log_max <= _LOG_TERM_FLOOR)
+            if done.any():
+                for j, m, a in zip(live[done].tolist(), log_max[done].tolist(), acc[done].tolist()):
+                    out[j] = plans[j][0] + (m + math.log(a))
+                keep = ~done
+                if not keep.any():
+                    break
+                live, params, log_max, acc, log_term = (
+                    v[keep] for v in (live, params, log_max, acc, log_term)
+                )
+    return out
 
 
 def log_1f1(a: float, b: float, x: float) -> float:
@@ -316,8 +324,7 @@ def log_1f1(a: float, b: float, x: float) -> float:
     Requires a > 0, b > 0 and finite x >= 0, which keeps every series term
     positive.
     """
-    plan = _plan_1f1(a, b, x)
-    return 0.0 if plan is None else _log_series_sum(plan)
+    return _log_series_sum(_plan_1f1(a, b, x))
 
 
 def log_2f1(a: float, b: float, c: float, x: float) -> float:
@@ -325,9 +332,8 @@ def log_2f1(a: float, b: float, c: float, x: float) -> float:
 
     Requires a, b, c > 0 and 0 <= x < 1.  For x > 0.9 the Euler
     transformation 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) is applied
-    when both c-a and c-b are positive; otherwise the raw series is summed
-    (the term cap is generous enough for arguments arbitrarily close to the
-    in-scope bound tau^2/(1+tau^2)).
+    when both c-a and c-b are positive; otherwise the raw series is summed.
+    A series that cannot stop within TERM_CAP terms raises
+    NonConvergenceError before any term is summed.
     """
-    plan = _plan_2f1(a, b, c, x)
-    return 0.0 if plan is None else _log_series_sum(plan)
+    return _log_series_sum(_plan_2f1(a, b, c, x))

@@ -319,8 +319,12 @@ class TestBeyondDoublePrecision:
             (TestStatistic(StatFamily.CHI_SQ, 1e308, k=2.0), 1.0, NonConvergenceError),
             # t * t overflows, which would otherwise give y = 0
             (TestStatistic(StatFamily.T, 1e200, Sidedness.TWO_SIDED, nu=10.0), 1.0, ValueError),
+            # y^2 = 1 - 1.1e-6: the term ratio at the cap is below 1, but the
+            # term there is still e^-7.6 of the peak term
+            (TestStatistic(StatFamily.T, 1e3, Sidedness.TWO_SIDED, nu=1.0), 1e7,
+             NonConvergenceError),
         ],
-        ids=["t_one_near_one", "z_two_inf", "chisq_huge", "t_two_overflow"],
+        ids=["t_one_near_one", "z_two_inf", "chisq_huge", "t_two_overflow", "t_two_long_tail"],
     )
     def test_beyond_double_precision_fails_fast(self, monkeypatch, stat, tau_sq, error):
         def fail(*args):

@@ -107,6 +107,7 @@ class TestParsing:
             ("chisq,one,3.0,7,2,,50,,,,multinomial_chisq", "chisq statistics are inherently one-directional"),
             ("z,one,1.5,,3,4,100,,,,one_sample_z", "k/m are not meaningful for z statistics"),
             ("z,two,,7,3,,100,,,0.3,correlation_z", "k/m are not meaningful for z statistics"),
+            ("z,one,1.5,,,,50,,,,multinomial_chisq", "multinomial_chisq requires numerator df k > 0"),
         ],
     )
     def test_rejected_row(self, tmp_path, capsys, row, message):

@@ -61,10 +61,29 @@ class TestStudySet:
             StudySet.build([chisq_study(3.0, 2.0, 50), chisq_study(4.0, 3.0, 50)])
 
     def test_flags(self):
-        s = StudySet.build([z_study(1.0, 50), t_study(2.0, 30)])
-        assert not s.uses_gamma_prior
-        g = StudySet.build([chisq_study(3.0, 2.0, 50), chisq_study(4.0, 2.0, 70)])
-        assert g.uses_gamma_prior
+        # a z/t set, and a chi-square/F set with one k, build
+        StudySet.build([z_study(1.0, 50), t_study(2.0, 30)])
+        StudySet.build([chisq_study(3.0, 2.0, 50), chisq_study(4.0, 2.0, 70)])
+
+    @pytest.mark.parametrize(
+        "stat, design, message",
+        [
+            (
+                TestStatistic(StatFamily.Z, 1.5, Sidedness.ONE_SIDED),
+                DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=50),
+                "multinomial_chisq requires numerator df k > 0",
+            ),
+            (
+                TestStatistic(StatFamily.CHI_SQ, 3.0, k=2.0),
+                DesignKind(DesignTag.ONE_SAMPLE_Z, n=50),
+                "k is not meaningful for one_sample_z",
+            ),
+        ],
+        ids=["z_on_chisq_design", "chisq_on_z_design"],
+    )
+    def test_design_must_fit_the_statistic(self, stat, design, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StudySet.build([(stat, design)])
 
 
 class TestCombination:
@@ -345,7 +364,8 @@ class TestBatchedObjective:
         )
         with pytest.raises(ValueError, match="^study 1: 2F1 argument"):
             mmap_r(studies, 0.5)
-        with pytest.raises(ValueError, match="^study 0: r must be"):
+        # r < 1 concerns no study, so its error carries no study tag
+        with pytest.raises(ValueError, match="^r must be"):
             per_study_log_bf(studies, 0.5, 0.5)
 
 

@@ -318,3 +318,43 @@ class TestBatchKernel:
         assert sf._log_series_sums([]) == []
         values, errors = _batch(sf._plan_1f1, ([], [], []))
         assert len(values) == 0 and errors == {}
+
+
+class TestCapCheck:
+    """_check_cap against the kernel under a small cap: it rejects exactly
+    the series the kernel cannot sum, up to its margin, and never one the
+    kernel can sum."""
+
+    def test_rejects_only_what_the_kernel_cannot_sum(self, monkeypatch):
+        monkeypatch.setattr(sf, "TERM_CAP", 40 * sf._BLOCK)
+        rng = np.random.default_rng(21)
+        a, b, c = rng.uniform(0.2, 30.0, (3, 80))
+        x_1f1 = sf.TERM_CAP * rng.uniform(0.6, 1.2, 80)
+        x_2f1 = 1.0 - 10 ** rng.uniform(-4.0, -1.0, 80)
+        plans = [(0.0, math.log(x_1f1[j]), (a[j],), (b[j], 1.0)) for j in range(80)]
+        plans += [(0.0, math.log(x_2f1[j]), (a[j], b[j]), (c[j], 1.0)) for j in range(80)]
+        summed = [
+            not math.isnan(value)
+            for arity in (1, 2)
+            for value in sf._log_series_sums([p for p in plans if len(p[2]) == arity])
+        ]
+        rejected = []
+        for plan in plans:
+            try:
+                sf._check_cap(plan)
+                rejected.append(False)
+            except NonConvergenceError:
+                rejected.append(True)
+        assert not any(r and s for r, s in zip(rejected, summed))
+        assert sum(rejected) > 40 and sum(summed) > 40
+        # the margin lets only a few series the kernel cannot sum through
+        assert sum(not r and not s for r, s in zip(rejected, summed)) <= 4
+
+    def test_planners_reject_through_the_bound(self):
+        # a one-ratio bound above 1, where its power would overflow, goes to
+        # the exact test: x = 1e7 peaks at the cap, x = 6e6 well inside it
+        with pytest.raises(NonConvergenceError):
+            sf._plan_1f1(2.0, 1.0, 1e7)
+        assert sf._plan_1f1(2.0, 1.0, 6e6) == (0.0, math.log(6e6), (2.0,), (1.0, 1.0))
+        with pytest.raises(NonConvergenceError):
+            sf._plan_2f1(3.0, 4.0, 0.5, 1.0 - 1e-9)

@@ -2,7 +2,8 @@
 
 bench/tracing.py wraps functions at the bindings its callers use, so a
 binding that looks dead in the package (evidence.log_bf10,
-evidence.jeffreys_log_prior_nm) is still load-bearing; and the benchmark's
+evidence.jeffreys_log_prior_nm) is still load-bearing, and a single log_bf10
+call must pass through the wrapped one-value bindings; and the benchmark's
 setup_s times `import bffkit.cli`, which must not pull in scipy or the
 oracle layer.
 """
@@ -28,6 +29,24 @@ def test_tracer_bindings_exist(monkeypatch):
         if not hasattr(module, attr)
     ]
     assert missing == []
+
+
+def test_tracer_sees_the_one_value_route(monkeypatch):
+    # sim_points' per-layer counts come from the one-value bindings; a single
+    # log_bf10 call must pass through them
+    import bffkit
+    import bffkit.cli  # noqa: F401  (bindings() reads bffkit.cli)
+    from bffkit import Sidedness, StatFamily, TestStatistic
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracing import Tracer
+
+    stat = TestStatistic(StatFamily.T, 2.0, Sidedness.ONE_SIDED, nu=20.0)
+    with Tracer(bffkit) as tracer:
+        bffkit.log_bf10(stat, 1.0, 1.0)
+    metrics = tracer.layer_metrics()
+    assert metrics["specfun.log_2f1.calls"] > 0
+    assert metrics["bayes_factors.t_one.calls"] > 0
 
 
 def test_cli_import_leaves_out_scipy_and_oracle():
