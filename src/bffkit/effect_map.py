@@ -97,6 +97,31 @@ def _as_omega(omega: "EffectSize | float") -> EffectSize:
     return EffectSize(float(omega))
 
 
+def _check_shape(r: float) -> None:
+    if not r >= 1.0:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
+def _tau_sq_parts(design: DesignKind, k: float | None) -> tuple[float, float, float, float]:
+    """(c, d, s, u) such that tau_sq_for(design, omega, r, k) is
+    c * w * w / (d * (s + r - u)), evaluated left to right, with w = omega.
+
+    c is n_eff for the z/t designs, with d = 2 and s = u = 0 ((0 + r) - 0 is
+    r exactly), and n k for the chi-square/F designs, with d = 4 for the
+    linear-model F, else 2, s = k/2 and u = 1.  None of them depends on
+    (omega, r).
+    """
+    tag = design.tag
+    if tag in _VECTOR_EFFECT:
+        if k is None or not k > 0.0:
+            raise ValueError(f"{tag.value} requires numerator df k > 0")
+        denom = 4.0 if tag is DesignTag.LINEAR_MODEL_F else 2.0
+        return design.n * k, denom, k / 2.0, 1.0
+    if k is not None:
+        raise ValueError(f"k is not meaningful for {tag.value}")
+    return effective_n(design), 2.0, 0.0, 0.0
+
+
 def tau_sq_for(
     design: DesignKind,
     omega: "EffectSize | float",
@@ -109,21 +134,13 @@ def tau_sq_for(
     uses denominator 4, the published rmses form of that entry; the other
     vector designs use 2.
     """
-    if not r >= 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_shape(r)
     eff = _as_omega(omega)
+    c, d, s, u = _tau_sq_parts(design, k)
+    if eff.is_rmses and design.tag not in _VECTOR_EFFECT:
+        raise ValueError(f"{design.tag.value} takes a scalar effect, not an RMSES")
     w = eff.omega
-    tag = design.tag
-    if tag in _VECTOR_EFFECT:
-        if k is None or not k > 0.0:
-            raise ValueError(f"{tag.value} requires numerator df k > 0")
-        denom = 4.0 if tag is DesignTag.LINEAR_MODEL_F else 2.0
-        return design.n * k * w * w / (denom * (k / 2.0 + r - 1.0))
-    if k is not None:
-        raise ValueError(f"k is not meaningful for {tag.value}")
-    if eff.is_rmses:
-        raise ValueError(f"{tag.value} takes a scalar effect, not an RMSES")
-    return effective_n(design) * w * w / (2.0 * r)
+    return c * w * w / (d * (s + r - u))
 
 
 def fisher_z(

@@ -12,15 +12,22 @@ an r-independent factor (the null marginals), so the two maximizations agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # log_bf10 is not called here any more; it stays bound in this module
 # because bench/tracing.py wraps this module's bindings.
-from .bayes_factors import StatFamily, TestStatistic, log_bf10, log_bf10_batch  # noqa: F401
-from .effect_map import DesignKind, EffectSize, tau_sq_for
+from .bayes_factors import (  # noqa: F401
+    StatFamily,
+    TestStatistic,
+    _study_part,
+    _StudyPart,
+    log_bf10,
+    log_bf10_batch,
+)
+from .effect_map import DesignKind, EffectSize, _check_shape, _tau_sq_parts, tau_sq_for
 from .priors import jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
 __all__ = [
@@ -50,13 +57,23 @@ _R_TOL = 1e-4
 class Study:
     """A statistic and its design.  The design must fit the statistic's
     family, by tau_sq_for's rules (a chi-square/F design takes the numerator
-    df k, a z/t design none), so no prior scale of a built study fails."""
+    df k, a z/t design none), so no prior scale of a built study fails.
+
+    A built study also holds, in private fields, everything of its log BF10
+    that does not depend on (omega, r): the study part of its closed form
+    (bayes_factors) and the constants of its prior scale (effect_map's
+    _tau_sq_parts), so an evaluation at (omega, r) computes only tau_sq and
+    the item part."""
 
     stat: TestStatistic
     design: DesignKind
+    _part: _StudyPart = field(init=False, repr=False, compare=False)
+    _scale: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau_sq_for(self.design, 0.0, 1.0, self.stat.k)
+        object.__setattr__(self, "_part", _study_part(self.stat))
+        object.__setattr__(self, "_scale", _tau_sq_parts(self.design, self.stat.k))
 
 
 @dataclass(frozen=True)
@@ -106,22 +123,37 @@ def jeffreys_log_prior(r: float, k: float | None = None) -> float:
     return jeffreys_log_prior_gamma(r, k)
 
 
-def _log_bf_rows(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[list]:
-    """Per-study log BF10 at common effect omega for every shape in rs, one
-    list per r, with all (r, study) series evaluated by one batched
-    log_bf10_batch pass.  Where the evaluation of a study raises, its entry is
-    the exception instead of a float.  tau_sq_for fails here only on r < 1,
-    which concerns no study: a built Study's design fits its statistic."""
+def _at_omega(study_set: StudySet, omega: float) -> list[tuple]:
+    """(study part, c w w, d, s, u) of every study at common effect omega,
+    from the study's _tau_sq_parts: c w w is the part of tau_sq that
+    depends on omega alone, formed once per omega."""
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    effect = EffectSize(float(omega))  # validated once, not once per row
-    items = [
-        (study.stat, tau_sq_for(study.design, effect, r, study.stat.k), r)
-        for r in rs
-        for study in study_set.studies
-    ]
+    w = EffectSize(float(omega)).omega
+    scaled = []
+    for study in study_set.studies:
+        c, d, s, u = study._scale
+        scaled.append((study._part, c * w * w, d, s, u))
+    return scaled
+
+
+def _log_bf_rows(scaled: list[tuple], rs: Sequence[float]) -> list[list]:
+    """Per-study log BF10 at the effect of scaled (_at_omega) for every
+    shape in rs, one list per r, with all (r, study) items evaluated by one
+    log_bf10_batch pass.  Where the evaluation of a study raises, its entry
+    is the exception instead of a float.
+
+    Each study was compiled when built, so an item computes only its tau_sq
+    here and its item part in log_bf10_batch.  tau_sq is c w w / (d (s + r -
+    u)): tau_sq_for's operations in its order, so its value bit for bit.  An
+    r below 1 raises tau_sq_for's error for the whole call; it concerns no
+    study."""
+    items = []
+    for r in rs:
+        _check_shape(r)
+        items += [(part, cww / (d * (s + r - u)), r) for part, cww, d, s, u in scaled]
     values = log_bf10_batch(items)
-    n = len(study_set.studies)
+    n = len(scaled)
     return [values[i : i + n] for i in range(0, len(values), n)]
 
 
@@ -133,7 +165,7 @@ def _raise_first_error(per_study: list) -> None:
 
 def per_study_log_bf(study_set: StudySet, omega: float, r: float) -> list[float]:
     """Per-study log BF10 at common effect omega and shape r."""
-    per_study = _log_bf_rows(study_set, omega, (r,))[0]
+    per_study = _log_bf_rows(_at_omega(study_set, omega), (r,))[0]
     _raise_first_error(per_study)
     return per_study
 
@@ -143,10 +175,10 @@ def combined_log_bf(study_set: StudySet, omega: float, r: float) -> float:
     return sum(per_study_log_bf(study_set, omega, r))
 
 
-def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[tuple]:
-    """(objective, per-study values) at each r in rs, where the MMAP
-    objective is combined_log_bf + log Jeffreys prior, all through one
-    _log_bf_rows pass.
+def _objectives(study_set: StudySet, scaled: list[tuple], rs: Sequence[float]) -> list[tuple]:
+    """(objective, per-study values) at each r in rs and the effect of
+    scaled (_at_omega), where the MMAP objective is combined_log_bf + log
+    Jeffreys prior, all through one _log_bf_rows pass.
 
     One-sided brackets with the statistic strongly opposing the prior
     direction can fall below double-precision resolution at large r (the log
@@ -156,7 +188,7 @@ def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[
     propagates, tagged with its study.
     """
     out = []
-    for r, per_study in zip(rs, _log_bf_rows(study_set, omega, rs)):
+    for r, per_study in zip(rs, _log_bf_rows(scaled, rs)):
         try:
             _raise_first_error(per_study)
             out.append((sum(per_study) + study_set.jeffreys_log_prior(r), per_study))
@@ -214,9 +246,10 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     """
     if not r_max >= 1.0:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
+    scaled = _at_omega(study_set, omega)
 
     def objectives(rs: Sequence[float]) -> list[tuple]:
-        return _objectives(study_set, omega, rs)
+        return _objectives(study_set, scaled, rs)
 
     if r_max == 1.0:
         ((obj, per_study),) = objectives((1.0,))

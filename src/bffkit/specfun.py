@@ -43,6 +43,14 @@ TERM_CAP = 10_000_000
 _BLOCK = 128
 # A term this far (in log) below the running maximum contributes nothing.
 _LOG_TERM_FLOOR = math.log(1e-16)
+# _check_cap's margin, in log.  On near-cap 1F1 and 2F1 plans at TERM_CAP,
+# the kernel's running log term at the cap, less its running maximum, agreed
+# with _check_cap's lgamma sums to within 7e-8, with peak log terms up to
+# 1e7 (1F1 at x near TERM_CAP).  Its rounding grows at worst as
+# TERM_CAP / _BLOCK additions of eps times the peak log term (9e-5 at 1e7),
+# so 1e-3 covers peak log terms up to 1e8; a series whose term at the cap is
+# within the margin above _LOG_TERM_FLOOR still runs to the cap.
+_CAP_MARGIN = 1e-3
 # Euler transformation threshold for 2F1 arguments close to 1.
 _EULER_X = 0.9
 
@@ -150,9 +158,8 @@ def _check_cap(plan: tuple) -> None:
     _LOG_TERM_FLOOR relative to the largest term.  The terms are unimodal,
     so the largest is the first whose successor is not larger, found by
     bisection on the term ratio, and the log of a term is a sum of lgamma
-    differences (Pochhammer symbols).  The test leaves a margin of 1 in log:
-    the kernel's running sum of log ratios agrees with the lgamma sums to far
-    better than that, so a series the kernel can sum is never rejected.
+    differences (Pochhammer symbols).  The test leaves a margin of
+    _CAP_MARGIN, so a series the kernel can sum is never rejected.
     """
     _, log_x, num, den = plan
     lo, hi = 0, TERM_CAP
@@ -167,7 +174,7 @@ def _check_cap(plan: tuple) -> None:
         + sum(math.lgamma(p + TERM_CAP) - math.lgamma(p + lo) for p in num)
         - sum(math.lgamma(q + TERM_CAP) - math.lgamma(q + lo) for q in den)
     )
-    if drop > _LOG_TERM_FLOOR + 1.0:
+    if drop > _LOG_TERM_FLOOR + _CAP_MARGIN:
         raise _nonconvergence(plan)
 
 

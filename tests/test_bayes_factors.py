@@ -215,6 +215,11 @@ class TestDispatcher:
             log_bf10_f(1.0, 2.0, 0.0, 1.0, 1.0)
 
 
+def _batch(items):
+    """log_bf10_batch of (stat, tau_sq, r) items, each with its study part."""
+    return log_bf10_batch([(bf._study_part(stat), tau_sq, r) for stat, tau_sq, r in items])
+
+
 def _forbid_kernels(monkeypatch):
     def fail(*args):
         raise AssertionError("a series kernel was reached")
@@ -298,7 +303,7 @@ class TestDomainGuards:
         _forbid_kernels(monkeypatch)
         stat = TestStatistic(StatFamily.T, 1.0, Sidedness.ONE_SIDED, nu=10.0)
         big = TestStatistic(StatFamily.T, 1e9, Sidedness.TWO_SIDED, nu=10.0)
-        out = log_bf10_batch([(stat, NAN, 1.0), (stat, 1.0, INF), (big, 1e17, 1.0)])
+        out = _batch([(stat, NAN, 1.0), (stat, 1.0, INF), (big, 1e17, 1.0)])
         assert all(isinstance(v, ValueError) for v in out)
 
 
@@ -335,7 +340,7 @@ class TestBeyondDoublePrecision:
         start = time.perf_counter()
         with pytest.raises(error):
             log_bf10(stat, tau_sq, 1.0)
-        (batched,) = log_bf10_batch([(stat, tau_sq, 1.0)])
+        (batched,) = _batch([(stat, tau_sq, 1.0)])
         assert time.perf_counter() - start < 0.01
         assert type(batched) is error
 
@@ -378,7 +383,7 @@ class TestBatch:
         items = self._items()
         expected = [_scalar_or_error(*item) for item in items]
         assert any(isinstance(e, ArithmeticError) for e in expected)
-        got = log_bf10_batch(items)
+        got = _batch(items)
         for g, e in zip(got, expected):
             if isinstance(e, Exception):
                 assert type(g) is type(e) and str(g) == str(e)
@@ -393,5 +398,5 @@ class TestBatch:
             "_log_series_sums",
             lambda plans: (calls.append({len(p[2]) for p in plans}), real(plans))[1],
         )
-        log_bf10_batch(self._items())
+        _batch(self._items())
         assert sorted(calls, key=min) == [{1}, {2}]

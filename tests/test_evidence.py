@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bffkit.bayes_factors as bf
+import bffkit.evidence as ev
 import bffkit.specfun as sf
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 from bffkit.effect_map import DesignKind, DesignTag, fisher_z, tau_sq_for
@@ -22,7 +23,7 @@ from bffkit.evidence import (
     mmap_r,
     per_study_log_bf,
 )
-from bffkit.evidence import _objectives
+from bffkit.evidence import _at_omega, _objectives
 from bffkit.specfun import NonConvergenceError
 
 
@@ -170,7 +171,8 @@ class TestMmap:
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         res = mmap_r(studies, 0.3)
         scan = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS))
-        finite = [v for v, _ in _objectives(studies, 0.3, scan.tolist()) if math.isfinite(v)]
+        evaluated = _objectives(studies, _at_omega(studies, 0.3), scan.tolist())
+        finite = [v for v, _ in evaluated if math.isfinite(v)]
         assert math.isfinite(res.objective)
         assert finite and res.objective >= max(finite)
 
@@ -337,7 +339,7 @@ class TestBatchedObjective:
                 expected.append(sum(per_study) + studies.jeffreys_log_prior(r))
             except ArithmeticError:
                 expected.append(float("-inf"))
-        got = [objective for objective, _ in _objectives(studies, omega, rs)]
+        got = [objective for objective, _ in _objectives(studies, _at_omega(studies, omega), rs)]
         assert got == expected
         assert any(v == float("-inf") for v in got)
         assert any(math.isfinite(v) for v in got)
@@ -425,3 +427,133 @@ class TestKernelPasses:
         assert point.r_star == res.r_star and point.objective == res.objective
         assert point.per_study_log_bf == res.per_study_log_bf
         assert point.log_bf10 == sum(res.per_study_log_bf)
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _same(got, expected) -> bool:
+    """Bit for bit equal floats, or errors of one type and message."""
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return not isinstance(got, Exception) and repr(got) == repr(expected)
+
+
+def _guard_sets():
+    """Study sets over all six closed forms, seeded: random z and t studies of
+    both sides and signs, random chi-square and F studies, and studies made to
+    fail: a one-sided bracket that cancels (ArithmeticError), a t statistic
+    whose y^2 rounds to 1 (ValueError) or to just below it
+    (NonConvergenceError), and a chi-square series too long to sum."""
+    rng = np.random.default_rng(6)
+    one, two = Sidedness.ONE_SIDED, Sidedness.TWO_SIDED
+    nm_designs = [
+        lambda: DesignKind(DesignTag.ONE_SAMPLE_Z, n=int(rng.integers(5, 400))),
+        lambda: DesignKind(DesignTag.ONE_SAMPLE_T, n=int(rng.integers(5, 400))),
+        lambda: DesignKind(
+            DesignTag.TWO_SAMPLE_T, n1=int(rng.integers(3, 200)), n2=int(rng.integers(3, 200))
+        ),
+        lambda: DesignKind(DesignTag.CORRELATION_Z, n=int(rng.integers(5, 400))),
+    ]
+    nm = []
+    for j in range(16):
+        value = float(rng.uniform(-6.0, 6.0))
+        sided = (one, two)[j % 2]
+        if j % 4 < 2:
+            stat = TestStatistic(StatFamily.Z, value, sided)
+        else:
+            stat = TestStatistic(StatFamily.T, value, sided, nu=float(rng.uniform(2.0, 300.0)))
+        nm.append((stat, nm_designs[j % 4]()))
+    one_sample_t = DesignTag.ONE_SAMPLE_T
+    nm += [
+        (TestStatistic(StatFamily.Z, -8.0, one), DesignKind(DesignTag.ONE_SAMPLE_Z, n=100)),
+        (TestStatistic(StatFamily.T, 1e12, two, nu=10.0), DesignKind(one_sample_t, n=10**30)),
+        (TestStatistic(StatFamily.T, 1e9, one, nu=10.0), DesignKind(one_sample_t, n=10**18)),
+    ]
+    gamma = []
+    k = 3.0
+    for j in range(8):
+        n = int(rng.integers(10, 500))
+        h = float(rng.uniform(0.0, 40.0))
+        if j % 2:
+            stat = TestStatistic(StatFamily.F, h / k, k=k, m=float(rng.uniform(2.0, 200.0)))
+            gamma.append((stat, DesignKind(DesignTag.LINEAR_MODEL_F, n=n)))
+        else:
+            tag = (DesignTag.MULTINOMIAL_CHISQ, DesignTag.LIKELIHOOD_RATIO_CHISQ)[j % 4 // 2]
+            gamma.append((TestStatistic(StatFamily.CHI_SQ, h, k=k), DesignKind(tag, n=n)))
+    huge = TestStatistic(StatFamily.CHI_SQ, 1e308, k=k)
+    gamma.append((huge, DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=50)))
+    return StudySet.build(nm), StudySet.build(gamma)
+
+
+class TestCompiledStudies:
+    """A built Study holds its closed form's study part and its prior-scale
+    constants, and an evaluation at (omega, r) computes only the item part."""
+
+    def test_bit_for_bit_with_log_bf10(self):
+        # the scan's r values and off-scan ones, omega over [1e-3, 1]
+        scan = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS))
+        scan[0], scan[-1] = 1.0, 200.0
+        rs = scan.tolist() + [1.0001, 1.37, 2.5, 7.77, 63.2, 199.9]
+        omegas = [1e-3, 0.013, 0.11, 0.5, 0.87, 1.0]
+        seen = set()
+        for studies in _guard_sets():
+            for omega in omegas:
+                rows = ev._log_bf_rows(_at_omega(studies, omega), rs)
+                for r, row in zip(rs, rows):
+                    expected = [
+                        _value_or_error(
+                            log_bf10, s.stat, tau_sq_for(s.design, omega, r, s.stat.k), r
+                        )
+                        for s in studies.studies
+                    ]
+                    assert all(_same(g, e) for g, e in zip(row, expected)), (omega, r)
+                    seen.update((type(e).__name__, str(e)[:12]) for e in expected)
+                    errors = [(i, e) for i, e in enumerate(expected) if isinstance(e, Exception)]
+                    if errors:
+                        i, first = errors[0]
+                        with pytest.raises(type(first)) as info:
+                            per_study_log_bf(studies, omega, r)
+                        assert str(info.value) == f"study {i}: {first}"
+                    else:
+                        assert per_study_log_bf(studies, omega, r) == expected
+        kinds = {kind for kind, _ in seen}
+        assert kinds == {"float", "ArithmeticError", "ValueError", "NonConvergenceError"}
+        # y^2 at 1, a series too long to sum, a one-sided bracket that cancels
+        assert {
+            ("ValueError", "2F1 argument"),
+            ("NonConvergenceError", "series did n"),
+            ("ArithmeticError", "hypergeometr"),
+        } <= seen
+
+    def test_per_study_work_is_done_once(self, monkeypatch):
+        # the log-Gamma ratios and tau_sq_for run once per study and once per
+        # r of each pass, never once per (study, r) item
+        calls = {"ratio": 0, "tau_sq": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(bf, "log_gamma_half_ratio", counted("ratio", bf.log_gamma_half_ratio))
+        monkeypatch.setattr(ev, "tau_sq_for", counted("tau_sq", ev.tau_sq_for))
+        rs_per_pass = []
+        real = ev._objectives
+        monkeypatch.setattr(
+            ev, "_objectives", lambda *a: (rs_per_pass.append(len(a[2])), real(*a))[1]
+        )
+        studies = _stroop()  # built here, so each study's one-time work is counted
+        n = len(studies.studies)
+        assert all(s.stat.sided is Sidedness.ONE_SIDED for s in studies.studies)
+        mmap_r(studies, 0.5)
+        items = n * sum(rs_per_pass)
+        assert calls["tau_sq"] == n
+        assert calls["ratio"] == n + sum(rs_per_pass)
+        assert calls["ratio"] < items / 10

@@ -6,6 +6,7 @@ series cross-checks) and pasted in; the tests themselves stay double-only.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -347,8 +348,23 @@ class TestCapCheck:
                 rejected.append(True)
         assert not any(r and s for r, s in zip(rejected, summed))
         assert sum(rejected) > 40 and sum(summed) > 40
-        # the margin lets only a few series the kernel cannot sum through
-        assert sum(not r and not s for r, s in zip(rejected, summed)) <= 4
+        # and lets none through that the kernel cannot sum
+        assert not any(not r and not s for r, s in zip(rejected, summed))
+
+    def test_near_cap_series_fails_fast(self):
+        # 1F1(1; 1; x) = e^x sums the Poisson terms x^i / i!, which peak at
+        # i = floor(x); at this x the term at the real TERM_CAP is e^0.5 above
+        # _LOG_TERM_FLOOR relative to the peak, so the kernel cannot stop
+        x = 9973065.0
+        peak = math.floor(x)
+        drop = (sf.TERM_CAP - peak) * math.log(x) - (
+            math.lgamma(sf.TERM_CAP + 1.0) - math.lgamma(peak + 1.0)
+        )
+        assert 0.25 < drop - sf._LOG_TERM_FLOOR < 0.75
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError):
+            log_1f1(1.0, 1.0, x)
+        assert time.perf_counter() - start < 0.01
 
     def test_planners_reject_through_the_bound(self):
         # a one-ratio bound above 1, where its power would overflow, goes to
