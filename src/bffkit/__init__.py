@@ -3,10 +3,7 @@
 Closed-form log Bayes factors under non-local priors indexed by standardized
 effect size, evidence combination across replicated studies, and MMAP
 maximization of the prior shape r: the package exports what that method needs
-and nothing more.  Special functions return plain float logs.  The `oracle`
-submodule is in-repo test support (quadrature and simulation cross-checks,
-and the randomized tuples of the oracle validation) and not part of this
-public surface.
+and nothing more.  Special functions return plain float logs.
 """
 
 from .bayes_factors import (
@@ -45,14 +42,7 @@ from .evidence import (
     mmap_r,
     per_study_log_bf,
 )
-from .priors import (
-    PriorFamily,
-    PriorSpec,
-    jeffreys_log_prior_gamma,
-    jeffreys_log_prior_nm,
-    log_density,
-    mode,
-)
+from .priors import jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 from .specfun import (
     NonConvergenceError,
     log_1f1,

@@ -1,5 +1,5 @@
-"""Command-line front end: ingest study tables, evaluate BFF curves and
-points, and run the oracle validation grid.
+"""Command-line front end: ingest study tables and evaluate BFF curves and
+points.
 
 Input is a CSV file with header
     test,sided,stat,nu,k,m,n,n1,n2,rho,design
@@ -7,8 +7,7 @@ Input is a CSV file with header
 field names when the file ends in .json.  Correlation studies are entered as
 (rho, n) pairs; the Fisher transform happens at ingestion.
 
-Exit codes: 0 success, 1 validation failure, 2 usage/parse error, 3 numeric
-failure.
+Exit codes: 0 success, 2 usage/parse error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -275,60 +274,6 @@ def cmd_curve(args) -> int:
     return 0
 
 
-_VALIDATE_FAMILIES = {
-    "z": ("z_one", "z_two"),
-    "t": ("t_one", "t_two"),
-    "chisq": ("chisq",),
-    "f": ("f",),
-}
-
-
-def cmd_validate(args) -> int:
-    from .oracle import marginal_bf_quadrature, rate_harness, validation_tuples
-
-    requested = [f.strip() for f in args.families.split(",") if f.strip()]
-    for fam in requested:
-        if fam not in _VALIDATE_FAMILIES:
-            raise ParseError(f"unknown family {fam!r}; choose from z,t,chisq,f")
-    checks = [c for fam in requested for c in _VALIDATE_FAMILIES[fam]]
-    rng = np.random.default_rng(args.seed)
-    all_pass = True
-    for check in checks:
-        tuples = validation_tuples(check, args.tuples, rng)
-        max_rel = 0.0
-        for stat, prior, closed in tuples:
-            oracle_val = marginal_bf_quadrature(stat, prior)
-            max_rel = max(max_rel, abs(closed - oracle_val) / abs(closed))
-        ok = max_rel <= 1e-7
-        all_pass &= ok
-        print(
-            f"check=oracle_{check} tuples={len(tuples)} "
-            f"max_rel_err={max_rel:.3e} {'pass' if ok else 'FAIL'}"
-        )
-    if args.rate:
-        for fam in requested:
-            rep = rate_harness(
-                StatFamily(fam),
-                r=1.0,
-                beta=0.5,
-                gamma=0.3,
-                n_grid=[100, 1000, 10000],
-                seed=args.seed,
-                replicates=args.replicates,
-            )
-            slope_ok = abs(rep.h0_slope_vs_log_n - rep.h0_target_slope) <= 0.5
-            h1_ok = all(d < 0 for d in np.diff([0.0, *rep.h1_median_log_bf01]))
-            ok = slope_ok and h1_ok
-            all_pass &= ok
-            print(
-                f"check=rate_{fam} h0_slope={rep.h0_slope_vs_log_n:.3f} "
-                f"target={rep.h0_target_slope:.3f} "
-                f"h1_decreasing={h1_ok} {'pass' if ok else 'FAIL'}"
-            )
-    print("overall " + ("pass" if all_pass else "FAIL"))
-    return 0 if all_pass else 1
-
-
 def _build_parser(config: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bffkit",
@@ -376,13 +321,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     )
     p_curve.set_defaults(func=cmd_curve)
 
-    p_val = sub.add_parser("validate", help="closed form vs quadrature oracle")
-    p_val.add_argument("--families", default="z,t,chisq,f")
-    p_val.add_argument("--tuples", type=int, default=50)
-    p_val.add_argument("--seed", type=int, default=20240801)
-    p_val.add_argument("--rate", action="store_true", help="also run the rate harness")
-    p_val.add_argument("--replicates", type=int, default=500)
-    p_val.set_defaults(func=cmd_validate)
     return parser
 
 
@@ -397,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:
-        # non-convergence, quadrature failure, impossible brackets
+        # non-convergence, impossible brackets
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

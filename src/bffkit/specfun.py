@@ -150,6 +150,26 @@ def _nonconvergence(plan: tuple) -> NonConvergenceError:
     )
 
 
+def _log_rising_to_cap(p: float, lo: int) -> float:
+    """ln Gamma(p + TERM_CAP) - ln Gamma(p + lo), the log of the product of
+    p + i over lo <= i < TERM_CAP.
+
+    Past p + lo = 50 the difference is formed from the Stirling series, as
+    in log_gamma_half_ratio: subtracting two lgamma values near 1e18 (p
+    near 1e17) would lose hundreds of nats to their rounding.
+    """
+    z = p + lo
+    if z < _HALF_RATIO_SWITCH:
+        return math.lgamma(p + TERM_CAP) - math.lgamma(z)
+    d = TERM_CAP - lo
+    return (
+        (z - 0.5) * math.log1p(d / z)
+        + d * (math.log(p + TERM_CAP) - 1.0)
+        + _stirling_tail(p + TERM_CAP)
+        - _stirling_tail(z)
+    )
+
+
 def _check_cap(plan: tuple) -> None:
     """Raise NonConvergenceError when the series of plan cannot stop within
     TERM_CAP terms.
@@ -158,8 +178,8 @@ def _check_cap(plan: tuple) -> None:
     _LOG_TERM_FLOOR relative to the largest term.  The terms are unimodal,
     so the largest is the first whose successor is not larger, found by
     bisection on the term ratio, and the log of a term is a sum of lgamma
-    differences (Pochhammer symbols).  The test leaves a margin of
-    _CAP_MARGIN, so a series the kernel can sum is never rejected.
+    differences (Pochhammer symbols, _log_rising_to_cap).  The test leaves a
+    margin of _CAP_MARGIN, so a series the kernel can sum is never rejected.
     """
     _, log_x, num, den = plan
     lo, hi = 0, TERM_CAP
@@ -171,8 +191,8 @@ def _check_cap(plan: tuple) -> None:
             hi = i
     drop = (
         (TERM_CAP - lo) * log_x
-        + sum(math.lgamma(p + TERM_CAP) - math.lgamma(p + lo) for p in num)
-        - sum(math.lgamma(q + TERM_CAP) - math.lgamma(q + lo) for q in den)
+        + sum(_log_rising_to_cap(p, lo) for p in num)
+        - sum(_log_rising_to_cap(q, lo) for q in den)
     )
     if drop > _LOG_TERM_FLOOR + _CAP_MARGIN:
         raise _nonconvergence(plan)

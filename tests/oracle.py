@@ -1,15 +1,23 @@
-"""Brute-force validation layer: exact sampling densities, quadrature
-marginals, and a Monte Carlo harness for the asymptotic-rate properties.
+"""Test support: the brute-force oracle that the closed forms are checked
+against, imported by acceptance criteria 4 (quadrature equivalence) and 7
+(asymptotic rates), by the tests of the oracle itself, and by the prior and
+effect-map tests for its prior densities and modes.
 
-Everything here deliberately avoids the closed-form hypergeometric route so
-that agreement between `marginal_bf_quadrature` and the `bayes_factors`
-formulas is a genuine two-route check.  Central densities are evaluated from
-their textbook formulas; noncentral densities come from their mixture/series
+It holds the non-local prior densities on the non-centrality parameter,
+exact sampling densities, quadrature marginals, and a Monte Carlo harness
+for the asymptotic-rate properties.  Everything here deliberately avoids the
+closed-form hypergeometric route so that agreement between
+`marginal_bf_quadrature` and the `bayes_factors` formulas is a genuine
+two-route check.  Central densities are evaluated from their textbook
+formulas; noncentral densities come from their mixture/series
 representations (a Poisson mixture for chi-square and F, a two-branch series
 for t), accumulated term by term with numpy's logaddexp.
 
-This module is test support shipped in-repo; it is not part of the public
-package API.
+Two prior families are covered: normal-moment priors (two-sided, or
+one-sided by restriction/reflection) for z and t statistics, and a gamma
+prior for the non-centrality of chi-square and F statistics.  All densities
+vanish at the null value, which is the defining property of a non-local
+alternative.
 """
 
 from __future__ import annotations
@@ -17,16 +25,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc
 
-from .bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
-from .priors import _NORMAL_MOMENT_FAMILIES, PriorFamily, PriorSpec, log_density
-from .priors import mode as prior_mode
+from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 
 __all__ = [
+    "PriorFamily",
+    "PriorSpec",
+    "log_density",
+    "mode",
     "QuadratureSpec",
     "QuadratureError",
     "TruncationError",
@@ -37,6 +48,98 @@ __all__ = [
     "RateReport",
     "rate_harness",
 ]
+
+
+class PriorFamily(Enum):
+    NORMAL_MOMENT_TWO_SIDED = "normal_moment_two_sided"
+    NORMAL_MOMENT_POSITIVE = "normal_moment_positive"
+    NORMAL_MOMENT_NEGATIVE = "normal_moment_negative"
+    GAMMA_NONLOCAL = "gamma_nonlocal"
+
+
+_NORMAL_MOMENT_FAMILIES = (
+    PriorFamily.NORMAL_MOMENT_TWO_SIDED,
+    PriorFamily.NORMAL_MOMENT_POSITIVE,
+    PriorFamily.NORMAL_MOMENT_NEGATIVE,
+)
+
+
+@dataclass(frozen=True)
+class PriorSpec:
+    """Alternative-hypothesis prior on the non-centrality parameter.
+
+    tau_sq is the scale, r >= 1 the shape.  k (the chi-square/F numerator
+    degrees of freedom) is required exactly when family is GAMMA_NONLOCAL,
+    where the prior is Gamma(shape=k/2 + r, rate=1/(2 tau_sq)).
+    """
+
+    family: PriorFamily
+    tau_sq: float
+    r: float
+    k: float | None = None
+
+    def __post_init__(self):
+        if not self.tau_sq > 0.0:
+            raise ValueError(f"tau_sq must be > 0, got {self.tau_sq}")
+        if not self.r >= 1.0:
+            raise ValueError(f"r must be >= 1, got {self.r}")
+        if self.family is PriorFamily.GAMMA_NONLOCAL:
+            if self.k is None or not self.k > 0.0:
+                raise ValueError("gamma prior requires k > 0")
+        elif self.k is not None:
+            raise ValueError("k is only meaningful for the gamma family")
+
+
+def _log_density_nm_two(tau_sq: float, r: float, lam: float) -> float:
+    if lam == 0.0:
+        return float("-inf")
+    return (
+        r * math.log(lam * lam)
+        - (r + 0.5) * math.log(2.0 * tau_sq)
+        - math.lgamma(r + 0.5)
+        - lam * lam / (2.0 * tau_sq)
+    )
+
+
+def log_density(spec: PriorSpec, lam: float) -> float:
+    """Natural log of the prior density at lam.
+
+    Returns -inf at lam = 0 (all these densities vanish at the null); raises
+    ValueError when lam lies outside the family's support.
+    """
+    fam = spec.family
+    if fam is PriorFamily.NORMAL_MOMENT_TWO_SIDED:
+        return _log_density_nm_two(spec.tau_sq, spec.r, lam)
+    if fam is PriorFamily.NORMAL_MOMENT_POSITIVE:
+        if lam < 0.0:
+            raise ValueError(f"lam={lam} outside support of one-sided positive prior")
+        if lam == 0.0:
+            return float("-inf")
+        return math.log(2.0) + _log_density_nm_two(spec.tau_sq, spec.r, lam)
+    if fam is PriorFamily.NORMAL_MOMENT_NEGATIVE:
+        if lam > 0.0:
+            raise ValueError(f"lam={lam} outside support of one-sided negative prior")
+        if lam == 0.0:
+            return float("-inf")
+        return math.log(2.0) + _log_density_nm_two(spec.tau_sq, spec.r, -lam)
+    # gamma non-local prior: shape k/2 + r, rate 1/(2 tau_sq)
+    if lam < 0.0:
+        raise ValueError(f"lam={lam} outside support of gamma prior")
+    if lam == 0.0:
+        return float("-inf")
+    shape = spec.k / 2.0 + spec.r
+    rate = 1.0 / (2.0 * spec.tau_sq)
+    return shape * math.log(rate) - math.lgamma(shape) + (shape - 1.0) * math.log(lam) - rate * lam
+
+
+def mode(spec: PriorSpec) -> float:
+    """Prior mode; the two-sided normal-moment family returns the positive
+    representative of its symmetric pair."""
+    if spec.family in _NORMAL_MOMENT_FAMILIES:
+        m = math.sqrt(2.0 * spec.r * spec.tau_sq)
+        return -m if spec.family is PriorFamily.NORMAL_MOMENT_NEGATIVE else m
+    return (spec.k / 2.0 + spec.r - 1.0) * 2.0 * spec.tau_sq
+
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SERIES_CAP = 1_000_000
@@ -235,7 +338,7 @@ def _prior_tail_mass(spec: PriorSpec, bound: float) -> float:
 
 
 def _upper_bound(spec: PriorSpec, q: QuadratureSpec) -> float:
-    bound = abs(prior_mode(spec)) + q.sd_multiplier * _prior_sd(spec)
+    bound = abs(mode(spec)) + q.sd_multiplier * _prior_sd(spec)
     while _prior_tail_mass(spec, bound) >= q.tail_mass_bound:
         bound *= 2.0
     return bound
@@ -260,7 +363,7 @@ def marginal_bf_quadrature(
         return density_noncentral(stat, lam) * math.exp(ld)
 
     bound = _upper_bound(spec, q)
-    mode_pos = abs(prior_mode(spec))
+    mode_pos = abs(mode(spec))
     pieces: list[tuple[float, float, list[float]]] = []
     if spec.family is PriorFamily.GAMMA_NONLOCAL:
         pieces.append((0.0, bound, [mode_pos]))
@@ -373,15 +476,6 @@ class RateReport:
     def h1_increments(self) -> tuple[float, ...]:
         m = self.h1_median_log_bf01
         return tuple(b - a for a, b in zip(m, m[1:]))
-
-    def to_csv(self) -> str:
-        lines = ["n,h0_median_log_bf10,h1_median_log_bf01"]
-        for n, h0, h1 in zip(self.n_grid, self.h0_median_log_bf10, self.h1_median_log_bf01):
-            lines.append(f"{n},{h0:.10g},{h1:.10g}")
-        lines.append(f"# h0_slope_vs_log_n,{self.h0_slope_vs_log_n:.10g}")
-        lines.append(f"# h0_target_slope,{self.h0_target_slope:.10g}")
-        lines.append(f"# h1_slope_vs_n,{self.h1_slope_vs_n:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def _simulate(family: StatFamily, k: float, n: int, gamma: float, null: bool, rng):

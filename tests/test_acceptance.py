@@ -54,8 +54,8 @@ from bffkit.evidence import (
     evidence_thresholds,
     mmap_r,
 )
-from bffkit.oracle import marginal_bf_quadrature, rate_harness, validation_tuples
 from bffkit.specfun import log_1f1, log_2f1, trigamma
+from oracle import marginal_bf_quadrature, rate_harness, validation_tuples
 
 DATA = Path(__file__).parent / "data"
 

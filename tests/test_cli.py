@@ -245,49 +245,14 @@ class TestCurve:
                 float(cell)  # parses with '.' decimal point
 
 
-class TestValidate:
-    def test_small_deterministic_run(self, capsys):
-        code1, out1, _ = run(
-            capsys, "validate", "--families", "z", "--tuples", "3", "--seed", "42"
-        )
-        code2, out2, _ = run(
-            capsys, "validate", "--families", "z", "--tuples", "3", "--seed", "42"
-        )
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert "overall pass" in out1
-        assert "check=oracle_z_one" in out1 and "check=oracle_z_two" in out1
-
-    def test_rate_maps_families(self, capsys):
-        # the rate harness gets each family's StatFamily: the H0 slope target
-        # is -(r + 1/2) for z/t and -(r + k/2) with k = 2 for chi-square/F
-        code, out, _ = run(
-            capsys, "validate", "--families", "z,chisq", "--tuples", "1",
-            "--rate", "--replicates", "5", "--seed", "42",
-        )
-        assert code in (0, 1)
-        assert "check=rate_z " in out and "target=-1.500" in out
-        assert "check=rate_chisq " in out and "target=-2.000" in out
-
-    def test_unknown_family(self, capsys):
-        code, _, err = run(capsys, "validate", "--families", "bogus")
-        assert code == 2
-
-    def test_injected_fault_fails(self, capsys, monkeypatch):
-        # harness sanity: a deliberately wrong oracle must flip the exit code
-        import bffkit.oracle as oracle
-
-        true_fn = oracle.marginal_bf_quadrature
-        monkeypatch.setattr(
-            oracle,
-            "marginal_bf_quadrature",
-            lambda stat, spec, q=None: true_fn(stat, spec) + 1e-3,
-        )
-        code, out, _ = run(
-            capsys, "validate", "--families", "z", "--tuples", "2", "--seed", "42"
-        )
-        assert code == 1
-        assert "overall FAIL" in out
+class TestRemovedValidate:
+    def test_validate_is_a_usage_error(self, capsys):
+        # the quadrature oracle is test support; the CLI has no subcommand for it
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "validate" in err
 
 
 class TestBoundaryWarning:
@@ -317,7 +282,7 @@ class TestPublicApi:
         )
         assert bffkit.EffectGrid.default().omegas[0] == pytest.approx(0.005)
         assert bffkit.rmses([0.3, 0.3]) == pytest.approx(0.3)
-        # the oracle layer is intentionally not re-exported
+        # the quadrature oracle lives with the tests, not in the package
         assert not hasattr(bffkit, "marginal_bf_quadrature")
 
 

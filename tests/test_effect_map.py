@@ -16,7 +16,7 @@ from bffkit.effect_map import (
     rmses,
     tau_sq_for,
 )
-from bffkit.priors import PriorFamily, PriorSpec, mode
+from oracle import PriorFamily, PriorSpec, mode
 
 _VECTOR_EFFECT = (
     DesignTag.MULTINOMIAL_CHISQ,

@@ -13,7 +13,9 @@ import pytest
 from scipy import integrate, stats
 
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
-from bffkit.oracle import (
+from oracle import (
+    PriorFamily,
+    PriorSpec,
     QuadratureSpec,
     RateReport,
     density_noncentral,
@@ -21,7 +23,6 @@ from bffkit.oracle import (
     marginal_bf_quadrature,
     rate_harness,
 )
-from bffkit.priors import PriorFamily, PriorSpec
 
 
 def z_stat(v, sided=Sidedness.TWO_SIDED):
@@ -202,7 +203,6 @@ class TestRateHarness:
         a = rate_harness(**kwargs)
         b = rate_harness(**kwargs)
         assert a == b
-        assert a.to_csv() == b.to_csv()
 
     def test_report_shape(self):
         rep = rate_harness(
@@ -218,7 +218,6 @@ class TestRateHarness:
         assert isinstance(rep, RateReport)
         assert rep.h0_target_slope == -2.0
         assert len(rep.h0_median_log_bf10) == 3
-        assert "h0_slope_vs_log_n" in rep.to_csv()
 
     def test_h1_direction(self):
         rep = rate_harness(

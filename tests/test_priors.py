@@ -1,4 +1,5 @@
-"""Tests for the non-local priors and the Jeffreys priors on r."""
+"""Tests for the oracle's non-local prior densities and the package's
+Jeffreys priors on r."""
 
 import math
 
@@ -8,15 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from bffkit.priors import (
-    PriorFamily,
-    PriorSpec,
-    jeffreys_log_prior_gamma,
-    jeffreys_log_prior_nm,
-    log_density,
-    mode,
-)
+from bffkit.priors import jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 from bffkit.specfun import trigamma
+from oracle import PriorFamily, PriorSpec, log_density, mode
 
 NM_TWO = PriorFamily.NORMAL_MOMENT_TWO_SIDED
 NM_POS = PriorFamily.NORMAL_MOMENT_POSITIVE

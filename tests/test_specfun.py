@@ -366,6 +366,30 @@ class TestCapCheck:
             log_1f1(1.0, 1.0, x)
         assert time.perf_counter() - start < 0.01
 
+    def test_rising_log_for_huge_parameters(self):
+        # ln Gamma(p + TERM_CAP) - ln Gamma(p + 12345), frozen from mpmath;
+        # plain lgamma subtraction is off by 2.7e-4, 0.033 and 310 nats here
+        for p, expected in (
+            (1e11, 252972180.6691641345561734),
+            (1e13, 298966536.7205670035011591),
+            (1e17, 390956233.788946570073632),
+        ):
+            assert abs(sf._log_rising_to_cap(p, 12345) - expected) < 1e-6
+
+    def test_huge_parameter_plans_decided_as_mpmath_says(self):
+        # 2F1((nu + 1)/2, 3/2; 1/2; y^2) of a two-sided t with nu = 2e17, which
+        # peaks near the cap.  By mpmath at 60 digits the term at TERM_CAP is
+        # 88.57 nats below _LOG_TERM_FLOOR at y^2 = 9.95e-11 (summable, not
+        # summed here: it takes seconds) and 0.327 nats above it at 9.973e-11
+        a = (2e17 + 1) / 2
+        assert sf._plan_2f1(a, 1.5, 0.5, 9.95e-11) == (
+            0.0, math.log(9.95e-11), (1.5, a), (0.5, 1.0)
+        )
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError):
+            sf._plan_2f1(a, 1.5, 0.5, 9.973e-11)
+        assert time.perf_counter() - start < 0.01
+
     def test_planners_reject_through_the_bound(self):
         # a one-ratio bound above 1, where its power would overflow, goes to
         # the exact test: x = 1e7 peaks at the cap, x = 6e6 well inside it

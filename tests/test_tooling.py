@@ -4,8 +4,9 @@ bench/tracing.py wraps functions at the bindings its callers use, so a
 binding that looks dead in the package (evidence.log_bf10,
 evidence.jeffreys_log_prior_nm) is still load-bearing, and a single log_bf10
 call must pass through the wrapped one-value bindings; and the benchmark's
-setup_s times `import bffkit.cli`, which must not pull in scipy or the
-oracle layer.
+setup_s times `import bffkit.cli`, which must not pull in scipy.  The
+quadrature oracle and the prior densities it integrates are test support in
+tests/oracle.py; the package must not ship them again.
 """
 
 import os
@@ -51,8 +52,10 @@ def test_tracer_sees_the_one_value_route(monkeypatch):
 
 def test_cli_import_leaves_out_scipy_and_oracle():
     code = (
-        "import sys, bffkit.cli; "
-        "print(sorted(m for m in ('scipy', 'bffkit.oracle') if m in sys.modules))"
+        "import importlib.util, sys, bffkit, bffkit.cli; "
+        "print('scipy' in sys.modules, importlib.util.find_spec('bffkit.oracle') is None, "
+        "sorted(n for n in ('PriorFamily', 'PriorSpec', 'log_density', 'mode') "
+        "if hasattr(bffkit, n)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -61,4 +64,4 @@ def test_cli_import_leaves_out_scipy_and_oracle():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False True []"
