@@ -3,20 +3,33 @@
 Each function returns log BF10 against a point null, under a non-local prior
 on the non-centrality parameter: a normal-moment prior (two-sided or one-sided)
 for z/t, and a Gamma(k/2 + r, 1/(2 tau_sq)) prior for chi-square/F.  All
-arithmetic is carried out on plain float logs; the one-sided z/t forms combine
-their two hypergeometric terms with a signed log-sum-exp (_assemble) because
-the second term carries the sign of the statistic.
+arithmetic is carried out on plain float logs.
 
-Each closed form is split in two.  Its study part (_z_one_study, _t_study,
-...) checks the statistic once and holds everything that does not depend on
-the prior (tau_sq, r): which hypergeometric function the form sums, the
-statistic-only parameters and constants, the one-sided t form's log-Gamma
-ratio in nu, and the sign of the statistic.  Its item part computes the rest
-for one (tau_sq, r): the series argument, the prefactor, the odd-term
-coefficient and the series.  log_bf10 and the one-value forms compose the
-two parts for one value.  evidence builds the study part of each Study once,
-and log_bf10_batch evaluates the item parts of many (study, prior) items,
-summing all their series in one batched kernel pass per function.
+All six forms are one expression.  With x = s tau_sq / (1 + tau_sq),
+
+    log BF10 = -(c + r) log1p(tau_sq) + log[F(c + r, *extra; c; x) + odd],
+
+where F is 1F1 when extra is empty and 2F1 otherwise.  The one-sided z and
+t forms add the odd term
+
+    odd = sign 2 sqrt(x) e^(log_ratio + log_ratio_r) F(c + r + 1/2, *(e + 1/2); 3/2; x)
+
+with log_ratio_r = ln Gamma(r + 1) - ln Gamma(r + 1/2); the bracket is
+combined by a signed log-sum-exp (_assemble), because the odd term carries
+the sign of the statistic.  Per form:
+
+    form          c     extra          s              sign   log_ratio
+    z (two, one)  1/2   ()             z^2 / 2        0, +-1  0
+    t (two, one)  1/2   ((nu+1)/2,)    t^2/(nu+t^2)   0, +-1  0, ln G(nu/2+1) - ln G((nu+1)/2)
+    chi-square    k/2   ()             h / 2          0      0
+    F             k/2   ((k+m)/2,)     kf/(m+kf)      0      0
+
+A one-sided sign is that of the statistic.  A study part (_z_study,
+_t_study, _chisq_study, _f_study; _study_part of a TestStatistic) checks the
+statistic once and returns its row as a _StudyPart; _item computes the rest
+for one (tau_sq, r).  The one-value forms hand _item log_1f1/log_2f1
+(_evaluate), log_bf10_batch hands it specfun's planners, so both routes give
+the same value bit for bit.  evidence builds the study part of each Study once.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -28,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .specfun import (
     _log_series_sums,
@@ -123,34 +136,45 @@ def _check_hyperparams(tau_sq: float, r: float) -> None:
 
 
 class _StudyPart(NamedTuple):
-    """The study part of a closed form: what it needs of the statistic,
-    checked once, with everything that does not depend on (tau_sq, r).
+    """The study part of a closed form: its row of the table in the module
+    docstring, for a statistic checked once.  extra is () for a 1F1 form
+    and the one further upper parameter of a 2F1 form; sign is 0 for the
+    forms without an odd term."""
 
-    item(tau_sq, r, log_ratio_r, series) is the item part, for a checked
-    (tau_sq, r).  It returns None when tau_sq = 0 (log BF = 0 exactly), else
-    (log prefactor, first, second, log coefficient, sign), where first and
-    second are what series returns for the form's two series.  series is
-    log_2f1 or _plan_2f1 when is_2f1, else log_1f1 or _plan_1f1, so the
-    item part evaluates its series or plans them.  second is None for the
-    one-term forms and where the one-sided odd term vanishes (y = 0);
-    otherwise the odd term is sign e^(log coefficient) times the second
-    series.  log_ratio_r = log_gamma_half_ratio(r + 1/2) enters only the
-    coefficient of the one-sided forms (odd is True for them); a caller
-    computes it once per r and passes it to the item part of every study.
-    """
-
-    is_2f1: bool
-    odd: bool
-    item: Callable
+    c: float
+    extra: tuple
+    s: float
+    sign: int
+    log_ratio: float
 
 
-# Each closed form is written once, as a function that checks the statistic
-# and returns its _StudyPart, whose item closure is the item part; _assemble
-# turns the log values of an item's series into log BF10.  The one-value
-# forms hand the item part log_1f1/log_2f1 (_evaluate), log_bf10_batch hands
-# it specfun's planners and sums the plans of all items in one kernel pass
-# per function.  Either way an item does the same operations in the same
-# order, so both routes give the same value bit for bit.
+def _item(part: _StudyPart, tau_sq: float, r: float, log_ratio_r: float, series):
+    """The item part of a study part at a checked (tau_sq, r): None when
+    tau_sq = 0 (log BF = 0 exactly), else (log prefactor, first, second,
+    log coefficient, sign), where first and second are what series returns
+    for the form's two series; second is None when there is no odd term.
+    series is log_2f1 or _plan_2f1 for a 2F1 form, else log_1f1 or
+    _plan_1f1, so the item part evaluates its series or plans them.
+    log_ratio_r = log_gamma_half_ratio(r + 1/2) enters only the odd-term
+    coefficient; a caller computes it once per r."""
+    c, extra, s, sign, log_ratio = part
+    x = s * tau_sq / (1.0 + tau_sq)
+    if extra and not x < 1.0:  # NaN too: an overflowing statistic gives s = inf / inf
+        raise ValueError(
+            f"2F1 argument {x} is not below 1 at s={s}, tau_sq={tau_sq}: "
+            "the statistic is beyond double precision"
+        )
+    if tau_sq == 0.0:
+        return None
+    a = c + r
+    log_prefactor = -a * math.log1p(tau_sq)
+    first = series(a, *extra, c, x)
+    if not (sign and x > 0.0):
+        return log_prefactor, first, None, 0.0, 0
+    log_coef = math.log(2.0 * math.sqrt(x)) + log_ratio + log_ratio_r
+    # extra has at most one entry; a generator here costs more than the branch
+    second = series(a + 0.5, *((extra[0] + 0.5,) if extra else ()), 1.5, x)
+    return log_prefactor, first, second, log_coef, sign
 
 
 def _assemble(log_prefactor, log_first, log_second, log_coef, sign) -> float:
@@ -170,53 +194,27 @@ def _assemble(log_prefactor, log_first, log_second, log_coef, sign) -> float:
     return log_prefactor + (m + math.log(v))
 
 
-def _evaluate(kernel, part: _StudyPart, tau_sq: float, r: float) -> float:
+def _evaluate(part: _StudyPart, tau_sq: float, r: float) -> float:
     """log BF10 of a study part at (tau_sq, r), one series value at a time."""
     _check_hyperparams(tau_sq, r)
-    log_ratio_r = log_gamma_half_ratio(r + 0.5) if part.odd else None
-    item = part.item(tau_sq, r, log_ratio_r, kernel)
+    log_ratio_r = log_gamma_half_ratio(r + 0.5) if part.sign else 0.0
+    item = _item(part, tau_sq, r, log_ratio_r, log_2f1 if part.extra else log_1f1)
     return 0.0 if item is None else _assemble(*item)
 
 
-def _check_z(z: float) -> None:
+def _sign(value: float, one_sided: bool) -> int:
+    return (1 if value > 0.0 else -1) if one_sided else 0
+
+
+def _z_study(z: float, one_sided: bool) -> _StudyPart:
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-
-
-def _z_two_study(z: float) -> _StudyPart:
-    _check_z(z)
-
-    def item(tau_sq, r, _, series):
-        if tau_sq == 0.0:
-            return None
-        x = tau_sq * z * z / (2.0 * (1.0 + tau_sq))
-        return -(r + 0.5) * math.log1p(tau_sq), series(r + 0.5, 0.5, x), None, 0.0, 0
-
-    return _StudyPart(False, False, item)
+    return _StudyPart(0.5, (), z * z / 2.0, _sign(z, one_sided), 0.0)
 
 
 def log_bf10_z_two(z: float, tau_sq: float, r: float) -> float:
     """Two-sided z test: log of (1+tau^2)^-(r+1/2) 1F1(r+1/2, 1/2; tau^2 z^2 / (2(1+tau^2)))."""
-    return _evaluate(log_1f1, _z_two_study(z), tau_sq, r)
-
-
-def _z_one_study(z: float) -> _StudyPart:
-    _check_z(z)
-    sign = 1 if z > 0.0 else -1
-
-    def item(tau_sq, r, log_ratio_r, series):
-        if tau_sq == 0.0:
-            return None
-        y = math.sqrt(tau_sq) * z / math.sqrt(2.0 * (1.0 + tau_sq))
-        y_sq = y * y
-        log_prefactor = -(r + 0.5) * math.log1p(tau_sq)
-        first = series(r + 0.5, 0.5, y_sq)
-        if y == 0.0:
-            return log_prefactor, first, None, 0.0, 0
-        log_coef = math.log(2.0 * abs(y)) + log_ratio_r
-        return log_prefactor, first, series(r + 1.0, 1.5, y_sq), log_coef, sign
-
-    return _StudyPart(False, True, item)
+    return _evaluate(_z_study(z, False), tau_sq, r)
 
 
 def log_bf10_z_one(z: float, tau_sq: float, r: float) -> float:
@@ -226,50 +224,20 @@ def log_bf10_z_one(z: float, tau_sq: float, r: float) -> float:
     1F1(r+1, 3/2, y^2)] with y = tau z / sqrt(2 (1+tau^2)) and
     c = (1+tau^2)^-(r+1/2).  Negative z makes the second term subtract.
     """
-    return _evaluate(log_1f1, _z_one_study(z), tau_sq, r)
+    return _evaluate(_z_study(z, True), tau_sq, r)
 
 
 def _t_study(t: float, nu: float, one_sided: bool) -> _StudyPart:
-    """Both t forms, which share y = tau t / sqrt((nu+t^2)(1+tau^2)); the
-    one-sided form adds the odd term."""
     if not 0.0 < nu < math.inf:
         raise ValueError(f"nu must be finite and > 0, got {nu}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    nu_t_sq = nu + t * t
     a = (nu + 1.0) / 2.0
-    if one_sided:
-        b = nu / 2.0 + 1.0
-        # Gamma(nu/2+1)/Gamma((nu+1)/2) (and, per r, Gamma(r+1)/Gamma(r+1/2))
-        # via the half-shift ratio: plain lgamma differences lose absolute
-        # accuracy at large nu, which the near-cancelling bracket then amplifies
-        log_ratio_nu = log_gamma_half_ratio(a)
-        sign = 1 if t > 0.0 else -1
-
-    def item(tau_sq, r, log_ratio_r, series):
-        spread = nu_t_sq * (1.0 + tau_sq)
-        if not spread < math.inf:  # t * t overflowing would otherwise give y = 0
-            raise ValueError(
-                f"(nu + t^2)(1 + tau_sq) overflows at t={t}, nu={nu}, "
-                f"tau_sq={tau_sq}: the statistic is beyond double precision"
-            )
-        y = math.sqrt(tau_sq) * t / math.sqrt(spread)
-        y_sq = y * y
-        if not y_sq < 1.0:
-            raise ValueError(
-                f"2F1 argument y^2 = {y_sq} is not below 1 at t={t}, nu={nu}, "
-                f"tau_sq={tau_sq}: the statistic is beyond double precision"
-            )
-        if tau_sq == 0.0:
-            return None
-        log_prefactor = -(r + 0.5) * math.log1p(tau_sq)
-        first = series(a, r + 0.5, 0.5, y_sq)
-        if not one_sided or y == 0.0:
-            return log_prefactor, first, None, 0.0, 0
-        log_coef = math.log(2.0 * abs(y)) + log_ratio_nu + log_ratio_r
-        return log_prefactor, first, series(b, r + 1.0, 1.5, y_sq), log_coef, sign
-
-    return _StudyPart(True, one_sided, item)
+    # Gamma(nu/2+1)/Gamma((nu+1)/2) (and, per r, Gamma(r+1)/Gamma(r+1/2))
+    # via the half-shift ratio: plain lgamma differences lose absolute
+    # accuracy at large nu, which the near-cancelling bracket then amplifies
+    log_ratio = log_gamma_half_ratio(a) if one_sided else 0.0
+    return _StudyPart(0.5, (a,), t * t / (nu + t * t), _sign(t, one_sided), log_ratio)
 
 
 def log_bf10_t_two(t: float, nu: float, tau_sq: float, r: float) -> float:
@@ -283,7 +251,7 @@ def log_bf10_t_two(t: float, nu: float, tau_sq: float, r: float) -> float:
     nu -> infinity counterpart of the two-sided z form, and the version that
     agrees with direct quadrature of the noncentral-t marginal).
     """
-    return _evaluate(log_2f1, _t_study(t, nu, False), tau_sq, r)
+    return _evaluate(_t_study(t, nu, False), tau_sq, r)
 
 
 def log_bf10_t_one(t: float, nu: float, tau_sq: float, r: float) -> float:
@@ -294,7 +262,7 @@ def log_bf10_t_one(t: float, nu: float, tau_sq: float, r: float) -> float:
     G = Gamma(nu/2+1) Gamma(r+1) / (Gamma((nu+1)/2) Gamma(r+1/2)).  Negative t
     makes the second term subtract.
     """
-    return _evaluate(log_2f1, _t_study(t, nu, True), tau_sq, r)
+    return _evaluate(_t_study(t, nu, True), tau_sq, r)
 
 
 def _chisq_study(h: float, k: float) -> _StudyPart:
@@ -302,22 +270,13 @@ def _chisq_study(h: float, k: float) -> _StudyPart:
         raise ValueError(f"h must be finite and >= 0, got {h}")
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be finite and > 0, got {k}")
-    half_k = k / 2.0
-
-    def item(tau_sq, r, _, series):
-        if tau_sq == 0.0:
-            return None
-        x = tau_sq * h / (2.0 * (1.0 + tau_sq))
-        a = half_k + r
-        return -a * math.log1p(tau_sq), series(a, half_k, x), None, 0.0, 0
-
-    return _StudyPart(False, False, item)
+    return _StudyPart(k / 2.0, (), h / 2.0, 0, 0.0)
 
 
 def log_bf10_chisq(h: float, k: float, tau_sq: float, r: float) -> float:
     """Chi-square test on k degrees of freedom: log of
     (1+tau^2)^-(k/2+r) 1F1(k/2+r, k/2; tau^2 h / (2(1+tau^2)))."""
-    return _evaluate(log_1f1, _chisq_study(h, k), tau_sq, r)
+    return _evaluate(_chisq_study(h, k), tau_sq, r)
 
 
 def _f_study(f: float, k: float, m: float) -> _StudyPart:
@@ -326,29 +285,13 @@ def _f_study(f: float, k: float, m: float) -> _StudyPart:
     if not (0.0 < k < math.inf and 0.0 < m < math.inf):
         raise ValueError(f"k and m must be finite and > 0, got k={k}, m={m}")
     kf = k * f
-    m_kf = m + kf
-    half_k = k / 2.0
-    c = (k + m) / 2.0
-
-    def item(tau_sq, r, _, series):
-        if tau_sq == 0.0:
-            return None
-        x = kf * tau_sq / ((1.0 + tau_sq) * m_kf)
-        if not x < 1.0:
-            raise ValueError(
-                f"2F1 argument {x} is not below 1 at f={f}, k={k}, m={m}, "
-                f"tau_sq={tau_sq}: the statistic is beyond double precision"
-            )
-        a = half_k + r
-        return -a * math.log1p(tau_sq), series(a, c, half_k, x), None, 0.0, 0
-
-    return _StudyPart(True, False, item)
+    return _StudyPart(k / 2.0, ((k + m) / 2.0,), kf / (m + kf), 0, 0.0)
 
 
 def log_bf10_f(f: float, k: float, m: float, tau_sq: float, r: float) -> float:
     """F test on (k, m) degrees of freedom: log of
     (1+tau^2)^-(k/2+r) 2F1(k/2+r, (k+m)/2, k/2; k f tau^2 / ((1+tau^2)(m+kf)))."""
-    return _evaluate(log_2f1, _f_study(f, k, m), tau_sq, r)
+    return _evaluate(_f_study(f, k, m), tau_sq, r)
 
 
 def log_bf10(stat: TestStatistic, tau_sq: float, r: float) -> float:
@@ -372,7 +315,7 @@ def _study_part(stat: TestStatistic) -> _StudyPart:
     fam = stat.family
     one = stat.sided is Sidedness.ONE_SIDED
     if fam is StatFamily.Z:
-        return (_z_one_study if one else _z_two_study)(stat.value)
+        return _z_study(stat.value, one)
     if fam is StatFamily.T:
         return _t_study(stat.value, stat.nu, one)
     if fam is StatFamily.CHI_SQ:
@@ -385,26 +328,23 @@ def log_bf10_batch(items) -> list:
     is a study part (_study_part of a statistic): log_bf10(stat, tau_sq, r)
     bit for bit.
 
-    Each item computes only its item part, which plans its series with
-    _plan_1f1/_plan_2f1 as log_1f1/log_2f1 plan them;
-    log_gamma_half_ratio(r + 1/2) is computed once for each run of
-    consecutive items with the same r.  The planned series of all items are
-    summed in one _log_series_sums pass per function (made only when
-    needed); an item keeps the positions of its series in its function's
-    pass.  Where log_bf10 would raise for an item, its entry in the returned
-    list is the exception instead of a float.
+    Each item plans its series in _item; log_gamma_half_ratio(r + 1/2) is
+    computed once for each run of consecutive items with the same r.  The
+    plans of all items are summed in one _log_series_sums pass per function
+    (made only when needed).  Where log_bf10 would raise for an item, its
+    entry in the returned list is the exception instead of a float.
     """
     out = [0.0] * len(items)  # log BF10 at tau_sq = 0; other entries are replaced
     series = ([], [])  # the plans of the 1F1 pass and of the 2F1 pass
     owners = ([], [])  # per pass: (index in out, item, position of the first series)
     last_r = log_ratio_r = None
     for slot, (part, tau_sq, r) in enumerate(items):
-        is_2f1, _, item_part = part
+        is_2f1 = bool(part.extra)
         try:  # like log_bf10, stop at the first series that fails
             _check_hyperparams(tau_sq, r)
             if r != last_r:
                 last_r, log_ratio_r = r, log_gamma_half_ratio(r + 0.5)
-            item = item_part(tau_sq, r, log_ratio_r, _plan_2f1 if is_2f1 else _plan_1f1)
+            item = _item(part, tau_sq, r, log_ratio_r, _plan_2f1 if is_2f1 else _plan_1f1)
         except Exception as exc:
             out[slot] = exc
             continue

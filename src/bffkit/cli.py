@@ -215,29 +215,6 @@ def summarize_rows(
     return lines
 
 
-def parse_curve_file(path: str):
-    """Parse a written curve CSV back into rows and summary metadata."""
-    rows: list[tuple[float, float, float]] = []
-    meta: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "omega,r_star,log_bf10":
-            raise ParseError(f"{path}: unexpected curve header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: bad curve row {line!r}")
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-    return rows, meta
-
-
 def cmd_curve(args) -> int:
     studies = load_studies(args.file)
     if args.omega_min > args.omega_max:

@@ -60,10 +60,11 @@ class Study:
     df k, a z/t design none), so no prior scale of a built study fails.
 
     A built study also holds, in private fields, everything of its log BF10
-    that does not depend on (omega, r): the study part of its closed form
-    (bayes_factors) and the constants of its prior scale (effect_map's
+    that does not depend on (omega, r): the study part of its closed form,
+    the record (c, extra, s, sign, log_ratio) of bayes_factors' one
+    expression, and the constants of its prior scale (effect_map's
     _tau_sq_parts), so an evaluation at (omega, r) computes only tau_sq and
-    the item part."""
+    bayes_factors._item."""
 
     stat: TestStatistic
     design: DesignKind
@@ -144,7 +145,7 @@ def _log_bf_rows(scaled: list[tuple], rs: Sequence[float]) -> list[list]:
     is the exception instead of a float.
 
     Each study was compiled when built, so an item computes only its tau_sq
-    here and its item part in log_bf10_batch.  tau_sq is c w w / (d (s + r -
+    here and the rest in log_bf10_batch.  tau_sq is c w w / (d (s + r -
     u)): tau_sq_for's operations in its order, so its value bit for bit.  An
     r below 1 raises tau_sq_for's error for the whole call; it concerns no
     study."""

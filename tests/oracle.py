@@ -1,17 +1,21 @@
-"""Test support: the brute-force oracle that the closed forms are checked
+"""Test support: the independent routes that the closed forms are checked
 against, imported by acceptance criteria 4 (quadrature equivalence) and 7
-(asymptotic rates), by the tests of the oracle itself, and by the prior and
-effect-map tests for its prior densities and modes.
+(asymptotic rates), by the tests of the oracle itself, by the closed forms'
+mpmath grid, and by the prior and effect-map tests for its prior densities
+and modes.
 
 It holds the non-local prior densities on the non-centrality parameter,
 exact sampling densities, quadrature marginals, and a Monte Carlo harness
-for the asymptotic-rate properties.  Everything here deliberately avoids the
-closed-form hypergeometric route so that agreement between
+for the asymptotic-rate properties.  The quadrature route deliberately
+avoids the closed-form hypergeometric route so that agreement between
 `marginal_bf_quadrature` and the `bayes_factors` formulas is a genuine
 two-route check.  Central densities are evaluated from their textbook
 formulas; noncentral densities come from their mixture/series
 representations (a Poisson mixture for chi-square and F, a two-branch series
-for t), accumulated term by term with numpy's logaddexp.
+for t), accumulated term by term with numpy's logaddexp.  The second route,
+mpmath_log_bf10, evaluates the paper's closed forms themselves at 50 or more
+digits with mpmath's hypergeometric functions, over the whole input domain
+rather than the quadrature-friendly box.
 
 Two prior families are covered: normal-moment priors (two-sided, or
 one-sided by restriction/reflection) for z and t statistics, and a gamma
@@ -27,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc
@@ -45,6 +50,7 @@ __all__ = [
     "density_noncentral",
     "marginal_bf_quadrature",
     "validation_tuples",
+    "mpmath_log_bf10",
     "RateReport",
     "rate_harness",
 ]
@@ -447,6 +453,68 @@ def validation_tuples(check: str, count: int, rng) -> list[tuple]:
             continue  # relative comparison needs the log away from zero
         out.append((stat, prior, closed))
     return out
+
+
+# Working precision of mpmath_log_bf10, in decimal digits; a one-sided
+# bracket that cancels is recomputed with the digits it lost added.
+_MP_DPS = 50
+
+
+def mpmath_log_bf10(stat: TestStatistic, tau_sq: float, r: float) -> float:
+    """log BF10 of a statistic at (tau_sq, r) from the paper's closed form
+    for its family and sidedness, evaluated by mpmath's hyp1f1/hyp2f1 at
+    _MP_DPS or more digits: a second route that shares no code with
+    bayes_factors or specfun.
+
+    z two-sided: (1+tau^2)^-(r+1/2) 1F1(r+1/2; 1/2; y^2), y^2 = tau^2 z^2 / (2(1+tau^2));
+    z one-sided: (1+tau^2)^-(r+1/2) [1F1(r+1/2; 1/2; y^2)
+        + 2y Gamma(r+1)/Gamma(r+1/2) 1F1(r+1; 3/2; y^2)], y = tau z / sqrt(2(1+tau^2));
+    t two-sided: (1+tau^2)^-(r+1/2) 2F1((nu+1)/2, r+1/2; 1/2; y^2),
+        y = tau t / sqrt((nu+t^2)(1+tau^2));
+    t one-sided: (1+tau^2)^-(r+1/2) [2F1((nu+1)/2, r+1/2; 1/2; y^2)
+        + 2y G 2F1(nu/2+1, r+1; 3/2; y^2)],
+        G = Gamma(nu/2+1) Gamma(r+1) / (Gamma((nu+1)/2) Gamma(r+1/2));
+    chi-square: (1+tau^2)^-(k/2+r) 1F1(k/2+r; k/2; tau^2 h / (2(1+tau^2)));
+    F: (1+tau^2)^-(k/2+r) 2F1(k/2+r, (k+m)/2; k/2; k f tau^2 / ((1+tau^2)(m+kf))).
+    """
+    dps = _MP_DPS
+    while True:
+        with mp.workdps(dps):
+            tsq, r_, v = mp.mpf(tau_sq), mp.mpf(r), mp.mpf(stat.value)
+            if stat.family in (StatFamily.CHI_SQ, StatFamily.F):
+                half_k = mp.mpf(stat.k) / 2
+                a = half_k + r_
+                if stat.family is StatFamily.CHI_SQ:
+                    bracket = mp.hyp1f1(a, half_k, tsq * v / (2 * (1 + tsq)))
+                else:
+                    m = mp.mpf(stat.m)
+                    x = stat.k * v * tsq / ((1 + tsq) * (m + stat.k * v))
+                    bracket = mp.hyp2f1(a, (stat.k + m) / 2, half_k, x)
+                return float(-a * mp.log1p(tsq) + mp.log(bracket))
+            if stat.family is StatFamily.Z:
+                y = mp.sqrt(tsq) * v / mp.sqrt(2 * (1 + tsq))
+                even = mp.hyp1f1(r_ + 0.5, 0.5, y * y)
+                odd = mp.hyp1f1(r_ + 1, 1.5, y * y) * mp.gamma(r_ + 1) / mp.gamma(r_ + 0.5)
+            else:
+                nu = mp.mpf(stat.nu)
+                y = mp.sqrt(tsq) * v / mp.sqrt((nu + v * v) * (1 + tsq))
+                even = mp.hyp2f1((nu + 1) / 2, r_ + 0.5, 0.5, y * y)
+                odd = (
+                    mp.hyp2f1(nu / 2 + 1, r_ + 1, 1.5, y * y)
+                    * mp.gamma(nu / 2 + 1) * mp.gamma(r_ + 1)
+                    / (mp.gamma((nu + 1) / 2) * mp.gamma(r_ + 0.5))
+                )
+            log_prefactor = -(r_ + 0.5) * mp.log1p(tsq)
+            if stat.sided is Sidedness.TWO_SIDED:
+                return float(log_prefactor + mp.log(even))
+            odd *= 2 * y
+            bracket = even + odd
+            lost = mp.log10(max(abs(even), abs(odd)) / bracket) if bracket > 0 else mp.inf
+            if lost < dps - 30:
+                return float(log_prefactor + mp.log(bracket))
+        if dps >= 1000:
+            raise ArithmeticError("mpmath bracket unresolved at 1000 digits")
+        dps = min(1000, 2 * dps if lost == mp.inf else dps + int(lost) + 10)
 
 
 @dataclass(frozen=True)

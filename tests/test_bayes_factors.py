@@ -1,8 +1,9 @@
 """Tests for the closed-form log Bayes factors.
 
-The heavy oracle-equivalence grid lives in the acceptance suite; here the
+The heavy quadrature-equivalence grid lives in the acceptance suite; here the
 formulas are pinned by their exact special cases, the published single-z
-reference value, monotonicity, and the large-nu / large-m limits.
+reference value, monotonicity, the large-nu / large-m limits, and a grid
+against the closed forms evaluated by mpmath (oracle.mpmath_log_bf10).
 """
 
 import math
@@ -27,6 +28,7 @@ from bffkit.bayes_factors import (
     log_bf10_z_two,
 )
 from bffkit.specfun import NonConvergenceError
+from oracle import mpmath_log_bf10
 
 
 class TestTestStatistic:
@@ -236,7 +238,7 @@ class TestDomainGuards:
 
     def test_rounded_argument_at_one_is_value_error(self, monkeypatch):
         _forbid_kernels(monkeypatch)
-        # y^2 (t) and x (F) round to exactly 1 for these finite inputs
+        # x rounds to exactly 1 for these finite inputs
         with pytest.raises(ValueError, match="not below 1"):
             log_bf10_t_two(1e9, 10.0, 1e17, 1.0)
         with pytest.raises(ValueError, match="not below 1"):
@@ -315,21 +317,27 @@ class TestBeyondDoublePrecision:
     @pytest.mark.parametrize(
         "stat, tau_sq, error",
         [
-            # y^2 = 1 - 4.4e-16: the 2F1 series cannot stop within TERM_CAP terms
+            # x = 1 - 1.8e-17 rounds to 1.0, so the 2F1 argument check rejects it
             (TestStatistic(StatFamily.T, 1e9, Sidedness.ONE_SIDED, nu=10.0), 1.25e17,
-             NonConvergenceError),
+             ValueError),
             # the 1F1 argument overflows to inf
             (TestStatistic(StatFamily.Z, 1e200, Sidedness.TWO_SIDED), 1.0, ValueError),
             # x = 2.5e307: the 1F1 series cannot stop within TERM_CAP terms
             (TestStatistic(StatFamily.CHI_SQ, 1e308, k=2.0), 1.0, NonConvergenceError),
-            # t * t overflows, which would otherwise give y = 0
+            # t * t overflows: s = inf / inf is NaN, which the 2F1 argument check rejects
             (TestStatistic(StatFamily.T, 1e200, Sidedness.TWO_SIDED, nu=10.0), 1.0, ValueError),
             # y^2 = 1 - 1.1e-6: the term ratio at the cap is below 1, but the
             # term there is still e^-7.6 of the peak term
             (TestStatistic(StatFamily.T, 1e3, Sidedness.TWO_SIDED, nu=1.0), 1e7,
              NonConvergenceError),
+            # the same first series, planned on the one-sided route
+            (TestStatistic(StatFamily.T, 1e3, Sidedness.ONE_SIDED, nu=1.0), 1e7,
+             NonConvergenceError),
         ],
-        ids=["t_one_near_one", "z_two_inf", "chisq_huge", "t_two_overflow", "t_two_long_tail"],
+        ids=[
+            "t_one_near_one", "z_two_inf", "chisq_huge", "t_two_overflow", "t_two_long_tail",
+            "t_one_long_tail",
+        ],
     )
     def test_beyond_double_precision_fails_fast(self, monkeypatch, stat, tau_sq, error):
         def fail(*args):
@@ -400,3 +408,53 @@ class TestBatch:
         )
         _batch(self._items())
         assert sorted(calls, key=min) == [{1}, {2}]
+
+
+NUS = (1.0, 5.0, 30.0, 300.0)
+TAU_SQS = (1e-3, 0.1, 1.0, 30.0, 1e3)
+RS = (1.0, 2.5, 20.0, 200.0)
+
+
+def _mpmath_grid():
+    """(statistic, tau_sq, r) over all six forms, their degrees of freedom,
+    prior scales and shapes; one-sided z and t statistics that oppose the
+    prior are kept to x = y^2 <= 0.02 and r <= 10, where the signed bracket
+    loses at most about 3 digits."""
+    one, two = Sidedness.ONE_SIDED, Sidedness.TWO_SIDED
+    stats = []
+    for v in (0.5, 2.0, 4.0):
+        for side in (one, two):
+            stats.append(TestStatistic(StatFamily.Z, v, side))
+            stats += [TestStatistic(StatFamily.T, v, side, nu=nu) for nu in NUS]
+    for k in (1.0, 3.0):
+        stats += [TestStatistic(StatFamily.CHI_SQ, h, k=k) for h in (1.0, 5.0, 20.0)]
+        stats += [TestStatistic(StatFamily.F, f, k=k, m=m) for f in (0.5, 3.0) for m in NUS]
+    grid = [(stat, tau_sq, r) for stat in stats for tau_sq in TAU_SQS for r in RS]
+    for v in (-0.05, -0.2):
+        opposing = [TestStatistic(StatFamily.Z, v, one)]
+        opposing += [TestStatistic(StatFamily.T, v, one, nu=nu) for nu in NUS]
+        for stat in opposing:
+            s = v * v / 2.0 if stat.nu is None else v * v / (stat.nu + v * v)
+            grid += [
+                (stat, tau_sq, r)
+                for tau_sq in TAU_SQS
+                for r in (1.0, 2.5, 10.0)
+                if s * tau_sq / (1.0 + tau_sq) <= 0.02
+            ]
+    return grid
+
+
+class TestAgainstMpmath:
+    """Every closed form against the paper's formula evaluated by mpmath:
+    relative 1e-12, absolute where |log BF| < 1."""
+
+    def test_grid(self):
+        grid = _mpmath_grid()
+        assert len(grid) > 1000
+        bad = []
+        for stat, tau_sq, r in grid:
+            ref = mpmath_log_bf10(stat, tau_sq, r)
+            got = log_bf10(stat, tau_sq, r)
+            if not abs(got - ref) <= 1e-12 * max(abs(ref), 1.0):
+                bad.append((stat, tau_sq, r, got, ref))
+        assert not bad, (len(bad), bad[:5])

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bffkit.specfun as sf
-from bffkit.cli import main, parse_curve_file, summarize_rows
+from bffkit.cli import main, summarize_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -20,6 +20,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parse_curve_file(path: str):
+    """Parse a curve CSV written by `bffkit curve` back into rows and
+    summary metadata."""
+    rows: list[tuple[float, float, float]] = []
+    meta: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline().strip() == "omega,r_star,log_bf10"
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                meta[key.strip()] = value.strip()
+                continue
+            omega, r_star, log_bf10 = map(float, line.split(","))
+            rows.append((omega, r_star, log_bf10))
+    return rows, meta
 
 
 def write_rows(path: Path, rows: list[str]):
