@@ -11,6 +11,7 @@ an r-independent factor (the null marginals), so the two maximizations agree.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -50,6 +51,8 @@ _GAMMA_STAT_FAMILIES = (StatFamily.CHI_SQ, StatFamily.F)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 32
+# mmap_r's coarse pass: every third scan point, and r_max
+_COARSE = [*range(0, _SCAN_POINTS - 1, 3), _SCAN_POINTS - 1]
 _R_TOL = 1e-4
 
 
@@ -159,9 +162,17 @@ def _log_bf_rows(scaled: list[tuple], rs: Sequence[float]) -> list[list]:
 
 
 def _raise_first_error(per_study: list) -> None:
+    """Raise the first exception in per_study, of study i, as a copy of it
+    (same type and attributes) whose message is prefixed "study i: ", whose
+    study attribute is i, and whose cause is the original.  The copy is made
+    from the original's own args, so any exception type that copy.copy can
+    rebuild keeps its constructor's signature."""
     for i, value in enumerate(per_study):
         if isinstance(value, Exception):
-            raise type(value)(f"study {i}: {value}") from value
+            error = copy.copy(value)
+            error.args = (f"study {i}: {value}",)
+            error.study = i
+            raise error from value
 
 
 def per_study_log_bf(study_set: StudySet, omega: float, r: float) -> list[float]:
@@ -228,22 +239,47 @@ def _golden_max(evaluate, lo: float, hi: float, tol: float) -> tuple[float, tupl
     return x, evaluate((x,))[0]
 
 
+def _scan(r_max: float) -> list[float]:
+    """The _SCAN_POINTS log-spaced r values of mmap_r's scan over [1, r_max],
+    with exact ends: exp(log(r_max)) can miss r_max by an ulp."""
+    scan = np.exp(np.linspace(0.0, math.log(r_max), _SCAN_POINTS)).tolist()
+    scan[0], scan[-1] = 1.0, r_max
+    return scan
+
+
 def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResult:
     """Maximize combined_log_bf(set, omega, r) + log Jeffreys prior over
     r in [1, r_max].
 
-    A coarse 32-point log-spaced scan picks the bracketing interval, then a
-    golden-section search refines the maximizer to ~1e-4 in r.  at_boundary
+    The maximizer of a 32-point log-spaced scan picks the bracketing
+    interval, then a golden-section search refines the maximizer to ~1e-4
+    in r; the best scan point wins over a worse search result.  at_boundary
     flags a maximizer pinned against r_max, which would otherwise silently
     clip sets with very consistent effects.
 
-    The objective is evaluated a batch of r values at a time, every (r,
-    study) series of a batch in one vectorised kernel pass: the scan is one
-    pass over all 32 x studies rows, the two initial golden-section points
-    one pass, and each further golden-section step and the final evaluation
-    one pass over the studies.  The values are bit for bit those of
-    combined_log_bf.  The result carries the per-study values of the winning
-    evaluation, so a caller needs no further pass at r_star.
+    The scan is evaluated coarse to fine, which costs about half the rows
+    of evaluating all of it and gives the same result where the scan values
+    are unimodal:
+    - a coarse pass evaluates every third scan point and r_max (12 r);
+    - a fill pass evaluates the scan points skipped between the two coarse
+      neighbours of the coarse maximum (at most 4 r);
+    - where the best scan point is an end of [1, r_max], a probe pass
+      evaluates the point where the golden-section search would end if
+      every step moved toward that end, within _R_TOL of it.  If the end
+      beats the probe, the end is the result, with its scan evaluation, as
+      the search and the best-scan rule would return;
+    - otherwise the golden-section search runs on the best scan point's
+      neighbours: one pass for its two initial points, and one per further
+      step and for its final point.
+    If a coarse objective is not finite (a one-sided bracket that cancels,
+    see _objectives), the fill pass evaluates the whole scan and the probe
+    is skipped, so the best scan point is the full scan's, and the objective
+    is unresolvable only when all 32 values are -inf.
+
+    Every pass evaluates all its (r, study) series in one vectorised kernel
+    call.  The values are bit for bit those of combined_log_bf.  The result
+    carries the per-study values of the winning evaluation, so a caller
+    needs no further pass at r_star.
     """
     if not r_max >= 1.0:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
@@ -256,22 +292,48 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
         ((obj, per_study),) = objectives((1.0,))
         _raise_first_error(per_study)  # no other r to fall back on
         return MmapResult(1.0, obj, True, tuple(per_study))
-    scan = np.exp(np.linspace(0.0, math.log(r_max), _SCAN_POINTS))
-    scan[0], scan[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
-    evaluated = objectives(scan.tolist())
-    values = [obj for obj, _ in evaluated]
+    scan = _scan(r_max)
+    evaluated: list = [None] * _SCAN_POINTS  # (objective, per-study values)
+
+    def evaluate(indices: list[int]) -> None:
+        for i, value in zip(indices, objectives([scan[i] for i in indices])):
+            evaluated[i] = value
+
+    evaluate(_COARSE)
+    coarse = [evaluated[i][0] for i in _COARSE]
+    # a -inf coarse objective (see _objectives) hides the scan's shape
+    complete = not all(math.isfinite(v) for v in coarse)
+    if complete:
+        fill = range(_SCAN_POINTS)
+    else:
+        k = int(np.argmax(coarse))
+        fill = range(_COARSE[max(k - 1, 0)] + 1, _COARSE[min(k + 1, len(_COARSE) - 1)])
+    missing = [i for i in fill if evaluated[i] is None]
+    if missing:
+        evaluate(missing)
+    # a scan point the fill pass skipped never wins
+    values = [-math.inf if value is None else value[0] for value in evaluated]
     if not any(math.isfinite(v) for v in values):
         raise ArithmeticError(
             f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
         )
     best = int(np.argmax(values))
+    r_star, (obj, per_study) = scan[best], evaluated[best]
     lo = scan[max(best - 1, 0)]
     hi = scan[min(best + 1, _SCAN_POINTS - 1)]
-    r_star, (obj, per_study) = _golden_max(objectives, float(lo), float(hi), _R_TOL)
-    # the best scan point beats a worse search result: an endpoint maximum,
-    # or a final search point whose objective is -inf
-    if values[best] > obj:
-        r_star, (obj, per_study) = float(scan[best]), evaluated[best]
+    at_end = not complete and best in (0, _SCAN_POINTS - 1)
+    if at_end:
+        # the golden-section search's final point if every step moves toward
+        # the end: a monotone stand-in objective replays those steps
+        toward = -1.0 if best == 0 else 1.0
+        end_walk, _ = _golden_max(lambda rs: [(toward * r, None) for r in rs], lo, hi, _R_TOL)
+        ((probe, _),) = objectives((end_walk,))
+    if not at_end or not obj > probe:
+        r, found = _golden_max(objectives, lo, hi, _R_TOL)
+        # the best scan point beats a worse search result: an endpoint
+        # maximum, or a final search point whose objective is -inf
+        if not obj > found[0]:
+            r_star, (obj, per_study) = r, found
     return MmapResult(r_star, obj, r_max - r_star <= 2.0 * _R_TOL, tuple(per_study))
 
 

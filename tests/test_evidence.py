@@ -12,10 +12,12 @@ import bffkit.specfun as sf
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 from bffkit.effect_map import DesignKind, DesignTag, fisher_z, tau_sq_for
 from bffkit.evidence import (
-    _SCAN_POINTS,
+    _COARSE,
+    _R_TOL,
     EffectGrid,
     FixedR,
     MmapR,
+    MmapResult,
     StudySet,
     bff_curve,
     combined_log_bf,
@@ -23,7 +25,7 @@ from bffkit.evidence import (
     mmap_r,
     per_study_log_bf,
 )
-from bffkit.evidence import _at_omega, _objectives
+from bffkit.evidence import _at_omega, _golden_max, _objectives, _scan
 from bffkit.specfun import NonConvergenceError
 
 
@@ -170,16 +172,14 @@ class TestMmap:
         # precision at some r, among them the golden-section search's last point
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         res = mmap_r(studies, 0.3)
-        scan = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS))
-        evaluated = _objectives(studies, _at_omega(studies, 0.3), scan.tolist())
+        evaluated = _objectives(studies, _at_omega(studies, 0.3), _scan(200.0))
         finite = [v for v, _ in evaluated if math.isfinite(v)]
         assert math.isfinite(res.objective)
         assert finite and res.objective >= max(finite)
 
     def test_scan_ends_are_exact(self, monkeypatch):
         # exp(log(200)) is 199.99999999999991; the scan must evaluate r_max itself
-        import bffkit.evidence as ev
-
+        assert _scan(200.0)[0] == 1.0 and _scan(200.0)[-1] == 200.0
         scans = []
         real = ev._objectives
         monkeypatch.setattr(ev, "_objectives", lambda *a: (scans.append(list(a[2])), real(*a))[1])
@@ -329,7 +329,7 @@ class TestBatchedObjective:
         # precision at some r of the scan and not at others
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         omega = 0.3
-        rs = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS)).tolist()
+        rs = _scan(200.0)
         expected = []
         for r in rs:
             try:
@@ -352,8 +352,27 @@ class TestBatchedObjective:
         monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
         with pytest.raises(NonConvergenceError, match="^study 1: series did not converge"):
             mmap_r(studies, 0.5)
-        with pytest.raises(NonConvergenceError, match="^study 1: series did not converge"):
+        with pytest.raises(NonConvergenceError, match="^study 1: series did not converge") as info:
             per_study_log_bf(studies, 0.5, 1.0)
+        cause = info.value.__cause__
+        assert info.value.study == 1
+        assert type(cause) is NonConvergenceError and str(info.value) == f"study 1: {cause}"
+
+    def test_error_of_any_signature_tagged(self):
+        # the tagged error is a copy of the original, not a rebuild from its
+        # message, so an error whose constructor takes other arguments keeps
+        # its type and attributes
+        class Rejected(ArithmeticError):
+            def __init__(self, value, reason):
+                super().__init__(value, reason)
+                self.value = value
+
+        original = Rejected(3.5, "too large")
+        with pytest.raises(Rejected) as info:
+            ev._raise_first_error([0.25, original, ValueError("later")])
+        assert info.value.study == 1 and info.value.value == 3.5
+        assert info.value.__cause__ is original
+        assert str(info.value) == f"study 1: {original}"
 
     def test_value_error_tagged_with_study(self):
         # F = 1e16 with tau^2 >= 1e18 rounds the 2F1 argument to exactly 1
@@ -400,19 +419,23 @@ def _count_passes(monkeypatch) -> list:
 
 class TestKernelPasses:
     def test_mmap_point_is_one_pass_per_batch(self, monkeypatch):
-        """One Stroop MMAP point: one scan pass, at most 30 golden-section
-        passes and one final pass, all of 2F1 series, and no one-value kernel
-        call at all (a silent fallback to per-study evaluation fails here,
-        not in a timing)."""
+        """Stroop MMAP points: a coarse pass of 12 r and a fill pass, then a
+        probe pass where r* = 1, or the golden-section passes where r* is
+        interior, all of 2F1 series, and no one-value kernel call at all (a
+        silent fallback to per-study evaluation fails here, not in a
+        timing)."""
         studies = _stroop()
-        n = len(studies.studies)
+        rows = len(studies.studies) * 2  # one-sided t rows with t != 0 carry two series each
         passes = _count_passes(monkeypatch)
-        mmap_r(studies, 0.5)
-        # one-sided t rows with t != 0 carry two series each
-        assert passes[0] == _SCAN_POINTS * n * 2
-        assert passes[1] == 2 * n * 2  # the two initial golden-section points
-        assert all(p == n * 2 for p in passes[2:])
-        assert len(passes) - 2 <= 30
+        assert mmap_r(studies, 0.5).r_star == 1.0
+        # scan points 1 and 2 fill in next to the coarse maximum r = 1
+        assert passes == [12 * rows, 2 * rows, rows]
+        passes.clear()
+        res = mmap_r(studies, 0.885)
+        assert 1.0 < res.r_star < 200.0 and not res.at_boundary
+        # a fill of 4 scan points, then the two initial golden-section points,
+        # 23 further steps and the final point
+        assert passes == [12 * rows, 4 * rows, 2 * rows] + [rows] * 24
 
     def test_bff_curve_point_adds_no_pass(self, monkeypatch):
         """bff_curve builds an MMAP point from mmap_r's winning evaluation:
@@ -427,6 +450,117 @@ class TestKernelPasses:
         assert point.r_star == res.r_star and point.objective == res.objective
         assert point.per_study_log_bf == res.per_study_log_bf
         assert point.log_bf10 == sum(res.per_study_log_bf)
+
+
+def _full_scan_mmap_r(study_set, omega, r_max=200.0):
+    """mmap_r as a plain search, the reference of its coarse-to-fine scan:
+    the whole 32-point scan in one pass, the golden-section search on the
+    best scan point's neighbours, and the best-scan rule."""
+    scaled = _at_omega(study_set, omega)
+
+    def objectives(rs):
+        return ev._objectives(study_set, scaled, rs)
+
+    scan = _scan(r_max)
+    evaluated = objectives(scan)
+    values = [value for value, _ in evaluated]
+    if not any(math.isfinite(v) for v in values):
+        raise ArithmeticError(
+            f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
+        )
+    best = int(np.argmax(values))
+    lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, len(scan) - 1)]
+    r_star, (obj, per_study) = _golden_max(objectives, lo, hi, _R_TOL)
+    if values[best] > obj:
+        r_star, (obj, per_study) = scan[best], evaluated[best]
+    return MmapResult(r_star, obj, r_max - r_star <= 2.0 * _R_TOL, tuple(per_study))
+
+
+def _replicated_sets():
+    """30 seeded (study set, omega, r_max) of replicated z, t and chi-square
+    studies sharing an effect, from noisy to very consistent, so that r*
+    falls at 1, inside (1, r_max) and at r_max."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for j in range(30):
+        effect = float(rng.uniform(0.05, 0.8))
+        noise = float(rng.choice([0.05, 0.3, 1.0]))
+        sided = (Sidedness.ONE_SIDED, Sidedness.TWO_SIDED)[j // 3 % 2]
+        k = float(rng.integers(1, 5))
+        pairs = []
+        for _ in range(int(rng.integers(2, 13))):
+            n = int(rng.integers(20, 300))
+            if j % 3 == 0:
+                pairs.append(z_study(effect * n**0.5 + noise * rng.normal(), n, sided))
+            elif j % 3 == 1:
+                pairs.append(t_study(effect * n**0.5 + noise * rng.normal(), n - 1, sided))
+            else:
+                mean = k + n * effect**2
+                pairs.append(chisq_study(max(0.05, mean + noise * rng.normal() * mean**0.5), k, n))
+        r_max = (200.0, 200.0, 3.0)[j % 3]
+        out.append((StudySet.build(pairs), effect * float(rng.uniform(0.5, 1.5)), r_max))
+    return out
+
+
+class TestCoarseToFineScan:
+    """mmap_r evaluates its scan coarse to fine and probes an end of [1,
+    r_max] with one row set; its result is the full scan's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "omega, r_max",
+        [
+            (0.5, 200.0),  # r* = 1
+            (0.6259975, 200.0),  # r* = 1.0000422: beats r = 1, loses to it at 1 + _R_TOL
+            (0.6263, 200.0),  # r* = 1.003: a probe at 1 + 1e-2 misses it
+            (0.805, 200.0),
+            (0.885, 200.0),  # the best scan point is not a coarse one
+            (0.885, 3.0),  # r* = r_max
+            (0.885, 1.5),
+        ],
+    )
+    def test_stroop_as_full_scan(self, omega, r_max):
+        studies = _stroop()
+        expected = _full_scan_mmap_r(studies, omega, r_max)
+        assert repr(mmap_r(studies, omega, r_max)) == repr(expected)
+
+    def test_replicated_sets_as_full_scan(self):
+        kinds = set()
+        for studies, omega, r_max in _replicated_sets():
+            res = mmap_r(studies, omega, r_max)
+            assert repr(res) == repr(_full_scan_mmap_r(studies, omega, r_max)), (omega, r_max)
+            kinds.add("r_max" if res.at_boundary else "one" if res.r_star == 1.0 else "inside")
+        assert kinds == {"one", "inside", "r_max"}
+
+    @staticmethod
+    def _drop(monkeypatch, dropped):
+        """Make the objective -inf at every r in dropped."""
+        real = ev._objectives
+
+        def objectives(study_set, scaled, rs):
+            values = real(study_set, scaled, rs)
+            return [(-math.inf, v[1]) if r in dropped else v for r, v in zip(rs, values)]
+
+        monkeypatch.setattr(ev, "_objectives", objectives)
+
+    @pytest.mark.parametrize("omega", [0.5, 0.885])
+    def test_neg_inf_coarse_points_scan_everything(self, monkeypatch, omega):
+        # only the scan points the coarse pass skips are finite
+        studies = _stroop()
+        scan = _scan(200.0)
+        self._drop(monkeypatch, {scan[i] for i in _COARSE})
+        res = mmap_r(studies, omega)
+        assert math.isfinite(res.objective)
+        assert repr(res) == repr(_full_scan_mmap_r(studies, omega))
+
+    def test_unresolvable_objective(self, monkeypatch):
+        studies = StudySet.build([z_study(2.5, 80), z_study(1.0, 100)])
+        self._drop(monkeypatch, set(_scan(200.0)))
+        with pytest.raises(ArithmeticError) as expected:
+            _full_scan_mmap_r(studies, 0.3)
+        with pytest.raises(ArithmeticError) as got:
+            mmap_r(studies, 0.3)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("MMAP objective unresolvable")
 
 
 def _value_or_error(fn, *args):
@@ -496,9 +630,7 @@ class TestCompiledStudies:
 
     def test_bit_for_bit_with_log_bf10(self):
         # the scan's r values and off-scan ones, omega over [1e-3, 1]
-        scan = np.exp(np.linspace(0.0, math.log(200.0), _SCAN_POINTS))
-        scan[0], scan[-1] = 1.0, 200.0
-        rs = scan.tolist() + [1.0001, 1.37, 2.5, 7.77, 63.2, 199.9]
+        rs = _scan(200.0) + [1.0001, 1.37, 2.5, 7.77, 63.2, 199.9]
         omegas = [1e-3, 0.013, 0.11, 0.5, 0.87, 1.0]
         seen = set()
         for studies in _guard_sets():
@@ -553,7 +685,11 @@ class TestCompiledStudies:
         n = len(studies.studies)
         assert all(s.stat.sided is Sidedness.ONE_SIDED for s in studies.studies)
         mmap_r(studies, 0.5)
+        assert rs_per_pass == [12, 2, 1]  # coarse, fill and probe passes
+        mmap_r(studies, 0.885)
         items = n * sum(rs_per_pass)
         assert calls["tau_sq"] == n
         assert calls["ratio"] == n + sum(rs_per_pass)
-        assert calls["ratio"] < items / 10
+        # beyond the one-time study work, one ratio per r is one per n = 20
+        # items; one per item would be items
+        assert calls["ratio"] - n < items / 10
