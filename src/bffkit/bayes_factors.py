@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .priors import _check_shape
 from .specfun import (
     _log_series_sums,
     _nonconvergence,
@@ -131,8 +132,7 @@ class TestStatistic:
 def _check_hyperparams(tau_sq: float, r: float) -> None:
     if not 0.0 <= tau_sq < math.inf:
         raise ValueError(f"tau_sq must be finite and >= 0, got {tau_sq}")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and >= 1, got {r}")
+    _check_shape(r)
 
 
 class _StudyPart(NamedTuple):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -63,7 +64,7 @@ def _opt_int(row: dict, key: str, row_no: int) -> int | None:
     val = _opt_float(row, key, row_no)
     if val is None:
         return None
-    if val != int(val):
+    if not val.is_integer():  # inf and NaN too
         raise ParseError(f"row {row_no}: field '{key}' must be an integer, got {val}")
     return int(val)
 
@@ -167,8 +168,6 @@ def _policy_from_args(args) -> "FixedR | MmapR":
 
 def cmd_point(args) -> int:
     studies = load_studies(args.file)
-    if not args.omega > 0.0:
-        raise ParseError(f"omega must be > 0, got {args.omega}")
     (point,) = bff_curve(studies, EffectGrid((args.omega,)), _policy_from_args(args)).points
     if point.at_r_boundary:
         print(f"# warning: r* at search boundary r_max={_fmt(args.r_max)}")
@@ -222,9 +221,12 @@ def cmd_curve(args) -> int:
             f"empty grid: omega-min {args.omega_min} > omega-max {args.omega_max}"
         )
     grid = EffectGrid.from_range(args.omega_min, args.omega_max, args.omega_step)
+    levels = tuple(args.levels)
+    for level in levels:
+        if not math.isfinite(level):
+            raise ParseError(f"levels must be finite, got {level}")
     policy = _policy_from_args(args)
     curve = bff_curve(studies, grid, policy)
-    levels = tuple(args.levels)
     k = studies.studies[0].stat.k  # None for z/t sets, shared by chi-square/F sets
 
     # round first, then summarize from the rounded values: re-parsing the

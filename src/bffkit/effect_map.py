@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Sequence
 
 from .bayes_factors import Sidedness, StatFamily, TestStatistic
+from .priors import _check_shape
 
 __all__ = [
     "DesignTag",
@@ -45,6 +46,11 @@ _VECTOR_EFFECT = (
 )
 
 
+def _size(n) -> bool:
+    """Whether n is a usable sample size: given, finite and > 0."""
+    return n is not None and 0 < n < math.inf
+
+
 @dataclass(frozen=True)
 class DesignKind:
     """Experimental design and its sample size(s)."""
@@ -58,13 +64,16 @@ class DesignKind:
         if self.tag in _TWO_SAMPLE:
             if self.n is not None:
                 raise ValueError("two-sample designs take n1/n2, not n")
-            if self.n1 is None or self.n2 is None or self.n1 <= 0 or self.n2 <= 0:
-                raise ValueError("two-sample designs require n1 > 0 and n2 > 0")
+            if not (_size(self.n1) and _size(self.n2)):
+                raise ValueError(
+                    "two-sample designs require finite n1 > 0 and n2 > 0, "
+                    f"got n1={self.n1}, n2={self.n2}"
+                )
         else:
             if self.n1 is not None or self.n2 is not None:
                 raise ValueError(f"{self.tag.value} takes a single sample size n")
-            if self.n is None or self.n <= 0:
-                raise ValueError(f"{self.tag.value} requires n > 0")
+            if not _size(self.n):
+                raise ValueError(f"{self.tag.value} requires finite n > 0, got {self.n}")
             if self.tag is DesignTag.CORRELATION_Z and self.n <= 3:
                 raise ValueError("correlation designs require n > 3")
 
@@ -95,11 +104,6 @@ def _as_omega(omega: "EffectSize | float") -> EffectSize:
     if isinstance(omega, EffectSize):
         return omega
     return EffectSize(float(omega))
-
-
-def _check_shape(r: float) -> None:
-    if not r >= 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
 
 
 def _tau_sq_parts(design: DesignKind, k: float | None) -> tuple[float, float, float, float]:

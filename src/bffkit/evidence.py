@@ -28,8 +28,8 @@ from .bayes_factors import (  # noqa: F401
     log_bf10,
     log_bf10_batch,
 )
-from .effect_map import DesignKind, EffectSize, _check_shape, _tau_sq_parts, tau_sq_for
-from .priors import jeffreys_log_prior_gamma, jeffreys_log_prior_nm
+from .effect_map import DesignKind, EffectSize, _tau_sq_parts, tau_sq_for
+from .priors import _check_shape, jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
 __all__ = [
     "Study",
@@ -150,8 +150,8 @@ def _log_bf_rows(scaled: list[tuple], rs: Sequence[float]) -> list[list]:
     Each study was compiled when built, so an item computes only its tau_sq
     here and the rest in log_bf10_batch.  tau_sq is c w w / (d (s + r -
     u)): tau_sq_for's operations in its order, so its value bit for bit.  An
-    r below 1 raises tau_sq_for's error for the whole call; it concerns no
-    study."""
+    r that is not finite and >= 1 raises tau_sq_for's error for the whole
+    call; it concerns no study."""
     items = []
     for r in rs:
         _check_shape(r)
@@ -281,8 +281,7 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
     carries the per-study values of the winning evaluation, so a caller
     needs no further pass at r_star.
     """
-    if not r_max >= 1.0:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    _check_shape(r_max, "r_max")
     scaled = _at_omega(study_set, omega)
 
     def objectives(rs: Sequence[float]) -> list[tuple]:
@@ -339,21 +338,23 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResul
 
 @dataclass(frozen=True)
 class EffectGrid:
-    """Strictly increasing positive effect sizes at which a BFF is evaluated."""
+    """Strictly increasing finite positive effect sizes at which a BFF is
+    evaluated."""
 
     omegas: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.omegas) == 0:
             raise ValueError("effect grid must be non-empty")
-        if self.omegas[0] <= 0.0:
-            raise ValueError("effect grid must start above 0")
+        for omega in self.omegas:
+            if not 0.0 < omega < math.inf:
+                raise ValueError(f"omega must be finite and > 0, got {omega}")
         if any(b <= a for a, b in zip(self.omegas, self.omegas[1:])):
             raise ValueError("effect grid must be strictly increasing")
 
     @classmethod
     def from_range(cls, omega_min: float, omega_max: float, step: float) -> "EffectGrid":
-        if step <= 0.0 or omega_min <= 0.0 or omega_max < omega_min:
+        if not (0.0 < step < math.inf and 0.0 < omega_min <= omega_max < math.inf):
             raise ValueError(
                 f"invalid grid: min={omega_min}, max={omega_max}, step={step}"
             )
@@ -370,13 +371,15 @@ class FixedR:
     r: float
 
     def __post_init__(self):
-        if not self.r >= 1.0:
-            raise ValueError(f"r must be >= 1, got {self.r}")
+        _check_shape(self.r)
 
 
 @dataclass(frozen=True)
 class MmapR:
     r_max: float = 200.0
+
+    def __post_init__(self):
+        _check_shape(self.r_max, "r_max")
 
 
 @dataclass(frozen=True)

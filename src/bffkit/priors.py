@@ -4,7 +4,8 @@ prior term of the marginal MAP (MMAP) objective.
 jeffreys_log_prior_nm serves the normal-moment priors of z and t statistics,
 jeffreys_log_prior_gamma the gamma prior on the non-centrality of chi-square
 and F statistics with numerator degrees of freedom k.  Both are
-unnormalized logs, defined for r >= 1.
+unnormalized logs, defined for finite r >= 1, the shape rule that
+_check_shape states for every module.
 """
 
 from __future__ import annotations
@@ -19,11 +20,17 @@ __all__ = [
 ]
 
 
+def _check_shape(r: float, name: str = "r") -> None:
+    """Raise ValueError unless the prior shape r (or a bound on it, named
+    name) is finite and >= 1."""
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"{name} must be finite and >= 1, got {r}")
+
+
 def jeffreys_log_prior_nm(r: float) -> float:
     """Log of the (unnormalized) Jeffreys prior on r for normal-moment
     priors with fixed mode: 0.5 * ln(psi_1(r + 1/2) - 1/r + 1/(2 r^2))."""
-    if not r >= 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_shape(r)
     radicand = trigamma(r + 0.5) - 1.0 / r + 1.0 / (2.0 * r * r)
     if not radicand > 0.0:
         raise ValueError(f"Jeffreys radicand not positive at r={r}: {radicand}")
@@ -33,8 +40,7 @@ def jeffreys_log_prior_nm(r: float) -> float:
 def jeffreys_log_prior_gamma(r: float, k: float) -> float:
     """Log of the (unnormalized) Jeffreys prior on r for the gamma prior
     family: 0.5 * ln(psi_1(k/2 + r) - (k/2 + r - 2)/(k/2 + r - 1)^2)."""
-    if not r >= 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_shape(r)
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     a = k / 2.0 + r

@@ -7,21 +7,20 @@ summed by streaming log-sum-exp over buffered blocks of terms; all in-scope
 calls have positive parameters and non-negative argument, so every term is
 positive and the series is unimodal in the term index.
 
-Each hypergeometric function is evaluated in two steps.  A planner
-(_plan_1f1, _plan_2f1) checks the arguments, decides which series to sum
-(2F1's (a, b) normalization and, for 2F1 arguments near 1, the Euler
-transformation) and rejects a series that cannot stop within TERM_CAP terms.
-It returns the plan (log scale, log x, num, den), and the function's log is
-the log scale plus the log of the planned series.  A block kernel then sums
-the plan: _log_series_sum one plan, as log_1f1 and log_2f1 do, or
-_log_series_sums many plans of one arity at once, as
+Each hypergeometric function is its raw power series, evaluated in two
+steps.  A planner (_plan_1f1, _plan_2f1) checks the arguments and returns
+the plan, the row (log x, *num, c) of the series sum t_i with t_0 = 1 and
+t_{i+1}/t_i = x prod(num + i) / ((c + i)(1 + i)); one body, _plan, builds
+every row and rejects a series that cannot stop within TERM_CAP terms.  A
+block kernel then sums the plan: _log_series_sum one plan, as log_1f1 and
+log_2f1 do, or _log_series_sums many plans of one length at once, as
 bayes_factors.log_bf10_batch does (the blocked log-sum-exp of Pearson, Olver
-& Porter, arXiv:1407.7786, run over a batch axis).  The batched kernel takes
-its plans in chunks of rows; a chunk is one array with a row (log x, *num,
-*den) per plan, and each block advances every live row of the chunk
-together.  Each of its rows comes out bit for bit equal to the one-plan
-kernel, which is cheaper for a single value because its per-call overhead
-is lower.
+& Porter, arXiv:1407.7786, run over a batch axis).  The batched kernel
+stacks its plans, as given, into chunks of rows, and each block advances
+every live row of a chunk together; both kernels take a block's log term
+ratios from _log_ratios.  Each row comes out bit for bit equal to the
+one-plan kernel, which is cheaper for a single value because its per-call
+overhead is lower.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ _LOG_TERM_FLOOR = math.log(1e-16)
 # so 1e-3 covers peak log terms up to 1e8; a series whose term at the cap is
 # within the margin above _LOG_TERM_FLOOR still runs to the cap.
 _CAP_MARGIN = 1e-3
-# Euler transformation threshold for 2F1 arguments close to 1.
-_EULER_X = 0.9
 
 
 class NonConvergenceError(RuntimeError):
@@ -143,10 +140,10 @@ _CHUNK = 128
 
 
 def _nonconvergence(plan: tuple) -> NonConvergenceError:
-    _, log_x, num, den = plan
+    log_x, *num, c = plan
     return NonConvergenceError(
         f"series did not converge within {TERM_CAP} terms "
-        f"(x=e^{log_x:.3g}, num={num}, den={den})"
+        f"(x=e^{log_x:.3g}, num={num}, c={c})"
     )
 
 
@@ -181,7 +178,8 @@ def _check_cap(plan: tuple) -> None:
     differences (Pochhammer symbols, _log_rising_to_cap).  The test leaves a
     margin of _CAP_MARGIN, so a series the kernel can sum is never rejected.
     """
-    _, log_x, num, den = plan
+    log_x, *num, c = plan
+    den = (c, 1.0)
     lo, hi = 0, TERM_CAP
     while lo < hi:
         i = (lo + hi) // 2
@@ -198,79 +196,83 @@ def _check_cap(plan: tuple) -> None:
         raise _nonconvergence(plan)
 
 
-def _plan_1f1(a: float, b: float, x: float) -> tuple:
-    """The series of log_1f1(a, b, x) as (log scale, log x, num, den).
-
-    At x = 0 the series is its first term, 1: log x = -inf makes every
-    later term 0, and either kernel sums the plan to 0.0 in one block.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"log_1f1 requires finite x >= 0, got x={x}")
-    plan = (0.0, math.log(x) if x > 0.0 else -math.inf, (a,), (b, 1.0))
-    h = 0.5 * TERM_CAP  # bound the term ratio as _plan_2f1 does
-    bound = x * (a + b + h) / ((b + h) * (1.0 + h))
-    if bound >= 1.0 or bound**h > 1e-16:
-        _check_cap(plan)
-    return plan
-
-
-def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
-    """The series of log_2f1(a, b, c, x) as (log scale, log x, num, den),
-    with log x = -inf at x = 0 (see _plan_1f1).
+def _plan(num: tuple, c: float, x: float) -> tuple:
+    """The plan (log x, *num, c) of a series (see the module docstring) with
+    checked arguments: x >= 0, and num (one or two entries) and c positive.
+    At x = 0, log x = -inf makes every term after the first 0, and either
+    kernel sums the plan to 0.0 in one block.
 
     Raises NonConvergenceError when the series cannot stop within TERM_CAP
     terms.  A one-ratio bound clears nearly every plan: for i >= h =
     TERM_CAP / 2 (TERM_CAP is even), (a+i)/(c+i) = 1 + (a-c)/(c+i) is at
-    most (a+c+h)/(c+h) and (b+i)/(1+i) at most (b+1+h)/(1+h), so the terms
-    fall over the last h of the cap at least by the h-th power of their
-    product with x.  A plan it does not clear goes through _check_cap's
-    exact test.
+    most (a+c+h)/(c+h) for the first a of num, (b+i)/(1+i) at most
+    (b+1+h)/(1+h) for a second b, and 1/(1+i) at most 1/(1+h) without one,
+    so the terms fall over the last h of the cap at least by the h-th power
+    of x times these bounds.  A plan it does not clear goes through
+    _check_cap's exact test.
     """
+    plan = (math.log(x) if x > 0.0 else -math.inf, *num, c)
+    h = 0.5 * TERM_CAP
+    bound = x * (num[0] + c + h)
+    if len(num) == 2:  # not a loop over num[1:], which costs a third of a plan
+        bound *= num[1] + 1.0 + h
+    bound /= (c + h) * (1.0 + h)
+    if bound >= 1.0 or bound**h > 1e-16:  # a power of a bound above 1 can overflow
+        _check_cap(plan)
+    return plan
+
+
+def _plan_1f1(a: float, b: float, x: float) -> tuple:
+    """The plan (log x, a, b) of log_1f1(a, b, x); see _plan."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"log_1f1 requires finite x >= 0, got x={x}")
+    return _plan((a,), b, x)
+
+
+def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
+    """The plan (log x, a, b, c) of log_2f1(a, b, c, x), with a <= b; see
+    _plan."""
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise ValueError(f"log_2f1 requires a, b, c > 0, got a={a}, b={b}, c={c}")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"log_2f1 requires 0 <= x < 1, got x={x}")
     if a > b:  # symmetric in (a, b); normalize so results match bit-for-bit
         a, b = b, a
-    scale = 0.0
-    if x > _EULER_X and c - a > 0.0 and c - b > 0.0:
-        # Euler: 2F1(a, b; c; x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x)
-        scale, a, b = (c - a - b) * math.log1p(-x), c - a, c - b
-    plan = (scale, math.log(x) if x > 0.0 else -math.inf, (a, b), (c, 1.0))
-    h = 0.5 * TERM_CAP
-    bound = x * (a + c + h) * (b + 1.0 + h) / ((c + h) * (1.0 + h))
-    if bound >= 1.0 or bound**h > 1e-16:  # a power of a bound above 1 can overflow
-        _check_cap(plan)
-    return plan
+    return _plan((a, b), c, x)
+
+
+def _log_ratios(row, idx: np.ndarray) -> np.ndarray:
+    """log(t_{i+1}/t_i) for i in idx, of a row (log x, *num, c) of floats
+    (one plan) or of (rows, 1) columns (a chunk of plans)."""
+    log_x, *num, c = row
+    inc = num[0] + idx
+    for p in num[1:]:
+        inc *= p + idx
+    den = c + idx
+    den *= 1.0 + idx
+    inc /= den
+    np.log(inc, out=inc)
+    inc += log_x
+    return inc
 
 
 def _log_series_sum(plan: tuple) -> float:
-    """log scale + log of sum_{i>=0} t_i for a plan (log scale, log x, num,
-    den), with t_0 = 1 and t_{i+1}/t_i = x * prod(num + i) / prod(den + i).
+    """Log of the series sum_{i>=0} t_i of a plan (log x, *num, c) (see
+    _plan).
 
     Terms are positive; the series is unimodal in i.  Blocks of log-terms are
     accumulated with an online-rescaled log-sum-exp.  Stops when the latest
     term is <= 1e-16 of the running maximum AND the term ratio is < 1 (past
     the series peak); raises NonConvergenceError at the term cap.
     """
-    scale, log_x, num, den = plan
     log_max = 0.0
     acc = 1.0
     log_term = 0.0
     i0 = 0.0
     while i0 < TERM_CAP:
-        idx = i0 + _IDX
-        ratio = num[0] + idx
-        for a in num[1:]:
-            ratio = ratio * (a + idx)
-        dprod = den[0] + idx
-        for b in den[1:]:
-            dprod = dprod * (b + idx)
-        ratio /= dprod
-        inc = np.log(ratio)
-        inc += log_x
+        inc = _log_ratios(plan, i0 + _IDX)
         log_terms = log_term + np.cumsum(inc)
         block_max = float(log_terms.max())
         if block_max > log_max:
@@ -283,45 +285,34 @@ def _log_series_sum(plan: tuple) -> float:
         log_term = float(log_terms[-1])
         i0 += _BLOCK
         if inc[-1] < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
-            return scale + (log_max + math.log(acc))
+            return log_max + math.log(acc)
     raise _nonconvergence(plan)
 
 
 def _log_series_sums(plans: list) -> list[float]:
-    """_log_series_sum of each plan; all plans have the same arity (the
-    lengths of num and den).  A plan still running at TERM_CAP comes back
-    as NaN.
+    """_log_series_sum of each plan; all plans have the same length.  A plan
+    still running at TERM_CAP comes back as NaN.
 
-    Rows go through in chunks of _CHUNK.  A chunk is one (rows, columns)
-    array with a row (log x, *num, *den) per plan.  Each block advances
-    every live row of a chunk together, with exactly the block, floor and
-    stopping rule of _log_series_sum, and a row leaves the chunk once it
-    stops, so every row is bit for bit what _log_series_sum returns for it.
-    The rescale factor and the final log are taken per row with math.exp
-    and math.log, as _log_series_sum takes them: numpy's exp and log may
-    differ from them in the last bit.
+    Rows go through in chunks of _CHUNK.  A chunk is the array of its plans,
+    one row each, whose columns are taken once per chunk.  Each block
+    advances every live row of a chunk together, with exactly the block,
+    floor and stopping rule of _log_series_sum, and a row leaves the chunk
+    (and its columns) once it stops, so every row is bit for bit what
+    _log_series_sum returns for it.  The rescale factor and the final log
+    are taken per row with math.exp and math.log, as _log_series_sum takes
+    them: numpy's exp and log may differ from them in the last bit.
     """
     out = [math.nan] * len(plans)
     for lo in range(0, len(plans), _CHUNK):
         chunk = plans[lo : lo + _CHUNK]
-        arity = len(chunk[0][2])
-        params = np.array([(log_x, *num, *den) for _, log_x, num, den in chunk], dtype=float)
+        columns = list(np.array(chunk, dtype=float).T[:, :, None])
         live = np.arange(lo, lo + len(chunk))
         log_max = np.zeros(len(live))
         acc = np.ones(len(live))
         log_term = np.zeros(len(live))
         i0 = 0.0
         while i0 < TERM_CAP:
-            idx = i0 + _IDX
-            inc = params[:, 1, None] + idx
-            for j in range(2, 1 + arity):
-                inc *= params[:, j, None] + idx
-            dprod = params[:, 1 + arity, None] + idx
-            for j in range(2 + arity, params.shape[1]):
-                dprod *= params[:, j, None] + idx
-            inc /= dprod
-            np.log(inc, out=inc)
-            inc += params[:, :1]
+            inc = _log_ratios(columns, i0 + _IDX)
             log_terms = np.cumsum(inc, axis=1)
             log_terms += log_term[:, None]
             block_max = log_terms.max(axis=1)
@@ -335,13 +326,12 @@ def _log_series_sums(plans: list) -> list[float]:
             done = (inc[:, -1] < 0.0) & (log_term - log_max <= _LOG_TERM_FLOOR)
             if done.any():
                 for j, m, a in zip(live[done].tolist(), log_max[done].tolist(), acc[done].tolist()):
-                    out[j] = plans[j][0] + (m + math.log(a))
+                    out[j] = m + math.log(a)
                 keep = ~done
                 if not keep.any():
                     break
-                live, params, log_max, acc, log_term = (
-                    v[keep] for v in (live, params, log_max, acc, log_term)
-                )
+                live, log_max, acc, log_term = (v[keep] for v in (live, log_max, acc, log_term))
+                columns = [v[keep] for v in columns]
     return out
 
 
@@ -357,10 +347,8 @@ def log_1f1(a: float, b: float, x: float) -> float:
 def log_2f1(a: float, b: float, c: float, x: float) -> float:
     """Log of the Gaussian hypergeometric function 2F1(a, b; c; x); 0.0 at x = 0.
 
-    Requires a, b, c > 0 and 0 <= x < 1.  For x > 0.9 the Euler
-    transformation 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) is applied
-    when both c-a and c-b are positive; otherwise the raw series is summed.
-    A series that cannot stop within TERM_CAP terms raises
-    NonConvergenceError before any term is summed.
+    Requires a, b, c > 0 and 0 <= x < 1, and sums the raw series (no
+    transformation near x = 1).  A series that cannot stop within TERM_CAP
+    terms raises NonConvergenceError before any term is summed.
     """
     return _log_series_sum(_plan_2f1(a, b, c, x))

@@ -404,7 +404,7 @@ class TestBatch:
         monkeypatch.setattr(
             bf,
             "_log_series_sums",
-            lambda plans: (calls.append({len(p[2]) for p in plans}), real(plans))[1],
+            lambda plans: (calls.append({len(p) - 2 for p in plans}), real(plans))[1],
         )
         _batch(self._items())
         assert sorted(calls, key=min) == [{1}, {2}]

@@ -6,6 +6,7 @@ main() takes argv and returns the exit code, so everything runs in-process.
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,9 @@ class TestParsing:
             ("z,one,1.5,,3,4,100,,,,one_sample_z", "k/m are not meaningful for z statistics"),
             ("z,two,,7,3,,100,,,0.3,correlation_z", "k/m are not meaningful for z statistics"),
             ("z,one,1.5,,,,50,,,,multinomial_chisq", "multinomial_chisq requires numerator df k > 0"),
+            # integer cells that are not finite are parse errors, not numeric ones
+            ("z,one,1.0,,,,inf,,,,one_sample_z", "field 'n' must be an integer, got inf"),
+            ("z,one,1.0,,,,nan,,,,one_sample_z", "field 'n' must be an integer, got nan"),
         ],
     )
     def test_rejected_row(self, tmp_path, capsys, row, message):
@@ -238,6 +242,25 @@ class TestCurve:
         )
         assert code == 2
 
+    def test_infinite_omega_step_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "curve", "--file", str(DATA / "fig1.csv"), "--r", "1", "--omega-step", "inf",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "step=inf" in err
+
+    @pytest.mark.parametrize("levels", ["nan", "-1,inf"])
+    def test_non_finite_levels_usage_error(self, tmp_path, capsys, levels):
+        code, _, err = run(
+            capsys,
+            "curve", "--file", str(DATA / "fig1.csv"), "--r", "1", "--omega-step", "0.1",
+            f"--levels={levels}", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "levels must be finite" in err
+
     def test_round_trip_summary(self, tmp_path, capsys):
         out_file = tmp_path / "curve.csv"
         code, _, _ = run(
@@ -273,6 +296,18 @@ class TestRemovedValidate:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err and "validate" in err
+
+
+class TestRMaxValidation:
+    def test_infinite_r_max_is_one_usage_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.2",
+                "--r-max", "inf",
+            )
+        assert code == 2 and caught == []
+        assert err.splitlines() == ["error: r_max must be finite and >= 1, got inf"]
 
 
 class TestBoundaryWarning:

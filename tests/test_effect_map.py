@@ -51,6 +51,15 @@ class TestDesignKind:
         with pytest.raises(ValueError):
             DesignKind(DesignTag.ONE_SAMPLE_Z, n1=10, n2=10)
 
+    def test_sizes_must_be_finite(self):
+        for n in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="requires finite n > 0"):
+                DesignKind(DesignTag.ONE_SAMPLE_T, n=n)
+            with pytest.raises(ValueError, match="require finite n1 > 0 and n2 > 0"):
+                DesignKind(DesignTag.TWO_SAMPLE_T, n1=n, n2=n)
+            with pytest.raises(ValueError, match="require finite n1 > 0 and n2 > 0"):
+                DesignKind(DesignTag.TWO_SAMPLE_Z, n1=10, n2=n)
+
     def test_correlation_needs_n_above_3(self):
         with pytest.raises(ValueError):
             DesignKind(DesignTag.CORRELATION_Z, n=3)
@@ -62,6 +71,12 @@ class TestDesignKind:
 
 
 class TestTauSqFor:
+    def test_r_must_be_finite_and_at_least_one(self):
+        design = DesignKind(DesignTag.ONE_SAMPLE_Z, n=50)
+        for r in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^r must be finite and >= 1"):
+                tau_sq_for(design, 0.5, r)
+
     def test_one_sample_z(self):
         design = DesignKind(DesignTag.ONE_SAMPLE_Z, n=100)
         assert tau_sq_for(design, 0.11, 1.0) == pytest.approx(0.605, rel=1e-14)

@@ -156,8 +156,17 @@ class TestMmap:
             assert res_clipped.at_boundary
 
     def test_r_max_validation(self):
-        with pytest.raises(ValueError):
-            mmap_r(StudySet.build([z_study(1.0, 50)]), 0.3, r_max=0.5)
+        studies = StudySet.build([z_study(1.0, 50)])
+        for r_max in (0.5, math.inf, math.nan):
+            # the bound is at fault, not a study (no "study 0: " prefix), and
+            # no scan starts (a numpy warning from one fails under -W error)
+            with pytest.raises(ValueError, match="^r_max must be finite and >= 1"):
+                mmap_r(studies, 0.3, r_max=r_max)
+            with pytest.raises(ValueError, match="^r_max must be finite and >= 1"):
+                MmapR(r_max)
+        for r in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^r must be finite and >= 1"):
+                FixedR(r)
 
     def test_gamma_family_uses_gamma_jeffreys(self):
         studies = StudySet.build(
@@ -201,6 +210,13 @@ class TestEffectGrid:
             EffectGrid((0.2, 0.1))
         with pytest.raises(ValueError):
             EffectGrid.from_range(0.2, 0.1, 0.05)
+        for omegas in ((math.nan,), (0.1, math.inf), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="omega must be finite and > 0"):
+                EffectGrid(omegas)
+        for args in ((0.1, 1.0, math.inf), (0.1, math.nan, 0.1), (math.nan, 1.0, 0.1),
+                     (0.1, math.inf, 0.1), (0.1, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="^invalid grid"):
+                EffectGrid.from_range(*args)
 
     def test_default(self):
         grid = EffectGrid.default()
@@ -406,7 +422,7 @@ def _count_passes(monkeypatch) -> list:
     passes = []
 
     def count(plans):
-        assert all(len(plan[2]) == 2 for plan in plans), "1F1 rows in a pass"
+        assert all(len(plan) == 4 for plan in plans), "1F1 rows in a pass"
         passes.append(len(plans))
         return real(plans)
 

@@ -194,9 +194,10 @@ class TestJeffreys:
                 jeffreys_log_prior_gamma(float(r), float(k))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            jeffreys_log_prior_nm(0.5)
-        with pytest.raises(ValueError):
-            jeffreys_log_prior_gamma(0.5, 2.0)
+        for r in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^r must be finite and >= 1"):
+                jeffreys_log_prior_nm(r)
+            with pytest.raises(ValueError, match="^r must be finite and >= 1"):
+                jeffreys_log_prior_gamma(r, 2.0)
         with pytest.raises(ValueError):
             jeffreys_log_prior_gamma(1.0, 0.0)

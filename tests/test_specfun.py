@@ -141,10 +141,20 @@ class Test2F1:
         b = log_2f1(1.2, 3.7, 0.5, 0.42)
         assert a == b
 
-    def test_euler_transformation_branch(self):
-        # c - a and c - b positive, x > 0.9: frozen mpmath reference
+    def test_raw_series_near_one_with_c_above_a_and_b(self):
+        # c - a and c - b positive, x > 0.9: the raw series, whose terms fall
+        # like i^(a+b-c-1) x^i; frozen mpmath reference
         assert log_2f1(0.2, 0.3, 5.0, 0.95) == pytest.approx(
             0.013217203167140253, rel=1e-10
+        )
+
+    def test_raw_series_within_1e6_of_one(self):
+        # terms fall like i^-5 x^i, so the raw series stops within a few
+        # thousand terms, while the Euler-transformed series, 2F1(4.7, 4.3;
+        # 5; x), cannot stop within TERM_CAP; frozen mpmath reference at the
+        # double nearest 1 - 1e-6
+        assert log_2f1(0.3, 0.7, 5.0, 1.0 - 1e-6) == pytest.approx(
+            0.052387036893301016, rel=1e-10, abs=0.0
         )
 
     def test_raw_series_near_one(self):
@@ -265,7 +275,8 @@ class TestBatchKernel:
         c = rng.uniform(0.5, 90.0, n)
         x = rng.uniform(0.0, 0.999, n)
         x[::13] = 0.0
-        # Euler rows: x > 0.9 with c - a and c - b both positive
+        # Euler rows: x > 0.9 with c - a and c - b both positive, where an
+        # Euler transform would apply; the raw series sums them as any row
         a[:40], b[:40], c[:40], x[:40] = 0.3, 0.7, 5.0, rng.uniform(0.91, 0.999, 40)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         euler = (x > 0.9) & (c - lo > 0.0) & (c - hi > 0.0)
@@ -287,7 +298,7 @@ class TestBatchKernel:
         long_rows = np.arange(sf._CHUNK - 6, sf._CHUNK + 6)
         log_x[long_rows] = math.log(600.0)
         log_x[-1] = math.log(900.0)
-        plans = [(0.0, float(log_x[j]), (a[j],), (b[j], 1.0)) for j in range(n)]
+        plans = [(float(log_x[j]), a[j], b[j]) for j in range(n)]
         out = sf._log_series_sums(plans)
         for j in range(n):
             assert out[j] == sf._log_series_sum(plans[j])
@@ -332,12 +343,12 @@ class TestCapCheck:
         a, b, c = rng.uniform(0.2, 30.0, (3, 80))
         x_1f1 = sf.TERM_CAP * rng.uniform(0.6, 1.2, 80)
         x_2f1 = 1.0 - 10 ** rng.uniform(-4.0, -1.0, 80)
-        plans = [(0.0, math.log(x_1f1[j]), (a[j],), (b[j], 1.0)) for j in range(80)]
-        plans += [(0.0, math.log(x_2f1[j]), (a[j], b[j]), (c[j], 1.0)) for j in range(80)]
+        plans = [(math.log(x_1f1[j]), a[j], b[j]) for j in range(80)]
+        plans += [(math.log(x_2f1[j]), a[j], b[j], c[j]) for j in range(80)]
         summed = [
             not math.isnan(value)
             for arity in (1, 2)
-            for value in sf._log_series_sums([p for p in plans if len(p[2]) == arity])
+            for value in sf._log_series_sums([p for p in plans if len(p) == 2 + arity])
         ]
         rejected = []
         for plan in plans:
@@ -382,9 +393,7 @@ class TestCapCheck:
         # 88.57 nats below _LOG_TERM_FLOOR at y^2 = 9.95e-11 (summable, not
         # summed here: it takes seconds) and 0.327 nats above it at 9.973e-11
         a = (2e17 + 1) / 2
-        assert sf._plan_2f1(a, 1.5, 0.5, 9.95e-11) == (
-            0.0, math.log(9.95e-11), (1.5, a), (0.5, 1.0)
-        )
+        assert sf._plan_2f1(a, 1.5, 0.5, 9.95e-11) == (math.log(9.95e-11), 1.5, a, 0.5)
         start = time.perf_counter()
         with pytest.raises(NonConvergenceError):
             sf._plan_2f1(a, 1.5, 0.5, 9.973e-11)
@@ -395,6 +404,6 @@ class TestCapCheck:
         # the exact test: x = 1e7 peaks at the cap, x = 6e6 well inside it
         with pytest.raises(NonConvergenceError):
             sf._plan_1f1(2.0, 1.0, 1e7)
-        assert sf._plan_1f1(2.0, 1.0, 6e6) == (0.0, math.log(6e6), (2.0,), (1.0, 1.0))
+        assert sf._plan_1f1(2.0, 1.0, 6e6) == (math.log(6e6), 2.0, 1.0)
         with pytest.raises(NonConvergenceError):
             sf._plan_2f1(3.0, 4.0, 0.5, 1.0 - 1e-9)
