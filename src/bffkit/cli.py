@@ -81,7 +81,19 @@ def _lookup(enum, row: dict, key: str, what: str, row_no: int):
         raise ParseError(f"row {row_no}: unknown {what} {row.get(key)!r}")
 
 
-def _study_from_row(row: dict, row_no: int) -> Study:
+def _study_from_row(row, row_no: int) -> Study:
+    """The study of one table row: a dict of cells, each a string, a number
+    or None (empty), keyed by the CSV header's field names."""
+    if not isinstance(row, dict):
+        raise ParseError(f"row {row_no}: expected an object of fields, got {row!r}")
+    unknown = sorted(set(row) - set(_CSV_FIELDS))
+    if unknown:
+        raise ParseError(f"row {row_no}: unknown fields {unknown}")
+    for key, value in row.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
+            raise ParseError(
+                f"row {row_no}: field '{key}' must be a number or a string, got {value!r}"
+            )
     family = _lookup(StatFamily, row, "test", "test", row_no)
     tag = _lookup(DesignTag, row, "design", "design", row_no)
 
@@ -128,16 +140,17 @@ def load_studies(path: str) -> StudySet:
         studies = [_study_from_row(row, i + 1) for i, row in enumerate(rows)]
     else:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParseError(f"{path}: empty file")
-            unknown = set(reader.fieldnames) - set(_CSV_FIELDS)
-            if unknown:
-                raise ParseError(f"{path}: unknown columns {sorted(unknown)}")
-            studies = [
-                _study_from_row(row, i + 2)  # header is line 1
-                for i, row in enumerate(reader)
-            ]
+            lines = [cells for cells in csv.reader(fh) if cells]  # blank lines skipped
+        if not lines:
+            raise ParseError(f"{path}: empty file")
+        header = lines[0]
+        studies = []
+        for row_no, cells in enumerate(lines[1:], start=2):  # header is row 1
+            if len(cells) != len(header):
+                raise ParseError(
+                    f"row {row_no}: {len(cells)} cells, the header has {len(header)}"
+                )
+            studies.append(_study_from_row(dict(zip(header, cells)), row_no))
     if not studies:
         raise ParseError(f"{path}: no study rows")
     try:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebroots, chebval
 
 # log_bf10 is not called here any more; it stays bound in this module
 # because bench/tracing.py wraps this module's bindings.
@@ -49,11 +50,15 @@ __all__ = [
 
 _GAMMA_STAT_FAMILIES = (StatFamily.CHI_SQ, StatFamily.F)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SCAN_POINTS = 32
-# mmap_r's coarse pass: every third scan point, and r_max
-_COARSE = [*range(0, _SCAN_POINTS - 1, 3), _SCAN_POINTS - 1]
-_R_TOL = 1e-4
+# mmap_r's nodes, the Chebyshev-Lobatto points cos(theta) in ascending order,
+# and the DCT-I matrix from values there to their interpolant's coefficients
+_NODES = 14
+_THETA = np.pi * np.arange(_NODES - 1, -1, -1) / (_NODES - 1)
+_FIT = np.cos(np.outer(np.arange(_NODES), _THETA)) * (2.0 / (_NODES - 1))
+_FIT[:, [0, -1]] *= 0.5
+_FIT[[0, -1], :] *= 0.5
+# an r* this close to r_max is flagged as pinned against it
+_AT_R_MAX = 2e-4
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,8 @@ def _objectives(study_set: StudySet, scaled: list[tuple], rs: Sequence[float]) -
     One-sided brackets with the statistic strongly opposing the prior
     direction can fall below double-precision resolution at large r (the log
     BF there is enormously negative).  Such r can never be the maximizer, so
-    an ArithmeticError makes that r's objective -inf rather than aborting the
-    search, and its per-study list keeps the exception; any other error
+    an ArithmeticError makes that r's objective -inf, for mmap_r to pass
+    over, and its per-study list keeps the exception; any other error
     propagates, tagged with its study.
     """
     out = []
@@ -220,120 +225,55 @@ class MmapResult:
     per_study_log_bf: tuple[float, ...]
 
 
-def _golden_max(evaluate, lo: float, hi: float, tol: float) -> tuple[float, tuple]:
-    """Golden-section search for the maximum objective on [lo, hi]; returns
-    the final point and its (objective, per-study values)."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    (fc, _), (fd, _) = evaluate((c, d))
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            ((fc, _),) = evaluate((c,))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            ((fd, _),) = evaluate((d,))
-    x = 0.5 * (lo + hi)
-    return x, evaluate((x,))[0]
-
-
-def _scan(r_max: float) -> list[float]:
-    """The _SCAN_POINTS log-spaced r values of mmap_r's scan over [1, r_max],
-    with exact ends: exp(log(r_max)) can miss r_max by an ulp."""
-    scan = np.exp(np.linspace(0.0, math.log(r_max), _SCAN_POINTS)).tolist()
-    scan[0], scan[-1] = 1.0, r_max
-    return scan
-
-
 def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResult:
     """Maximize combined_log_bf(set, omega, r) + log Jeffreys prior over
     r in [1, r_max].
 
-    The maximizer of a 32-point log-spaced scan picks the bracketing
-    interval, then a golden-section search refines the maximizer to ~1e-4
-    in r; the best scan point wins over a worse search result.  at_boundary
-    flags a maximizer pinned against r_max, which would otherwise silently
-    clip sets with very consistent effects.
+    For fixed omega the objective is analytic in u = log r, so a Chebyshev
+    interpolant in u represents it closely.  One pass evaluates it at the
+    _NODES Chebyshev-Lobatto points of u on [0, log r_max], whose ends are
+    exactly r = 1 and r_max.  The interpolant's coefficients are _FIT times
+    those values.  Where the best real root of its derivative inside (0, log
+    r_max) is predicted to beat the best node, one more pass evaluates that
+    point exactly.  The result is the better exact evaluation, node or
+    fitted point, with the per-study values it sums, so a caller needs no
+    further pass at r_star.  at_boundary flags an r* pinned against r_max,
+    which would otherwise silently clip sets with very consistent effects.
 
-    The scan is evaluated coarse to fine, which costs about half the rows
-    of evaluating all of it and gives the same result where the scan values
-    are unimodal:
-    - a coarse pass evaluates every third scan point and r_max (12 r);
-    - a fill pass evaluates the scan points skipped between the two coarse
-      neighbours of the coarse maximum (at most 4 r);
-    - where the best scan point is an end of [1, r_max], a probe pass
-      evaluates the point where the golden-section search would end if
-      every step moved toward that end, within _R_TOL of it.  If the end
-      beats the probe, the end is the result, with its scan evaluation, as
-      the search and the best-scan rule would return;
-    - otherwise the golden-section search runs on the best scan point's
-      neighbours: one pass for its two initial points, and one per further
-      step and for its final point.
-    If a coarse objective is not finite (a one-sided bracket that cancels,
-    see _objectives), the fill pass evaluates the whole scan and the probe
-    is skipped, so the best scan point is the full scan's, and the objective
-    is unresolvable only when all 32 values are -inf.
+    The fit needs every node objective finite.  A one-sided bracket that
+    cancels makes a node -inf (see _objectives); the result is then the best
+    finite node, and the objective is unresolvable when no node is finite.
 
-    Every pass evaluates all its (r, study) series in one vectorised kernel
-    call.  The values are bit for bit those of combined_log_bf.  The result
-    carries the per-study values of the winning evaluation, so a caller
-    needs no further pass at r_star.
+    Each pass is one vectorised kernel call, bit for bit combined_log_bf.
     """
     _check_shape(r_max, "r_max")
     scaled = _at_omega(study_set, omega)
-
-    def objectives(rs: Sequence[float]) -> list[tuple]:
-        return _objectives(study_set, scaled, rs)
-
     if r_max == 1.0:
-        ((obj, per_study),) = objectives((1.0,))
+        ((obj, per_study),) = _objectives(study_set, scaled, (1.0,))
         _raise_first_error(per_study)  # no other r to fall back on
         return MmapResult(1.0, obj, True, tuple(per_study))
-    scan = _scan(r_max)
-    evaluated: list = [None] * _SCAN_POINTS  # (objective, per-study values)
-
-    def evaluate(indices: list[int]) -> None:
-        for i, value in zip(indices, objectives([scan[i] for i in indices])):
-            evaluated[i] = value
-
-    evaluate(_COARSE)
-    coarse = [evaluated[i][0] for i in _COARSE]
-    # a -inf coarse objective (see _objectives) hides the scan's shape
-    complete = not all(math.isfinite(v) for v in coarse)
-    if complete:
-        fill = range(_SCAN_POINTS)
-    else:
-        k = int(np.argmax(coarse))
-        fill = range(_COARSE[max(k - 1, 0)] + 1, _COARSE[min(k + 1, len(_COARSE) - 1)])
-    missing = [i for i in fill if evaluated[i] is None]
-    if missing:
-        evaluate(missing)
-    # a scan point the fill pass skipped never wins
-    values = [-math.inf if value is None else value[0] for value in evaluated]
-    if not any(math.isfinite(v) for v in values):
+    half = 0.5 * math.log(r_max)
+    rs = np.exp(half * (1.0 + np.cos(_THETA))).tolist()
+    rs[0], rs[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
+    nodes = _objectives(study_set, scaled, rs)
+    values = np.array([value for value, _ in nodes])
+    best = int(np.argmax(values))
+    if not math.isfinite(values[best]):
         raise ArithmeticError(
             f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
         )
-    best = int(np.argmax(values))
-    r_star, (obj, per_study) = scan[best], evaluated[best]
-    lo = scan[max(best - 1, 0)]
-    hi = scan[min(best + 1, _SCAN_POINTS - 1)]
-    at_end = not complete and best in (0, _SCAN_POINTS - 1)
-    if at_end:
-        # the golden-section search's final point if every step moves toward
-        # the end: a monotone stand-in objective replays those steps
-        toward = -1.0 if best == 0 else 1.0
-        end_walk, _ = _golden_max(lambda rs: [(toward * r, None) for r in rs], lo, hi, _R_TOL)
-        ((probe, _),) = objectives((end_walk,))
-    if not at_end or not obj > probe:
-        r, found = _golden_max(objectives, lo, hi, _R_TOL)
-        # the best scan point beats a worse search result: an endpoint
-        # maximum, or a final search point whose objective is -inf
-        if not obj > found[0]:
-            r_star, (obj, per_study) = r, found
-    return MmapResult(r_star, obj, r_max - r_star <= 2.0 * _R_TOL, tuple(per_study))
+    r_star, (obj, per_study) = rs[best], nodes[best]
+    if np.isfinite(values).all():
+        coef = _FIT @ values
+        x = chebroots(chebder(coef))
+        x = x[np.isreal(x) & (abs(x) < 1.0)].real
+        predicted = chebval(x, coef)
+        if len(x) and predicted.max() > obj:
+            r = min(math.exp(half * (1.0 + x[np.argmax(predicted)])), r_max)
+            ((found, found_per_study),) = _objectives(study_set, scaled, (r,))
+            if found > obj:
+                r_star, obj, per_study = r, found, found_per_study
+    return MmapResult(r_star, obj, r_max - r_star <= _AT_R_MAX, tuple(per_study))
 
 
 @dataclass(frozen=True)

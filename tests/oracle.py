@@ -2,7 +2,8 @@
 against, imported by acceptance criteria 4 (quadrature equivalence) and 7
 (asymptotic rates), by the tests of the oracle itself, by the closed forms'
 mpmath grid, and by the prior and effect-map tests for its prior densities
-and modes.
+and modes.  Its MMAP reference, reference_mmap_r, and criterion 6's study
+sets serve the acceptance criteria and the MMAP tests.
 
 It holds the non-local prior densities on the non-centrality parameter,
 exact sampling densities, quadrature marginals, and a Monte Carlo harness
@@ -37,6 +38,8 @@ from scipy import integrate
 from scipy.special import gammaincc
 
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
+from bffkit.effect_map import DesignKind, DesignTag
+from bffkit.evidence import StudySet, _at_omega, _objectives
 
 __all__ = [
     "PriorFamily",
@@ -53,6 +56,8 @@ __all__ = [
     "mpmath_log_bf10",
     "RateReport",
     "rate_harness",
+    "single_statistic_sets",
+    "reference_mmap_r",
 ]
 
 
@@ -628,3 +633,72 @@ def rate_harness(
         h0_slope_vs_log_n=h0_slope,
         h1_slope_vs_n=h1_slope,
     )
+
+
+def single_statistic_sets(rng) -> list[tuple[StudySet, float]]:
+    """100 randomized (single-study set, omega) pairs drawn from rng, a
+    quarter from each of the z, t, chi-square and F families: the inputs of
+    acceptance criterion 6."""
+    out = []
+    for i in range(100):
+        fam = (StatFamily.Z, StatFamily.T, StatFamily.CHI_SQ, StatFamily.F)[i % 4]
+        n = int(rng.integers(20, 300))
+        if fam is StatFamily.Z:
+            sided = Sidedness.ONE_SIDED if rng.random() < 0.5 else Sidedness.TWO_SIDED
+            stat = TestStatistic(fam, float(rng.uniform(-3, 3)), sided)
+            design = DesignKind(DesignTag.ONE_SAMPLE_Z, n=n)
+        elif fam is StatFamily.T:
+            sided = Sidedness.ONE_SIDED if rng.random() < 0.5 else Sidedness.TWO_SIDED
+            stat = TestStatistic(fam, float(rng.uniform(-3, 3)), sided, nu=float(n - 1))
+            design = DesignKind(DesignTag.ONE_SAMPLE_T, n=n)
+        elif fam is StatFamily.CHI_SQ:
+            stat = TestStatistic(
+                fam, float(rng.uniform(0.1, 20.0)), k=float(rng.integers(1, 7))
+            )
+            design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=n)
+        else:
+            stat = TestStatistic(
+                fam,
+                float(rng.uniform(0.05, 8.0)),
+                k=float(rng.integers(1, 7)),
+                m=float(rng.uniform(5, 150)),
+            )
+            design = DesignKind(DesignTag.LINEAR_MODEL_F, n=n)
+        out.append((StudySet.build([(stat, design)]), float(rng.uniform(0.05, 0.8))))
+    return out
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> tuple[float, float]:
+    """(r*, objective) of the MMAP maximization by a plain, slow and precise
+    search that shares no search code with evidence.mmap_r: the objective
+    (evidence._objectives) on a 32-point log-spaced scan of [1, r_max] in
+    one pass, then a golden-section search on the best scan point's
+    neighbours until its bracket is 1e-10 wide.  The best of the scan point
+    and the search's two last points wins, so a maximum at r = 1 or r_max
+    comes back as that end."""
+    scaled = _at_omega(study_set, omega)
+
+    def objective(rs):
+        return [value for value, _ in _objectives(study_set, scaled, rs)]
+
+    scan = np.exp(np.linspace(0.0, math.log(r_max), 32)).tolist()
+    scan[0], scan[-1] = 1.0, r_max
+    values = objective(scan)
+    best = int(np.argmax(values))
+    lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, len(scan) - 1)]
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = objective([c, d])
+    while hi - lo > 1e-10:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            (fc,) = objective([c])
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            (fd,) = objective([d])
+    objective_star, r_star = max((values[best], scan[best]), (fc, c), (fd, d))
+    return r_star, objective_star

@@ -31,9 +31,7 @@ import numpy as np
 import pytest
 
 from bffkit.bayes_factors import (
-    Sidedness,
     StatFamily,
-    TestStatistic,
     log_bf10,
     log_bf10_chisq,
     log_bf10_f,
@@ -43,19 +41,17 @@ from bffkit.bayes_factors import (
     log_bf10_z_two,
 )
 from bffkit.cli import load_studies
-from bffkit.effect_map import DesignKind, DesignTag
 from bffkit.evidence import (
     EffectGrid,
     FixedR,
     MmapR,
-    StudySet,
     bff_curve,
     combined_log_bf,
     evidence_thresholds,
     mmap_r,
 )
 from bffkit.specfun import log_1f1, log_2f1, trigamma
-from oracle import marginal_bf_quadrature, rate_harness, validation_tuples
+from oracle import marginal_bf_quadrature, rate_harness, single_statistic_sets, validation_tuples
 
 DATA = Path(__file__).parent / "data"
 
@@ -292,34 +288,9 @@ def test_criterion_5_limit_coherence():
 def test_criterion_6_single_statistic_mmap():
     """100 randomized single-statistic sets across all families: r* = 1
     within 1e-3."""
-    rng = np.random.default_rng(20240801)
     worst = 0.0
-    for i in range(100):
-        fam = (StatFamily.Z, StatFamily.T, StatFamily.CHI_SQ, StatFamily.F)[i % 4]
-        n = int(rng.integers(20, 300))
-        if fam is StatFamily.Z:
-            sided = Sidedness.ONE_SIDED if rng.random() < 0.5 else Sidedness.TWO_SIDED
-            stat = TestStatistic(fam, float(rng.uniform(-3, 3)), sided)
-            design = DesignKind(DesignTag.ONE_SAMPLE_Z, n=n)
-        elif fam is StatFamily.T:
-            sided = Sidedness.ONE_SIDED if rng.random() < 0.5 else Sidedness.TWO_SIDED
-            stat = TestStatistic(fam, float(rng.uniform(-3, 3)), sided, nu=float(n - 1))
-            design = DesignKind(DesignTag.ONE_SAMPLE_T, n=n)
-        elif fam is StatFamily.CHI_SQ:
-            stat = TestStatistic(
-                fam, float(rng.uniform(0.1, 20.0)), k=float(rng.integers(1, 7))
-            )
-            design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=n)
-        else:
-            stat = TestStatistic(
-                fam,
-                float(rng.uniform(0.05, 8.0)),
-                k=float(rng.integers(1, 7)),
-                m=float(rng.uniform(5, 150)),
-            )
-            design = DesignKind(DesignTag.LINEAR_MODEL_F, n=n)
-        omega = float(rng.uniform(0.05, 0.8))
-        res = mmap_r(StudySet.build([(stat, design)]), omega)
+    for studies, omega in single_statistic_sets(np.random.default_rng(20240801)):
+        res = mmap_r(studies, omega)
         worst = max(worst, abs(res.r_star - 1.0))
     assert worst <= 1e-3
     report(f"criterion 6: PASS (max |r* - 1| = {worst:.2e} over 100 sets)")

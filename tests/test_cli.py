@@ -43,6 +43,10 @@ def parse_curve_file(path: str):
     return rows, meta
 
 
+# fig1.csv's one row as a JSON row object
+_JSON_ROW = {"test": "z", "sided": "one", "stat": 1.5, "n": 100, "design": "one_sample_z"}
+
+
 def write_rows(path: Path, rows: list[str]):
     header = "test,sided,stat,nu,k,m,n,n1,n2,rho,design"
     path.write_text("\n".join([header, *rows]) + "\n")
@@ -132,6 +136,9 @@ class TestParsing:
             # integer cells that are not finite are parse errors, not numeric ones
             ("z,one,1.0,,,,inf,,,,one_sample_z", "field 'n' must be an integer, got inf"),
             ("z,one,1.0,,,,nan,,,,one_sample_z", "field 'n' must be an integer, got nan"),
+            # a row's cells must match the header's columns one for one
+            ("z,two,1.5,,,,50,,,,one_sample_z,extra", "12 cells, the header has 11"),
+            ("z,two,1.5,,,,50", "7 cells, the header has 11"),
         ],
     )
     def test_rejected_row(self, tmp_path, capsys, row, message):
@@ -140,6 +147,23 @@ class TestParsing:
         code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
         assert code == 2
         assert f"row 3: {message}" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (["z", "two", 1.5], "expected an object of fields, got ['z', 'two', 1.5]"),
+            ({**_JSON_ROW, "stat": [1.5]}, "field 'stat' must be a number or a string, got [1.5]"),
+            ({**_JSON_ROW, "n": True}, "field 'n' must be a number or a string, got True"),
+            ({**_JSON_ROW, "effect": 0.3}, "unknown fields ['effect']"),
+        ],
+        ids=["not_an_object", "list_cell", "bool_cell", "unknown_field"],
+    )
+    def test_rejected_json_row(self, tmp_path, capsys, row, message):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps([_JSON_ROW, row]))
+        code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
+        assert code == 2
+        assert f"row 2: {message}" in err
 
     def test_mixed_families_rejected(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
@@ -155,9 +179,7 @@ class TestParsing:
         assert "mixed" in err
 
     def test_json_input_equivalent(self, tmp_path, capsys):
-        rows = [
-            {"test": "z", "sided": "one", "stat": 1.5, "n": 100, "design": "one_sample_z"}
-        ]
+        rows = [_JSON_ROW]
         jf = tmp_path / "s.json"
         jf.write_text(json.dumps(rows))
         code_j, out_j, _ = run(capsys, "point", "--file", str(jf), "--omega", "0.11", "--r", "1")
@@ -222,8 +244,9 @@ class TestCurve:
         ],
     )
     def test_golden_bytes(self, tmp_path, capsys, table, policy, golden):
-        # the golden files were written by an earlier release that evaluated
-        # every study and every r one at a time
+        # curve_fig1_r1.csv was written by an earlier release that evaluated
+        # every study and every r one at a time; the two MMAP files by the
+        # first release that took r* from a Chebyshev fit in log r
         out_file = tmp_path / "curve.csv"
         code, _, _ = run(
             capsys,

@@ -12,12 +12,10 @@ import bffkit.specfun as sf
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 from bffkit.effect_map import DesignKind, DesignTag, fisher_z, tau_sq_for
 from bffkit.evidence import (
-    _COARSE,
-    _R_TOL,
+    _NODES,
     EffectGrid,
     FixedR,
     MmapR,
-    MmapResult,
     StudySet,
     bff_curve,
     combined_log_bf,
@@ -25,8 +23,9 @@ from bffkit.evidence import (
     mmap_r,
     per_study_log_bf,
 )
-from bffkit.evidence import _at_omega, _golden_max, _objectives, _scan
+from bffkit.evidence import _at_omega, _objectives
 from bffkit.specfun import NonConvergenceError
+from oracle import reference_mmap_r, single_statistic_sets
 
 
 def z_study(z, n, sided=Sidedness.ONE_SIDED):
@@ -151,9 +150,20 @@ class TestMmap:
         )
         res_free = mmap_r(studies, 0.5, r_max=200.0)
         assert not res_free.at_boundary
-        res_clipped = mmap_r(studies, 0.5, r_max=1.5)
-        if res_clipped.r_star >= 1.5 - 2e-4:
-            assert res_clipped.at_boundary
+        res_clipped = mmap_r(studies, 0.5, r_max=1.2)
+        assert res_clipped.at_boundary and res_clipped.r_star == 1.2
+
+    def test_interior_r_star_does_not_depend_on_the_bracket(self):
+        # r* = 1.4396 lies inside every bracket; the nodes differ with r_max
+        studies = StudySet.build(
+            [t_study(4.0, 50), t_study(4.4, 80), t_study(3.8, 60)]
+        )
+        results = [mmap_r(studies, 0.5, r_max) for r_max in (1.5, 3.0, 37.5, 200.0)]
+        assert all(1.0 < res.r_star < 1.5 and not res.at_boundary for res in results)
+        ref = results[-1]
+        for res in results:
+            assert res.objective == pytest.approx(ref.objective, rel=1e-10, abs=0.0)
+            assert res.r_star == pytest.approx(ref.r_star, rel=1e-4, abs=0.0)
 
     def test_r_max_validation(self):
         studies = StudySet.build([z_study(1.0, 50)])
@@ -178,22 +188,61 @@ class TestMmap:
 
     def test_neg_inf_search_point_loses_to_the_scan(self):
         # z = -8 one-sided opposes the prior: its bracket cancels below double
-        # precision at some r, among them the golden-section search's last point
+        # precision at some r, so some nodes are -inf and the fit does not run
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         res = mmap_r(studies, 0.3)
-        evaluated = _objectives(studies, _at_omega(studies, 0.3), _scan(200.0))
+        evaluated = _objectives(studies, _at_omega(studies, 0.3), _node_rs(studies, 0.3))
         finite = [v for v, _ in evaluated if math.isfinite(v)]
         assert math.isfinite(res.objective)
         assert finite and res.objective >= max(finite)
 
-    def test_scan_ends_are_exact(self, monkeypatch):
-        # exp(log(200)) is 199.99999999999991; the scan must evaluate r_max itself
-        assert _scan(200.0)[0] == 1.0 and _scan(200.0)[-1] == 200.0
-        scans = []
+    def test_scan_ends_are_exact(self):
+        # exp(log(200)) is 199.99999999999991; the nodes must hold r_max itself
+        studies = StudySet.build([z_study(2.5, 100)])
+        for r_max in (200.0, 37.5, 1.2):
+            rs = _node_rs(studies, 0.3, r_max)
+            assert len(rs) == _NODES and rs[0] == 1.0 and rs[-1] == r_max
+            assert rs == sorted(rs)
+
+    def test_unresolvable_objective(self, monkeypatch):
+        studies = StudySet.build([z_study(2.5, 80), z_study(1.0, 100)])
+        _drop(monkeypatch, set(_node_rs(studies, 0.3)))
+        with pytest.raises(
+            ArithmeticError,
+            match=r"^MMAP objective unresolvable over r in \[1, 200.0\] at omega=0.3$",
+        ):
+            mmap_r(studies, 0.3)
+
+    def test_one_dropped_node_gives_the_best_finite_node(self, monkeypatch):
+        # r* is interior at omega 0.885; a -inf node leaves the fit out
+        studies = _stroop()
+        rs = _node_rs(studies, 0.885)
+        values = [v for v, _ in _objectives(studies, _at_omega(studies, 0.885), rs)]
+        best = int(np.argmax(values))
+        _drop(monkeypatch, {rs[best]})
+        passes = _record_passes(monkeypatch)
+        res = mmap_r(studies, 0.885)
+        assert passes == [rs]
+        values[best] = -math.inf
+        assert res.objective == max(values) and res.r_star == rs[int(np.argmax(values))]
+
+
+    def test_worse_fitted_point_loses_to_the_best_node(self, monkeypatch):
+        # the fitted point's exact objective can come back lower than the
+        # best node's, or -inf from a cancelling bracket: the node wins
+        studies = _stroop()
+        rs = _node_rs(studies, 0.885)
+        nodes = _objectives(studies, _at_omega(studies, 0.885), rs)
         real = ev._objectives
-        monkeypatch.setattr(ev, "_objectives", lambda *a: (scans.append(list(a[2])), real(*a))[1])
-        mmap_r(StudySet.build([z_study(2.5, 100)]), 0.3, r_max=200.0)
-        assert scans[0][0] == 1.0 and scans[0][-1] == 200.0
+        monkeypatch.setattr(
+            ev,
+            "_objectives",
+            lambda s, scaled, r: real(s, scaled, r) if r == rs else [(-math.inf, [])] * len(r),
+        )
+        res = mmap_r(studies, 0.885)
+        best = int(np.argmax([value for value, _ in nodes]))
+        assert res.r_star == rs[best] and res.objective == nodes[best][0]
+        assert res.per_study_log_bf == tuple(nodes[best][1])
 
 
 class TestEffectGrid:
@@ -345,7 +394,7 @@ class TestBatchedObjective:
         # precision at some r of the scan and not at others
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         omega = 0.3
-        rs = _scan(200.0)
+        rs = [1.0, *np.geomspace(1.0, 200.0, 32)[1:-1].tolist(), 200.0]
         expected = []
         for r in rs:
             try:
@@ -406,10 +455,14 @@ class TestBatchedObjective:
             per_study_log_bf(studies, 0.5, 0.5)
 
 
-def _stroop():
+def _table(name):
     from bffkit.cli import load_studies
 
-    return load_studies(str(Path(__file__).parent / "data" / "stroop.csv"))
+    return load_studies(str(Path(__file__).parent / "data" / f"{name}.csv"))
+
+
+def _stroop():
+    return _table("stroop")
 
 
 def _count_passes(monkeypatch) -> list:
@@ -433,25 +486,53 @@ def _count_passes(monkeypatch) -> list:
     return passes
 
 
+def _record_passes(monkeypatch) -> list:
+    """Record the r values of every _objectives pass."""
+    passes = []
+    real = ev._objectives
+
+    def record(study_set, scaled, rs):
+        passes.append(list(rs))
+        return real(study_set, scaled, rs)
+
+    monkeypatch.setattr(ev, "_objectives", record)
+    return passes
+
+
+def _node_rs(study_set, omega, r_max=200.0) -> list:
+    """The r values of mmap_r's node pass, its first."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        passes = _record_passes(monkeypatch)
+        mmap_r(study_set, omega, r_max)
+    return passes[0]
+
+
+def _drop(monkeypatch, dropped):
+    """Make the objective -inf at every r in dropped."""
+    real = ev._objectives
+
+    def objectives(study_set, scaled, rs):
+        values = real(study_set, scaled, rs)
+        return [(-math.inf, v[1]) if r in dropped else v for r, v in zip(rs, values)]
+
+    monkeypatch.setattr(ev, "_objectives", objectives)
+
+
 class TestKernelPasses:
     def test_mmap_point_is_one_pass_per_batch(self, monkeypatch):
-        """Stroop MMAP points: a coarse pass of 12 r and a fill pass, then a
-        probe pass where r* = 1, or the golden-section passes where r* is
-        interior, all of 2F1 series, and no one-value kernel call at all (a
-        silent fallback to per-study evaluation fails here, not in a
-        timing)."""
+        """Stroop MMAP points: the node pass, then one pass at the fitted
+        point where r* is interior, all of 2F1 series, and no one-value
+        kernel call at all (a silent fallback to per-study evaluation fails
+        here, not in a timing)."""
         studies = _stroop()
         rows = len(studies.studies) * 2  # one-sided t rows with t != 0 carry two series each
         passes = _count_passes(monkeypatch)
         assert mmap_r(studies, 0.5).r_star == 1.0
-        # scan points 1 and 2 fill in next to the coarse maximum r = 1
-        assert passes == [12 * rows, 2 * rows, rows]
+        assert passes == [_NODES * rows]
         passes.clear()
         res = mmap_r(studies, 0.885)
         assert 1.0 < res.r_star < 200.0 and not res.at_boundary
-        # a fill of 4 scan points, then the two initial golden-section points,
-        # 23 further steps and the final point
-        assert passes == [12 * rows, 4 * rows, 2 * rows] + [rows] * 24
+        assert passes == [_NODES * rows, rows]
 
     def test_bff_curve_point_adds_no_pass(self, monkeypatch):
         """bff_curve builds an MMAP point from mmap_r's winning evaluation:
@@ -466,30 +547,6 @@ class TestKernelPasses:
         assert point.r_star == res.r_star and point.objective == res.objective
         assert point.per_study_log_bf == res.per_study_log_bf
         assert point.log_bf10 == sum(res.per_study_log_bf)
-
-
-def _full_scan_mmap_r(study_set, omega, r_max=200.0):
-    """mmap_r as a plain search, the reference of its coarse-to-fine scan:
-    the whole 32-point scan in one pass, the golden-section search on the
-    best scan point's neighbours, and the best-scan rule."""
-    scaled = _at_omega(study_set, omega)
-
-    def objectives(rs):
-        return ev._objectives(study_set, scaled, rs)
-
-    scan = _scan(r_max)
-    evaluated = objectives(scan)
-    values = [value for value, _ in evaluated]
-    if not any(math.isfinite(v) for v in values):
-        raise ArithmeticError(
-            f"MMAP objective unresolvable over r in [1, {r_max}] at omega={omega}"
-        )
-    best = int(np.argmax(values))
-    lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, len(scan) - 1)]
-    r_star, (obj, per_study) = _golden_max(objectives, lo, hi, _R_TOL)
-    if values[best] > obj:
-        r_star, (obj, per_study) = scan[best], evaluated[best]
-    return MmapResult(r_star, obj, r_max - r_star <= 2.0 * _R_TOL, tuple(per_study))
 
 
 def _replicated_sets():
@@ -518,65 +575,34 @@ def _replicated_sets():
     return out
 
 
-class TestCoarseToFineScan:
-    """mmap_r evaluates its scan coarse to fine and probes an end of [1,
-    r_max] with one row set; its result is the full scan's, bit for bit."""
-
-    @pytest.mark.parametrize(
-        "omega, r_max",
-        [
-            (0.5, 200.0),  # r* = 1
-            (0.6259975, 200.0),  # r* = 1.0000422: beats r = 1, loses to it at 1 + _R_TOL
-            (0.6263, 200.0),  # r* = 1.003: a probe at 1 + 1e-2 misses it
-            (0.805, 200.0),
-            (0.885, 200.0),  # the best scan point is not a coarse one
-            (0.885, 3.0),  # r* = r_max
-            (0.885, 1.5),
-        ],
-    )
-    def test_stroop_as_full_scan(self, omega, r_max):
-        studies = _stroop()
-        expected = _full_scan_mmap_r(studies, omega, r_max)
-        assert repr(mmap_r(studies, omega, r_max)) == repr(expected)
-
-    def test_replicated_sets_as_full_scan(self):
-        kinds = set()
-        for studies, omega, r_max in _replicated_sets():
-            res = mmap_r(studies, omega, r_max)
-            assert repr(res) == repr(_full_scan_mmap_r(studies, omega, r_max)), (omega, r_max)
-            kinds.add("r_max" if res.at_boundary else "one" if res.r_star == 1.0 else "inside")
-        assert kinds == {"one", "inside", "r_max"}
+class TestAgainstReferenceMaximizer:
+    """mmap_r against oracle.reference_mmap_r, a plain precise search: its
+    objective is never lower than the reference's by more than 1e-10
+    relative, and an interior r* is the reference's within 1e-4 relative."""
 
     @staticmethod
-    def _drop(monkeypatch, dropped):
-        """Make the objective -inf at every r in dropped."""
-        real = ev._objectives
+    def _cases(name):
+        """(study set, omega, r_max) of each checked point."""
+        if name in ("stroop", "correlation"):
+            studies = _stroop() if name == "stroop" else _table("correlation")
+            return [(studies, omega, 200.0) for omega in EffectGrid.default().omegas]
+        if name == "replicated":
+            return _replicated_sets()
+        sets = single_statistic_sets(np.random.default_rng(20240801))
+        return [(studies, omega, 200.0) for studies, omega in sets]
 
-        def objectives(study_set, scaled, rs):
-            values = real(study_set, scaled, rs)
-            return [(-math.inf, v[1]) if r in dropped else v for r, v in zip(rs, values)]
-
-        monkeypatch.setattr(ev, "_objectives", objectives)
-
-    @pytest.mark.parametrize("omega", [0.5, 0.885])
-    def test_neg_inf_coarse_points_scan_everything(self, monkeypatch, omega):
-        # only the scan points the coarse pass skips are finite
-        studies = _stroop()
-        scan = _scan(200.0)
-        self._drop(monkeypatch, {scan[i] for i in _COARSE})
-        res = mmap_r(studies, omega)
-        assert math.isfinite(res.objective)
-        assert repr(res) == repr(_full_scan_mmap_r(studies, omega))
-
-    def test_unresolvable_objective(self, monkeypatch):
-        studies = StudySet.build([z_study(2.5, 80), z_study(1.0, 100)])
-        self._drop(monkeypatch, set(_scan(200.0)))
-        with pytest.raises(ArithmeticError) as expected:
-            _full_scan_mmap_r(studies, 0.3)
-        with pytest.raises(ArithmeticError) as got:
-            mmap_r(studies, 0.3)
-        assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith("MMAP objective unresolvable")
+    @pytest.mark.parametrize("name", ["stroop", "correlation", "replicated", "single_statistic"])
+    def test_objective_and_r_star(self, name):
+        kinds = set()
+        for studies, omega, r_max in self._cases(name):
+            res = mmap_r(studies, omega, r_max)
+            r_ref, objective_ref = reference_mmap_r(studies, omega, r_max)
+            assert res.objective >= objective_ref - 1e-10 * abs(objective_ref), omega
+            if 1.0 < res.r_star < r_max:
+                assert res.r_star == pytest.approx(r_ref, rel=1e-4, abs=0.0), omega
+            kinds.add("r_max" if res.at_boundary else "one" if res.r_star == 1.0 else "inside")
+        # the replicated sets put r* at 1, inside (1, r_max) and at r_max
+        assert name != "replicated" or kinds == {"one", "inside", "r_max"}
 
 
 def _value_or_error(fn, *args):
@@ -645,8 +671,9 @@ class TestCompiledStudies:
     constants, and an evaluation at (omega, r) computes only the item part."""
 
     def test_bit_for_bit_with_log_bf10(self):
-        # the scan's r values and off-scan ones, omega over [1e-3, 1]
-        rs = _scan(200.0) + [1.0001, 1.37, 2.5, 7.77, 63.2, 199.9]
+        # a log-spaced scan of [1, 200] and r values off it, omega over [1e-3, 1]
+        rs = [1.0, *np.geomspace(1.0, 200.0, 32)[1:-1].tolist(), 200.0]
+        rs += [1.0001, 1.37, 2.5, 7.77, 63.2, 199.9]
         omegas = [1e-3, 0.013, 0.11, 0.5, 0.87, 1.0]
         seen = set()
         for studies in _guard_sets():
@@ -701,8 +728,9 @@ class TestCompiledStudies:
         n = len(studies.studies)
         assert all(s.stat.sided is Sidedness.ONE_SIDED for s in studies.studies)
         mmap_r(studies, 0.5)
-        assert rs_per_pass == [12, 2, 1]  # coarse, fill and probe passes
+        assert rs_per_pass == [_NODES]  # r* = 1: the node pass only
         mmap_r(studies, 0.885)
+        assert rs_per_pass == [_NODES, _NODES, 1]  # r* interior: and the fitted point
         items = n * sum(rs_per_pass)
         assert calls["tau_sq"] == n
         assert calls["ratio"] == n + sum(rs_per_pass)
