@@ -605,6 +605,50 @@ class TestAgainstReferenceMaximizer:
         assert name != "replicated" or kinds == {"one", "inside", "r_max"}
 
 
+class TestCoarseToFineScan:
+    """The Stroop points that probe the edges of an r search, once checked
+    against a coarse-to-fine scan and now against the reference full scan,
+    oracle.reference_mmap_r; and -inf objectives at half the nodes."""
+
+    @pytest.mark.parametrize(
+        "omega, r_max",
+        [
+            (0.5, 200.0),  # r* = 1
+            (0.6259975, 200.0),  # r* = 1.00003: beats r = 1 by 1e-12 relative
+            (0.6263, 200.0),  # r* = 1.003
+            (0.805, 200.0),
+            (0.885, 200.0),
+            (0.885, 3.0),  # r* = r_max
+            (0.885, 1.5),
+        ],
+    )
+    def test_stroop_as_full_scan(self, omega, r_max):
+        studies = _stroop()
+        res = mmap_r(studies, omega, r_max)
+        r_ref, objective_ref = reference_mmap_r(studies, omega, r_max)
+        assert res.objective >= objective_ref - 1e-10 * abs(objective_ref)
+        assert res.at_boundary == (r_ref == r_max)
+        if r_ref == 1.0 or r_ref == r_max:
+            assert res.r_star == r_ref
+        else:
+            assert res.r_star == pytest.approx(r_ref, rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("omega", [0.5, 0.885])
+    def test_neg_inf_coarse_points_scan_everything(self, monkeypatch, omega):
+        # every other node, r = 1 among them, is -inf: the best
+        # of the finite nodes wins, from the one node pass
+        studies = _stroop()
+        rs = _node_rs(studies, omega)
+        values = [v for v, _ in _objectives(studies, _at_omega(studies, omega), rs)]
+        _drop(monkeypatch, set(rs[::2]))
+        passes = _record_passes(monkeypatch)
+        res = mmap_r(studies, omega)
+        assert passes == [rs]
+        best = max(range(1, len(rs), 2), key=values.__getitem__)
+        assert math.isfinite(res.objective)
+        assert res.objective == values[best] and res.r_star == rs[best]
+
+
 def _value_or_error(fn, *args):
     try:
         return fn(*args)
