@@ -26,10 +26,11 @@ the sign of the statistic.  Per form:
 
 A one-sided sign is that of the statistic.  A study part (_z_study,
 _t_study, _chisq_study, _f_study; _study_part of a TestStatistic) checks the
-statistic once and returns its row as a _StudyPart; _item computes the rest
-for one (tau_sq, r).  The one-value forms hand _item log_1f1/log_2f1
-(_evaluate), log_bf10_batch hands it specfun's planners, so both routes give
-the same value bit for bit.  evidence builds the study part of each Study once.
+statistic's values, the only place they are checked, and returns its row as
+a _StudyPart; _item computes the rest for one (tau_sq, r).  The one-value
+forms hand _item log_1f1/log_2f1 (_evaluate), log_bf10_batch hands it
+specfun's planners, so both routes give the same value bit for bit.  A
+TestStatistic builds its study part once, when it is built.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -39,7 +40,7 @@ proper, but the limiting value keeps the omega -> 0 endpoint well-defined).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -80,12 +81,23 @@ class Sidedness(Enum):
     TWO_SIDED = "two"
 
 
+# the metadata fields each family takes; the others must be absent
+_TAKES = {
+    StatFamily.Z: ("sided",),
+    StatFamily.T: ("sided", "nu"),
+    StatFamily.CHI_SQ: ("k",),
+    StatFamily.F: ("k", "m"),
+}
+
+
 @dataclass(frozen=True)
 class TestStatistic:
     """One observed test statistic with the metadata its family requires.
 
     nu is the t denominator degrees of freedom; k the chi-square/F numerator
-    degrees of freedom; m the F denominator degrees of freedom.
+    degrees of freedom; m the F denominator degrees of freedom.  A built
+    statistic holds the study part of its closed form, whose builder is the
+    one check of its values.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -96,37 +108,15 @@ class TestStatistic:
     nu: float | None = None
     k: float | None = None
     m: float | None = None
+    _part: "_StudyPart" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("value", "nu", "k", "m"):
-            field = getattr(self, name)
-            if field is not None and not math.isfinite(field):
-                raise ValueError(f"{name} must be finite, got {field}")
-        fam = self.family
-        if fam in (StatFamily.Z, StatFamily.T):
-            if self.sided is None:
-                raise ValueError(f"{fam.value} statistics require a sidedness")
-            if self.k is not None or self.m is not None:
-                raise ValueError(f"k/m are not meaningful for {fam.value} statistics")
-            if fam is StatFamily.T:
-                if self.nu is None or not self.nu > 0.0:
-                    raise ValueError("t statistics require nu > 0")
-            elif self.nu is not None:
-                raise ValueError("nu is not meaningful for z statistics")
-        else:
-            if self.sided is not None:
-                raise ValueError(f"{fam.value} statistics are inherently one-directional")
-            if self.nu is not None:
-                raise ValueError(f"nu is not meaningful for {fam.value} statistics")
-            if self.k is None or not self.k > 0.0:
-                raise ValueError(f"{fam.value} statistics require k > 0")
-            if not self.value >= 0.0:
-                raise ValueError(f"{fam.value} statistics must be >= 0, got {self.value}")
-            if fam is StatFamily.F:
-                if self.m is None or not self.m > 0.0:
-                    raise ValueError("F statistics require m > 0")
-            elif self.m is not None:
-                raise ValueError("m is not meaningful for chisq statistics")
+        takes = _TAKES[self.family]
+        for name in ("sided", "nu", "k", "m"):
+            if (getattr(self, name) is None) == (name in takes):
+                need = "require" if name in takes else "do not take"
+                raise ValueError(f"{self.family.value} statistics {need} {name}")
+        object.__setattr__(self, "_part", _study_part(self))
 
 
 def _check_hyperparams(tau_sq: float, r: float) -> None:
@@ -325,7 +315,7 @@ def _study_part(stat: TestStatistic) -> _StudyPart:
 
 def log_bf10_batch(items) -> list:
     """log BF10 of every (part, tau_sq, r) in the sequence items, where part
-    is a study part (_study_part of a statistic): log_bf10(stat, tau_sq, r)
+    is a study part (the _part of a TestStatistic): log_bf10(stat, tau_sq, r)
     bit for bit.
 
     Each item plans its series in _item; log_gamma_half_ratio(r + 1/2) is

@@ -1,13 +1,17 @@
 """Command-line front end: ingest study tables and evaluate BFF curves and
 points.
 
-Input is a CSV file with header
+Input is a CSV file whose header row names each of its columns once, out of
     test,sided,stat,nu,k,m,n,n1,n2,rho,design
 (empty cells for absent fields), or a JSON list of row objects with the same
-field names when the file ends in .json.  Correlation studies are entered as
-(rho, n) pairs; the Fisher transform happens at ingestion.
+field names when the file ends in .json.  Both are read as UTF-8, with or
+without a byte-order mark.  Correlation studies are entered as (rho, n)
+pairs; the Fisher transform happens at ingestion.  Options come from the
+command line only; there is no configuration file.
 
-Exit codes: 0 success, 2 usage/parse error, 3 numeric failure.
+Exit codes: 0 success, 2 usage/parse error (bad options, a bad table or row,
+an input out of its domain), 3 numeric failure (non-convergence, an
+impossible bracket).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .evidence import (
 
 DEFAULT_LEVELS = (-1.0, -3.0, -5.0)
 DEFAULT_R_MAX = 200.0
-CONFIG_ENV_VAR = "BFFKIT_CONFIG"
 
 _CSV_FIELDS = ("test", "sided", "stat", "nu", "k", "m", "n", "n1", "n2", "rho", "design")
 
@@ -130,7 +133,7 @@ def _study_from_row(row, row_no: int) -> Study:
 def load_studies(path: str) -> StudySet:
     """Read a study table (CSV, or JSON when the extension is .json)."""
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 rows = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -139,11 +142,14 @@ def load_studies(path: str) -> StudySet:
             raise ParseError(f"{path}: expected a JSON list of row objects")
         studies = [_study_from_row(row, i + 1) for i, row in enumerate(rows)]
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             lines = [cells for cells in csv.reader(fh) if cells]  # blank lines skipped
         if not lines:
             raise ParseError(f"{path}: empty file")
         header = lines[0]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ParseError(f"row 1: column {name!r} repeated")
         studies = []
         for row_no, cells in enumerate(lines[1:], start=2):  # header is row 1
             if len(cells) != len(header):
@@ -157,20 +163,6 @@ def load_studies(path: str) -> StudySet:
         return StudySet(tuple(studies), label=os.path.basename(path))
     except ValueError as exc:
         raise ParseError(str(exc))
-
-
-def _load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise ParseError(f"config {path}: expected a JSON object")
-    return cfg
 
 
 def _policy_from_args(args) -> "FixedR | MmapR":
@@ -229,10 +221,6 @@ def summarize_rows(
 
 def cmd_curve(args) -> int:
     studies = load_studies(args.file)
-    if args.omega_min > args.omega_max:
-        raise ParseError(
-            f"empty grid: omega-min {args.omega_min} > omega-max {args.omega_max}"
-        )
     grid = EffectGrid.from_range(args.omega_min, args.omega_max, args.omega_step)
     levels = tuple(args.levels)
     for level in levels:
@@ -266,7 +254,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bffkit",
         description="Bayes factor functions from z, t, chi-square, and F statistics",
@@ -280,10 +268,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
             "--mmap", action="store_true", help="maximize r by MMAP (default)"
         )
         p.add_argument(
-            "--r-max",
-            type=float,
-            default=float(config.get("r_max", DEFAULT_R_MAX)),
-            help="upper bound of the MMAP search on r",
+            "--r-max", type=float, default=DEFAULT_R_MAX, help="upper bound of the MMAP search on r"
         )
 
     p_point = sub.add_parser("point", help="combined log BF at one effect size")
@@ -294,22 +279,17 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="BFF curve over an effect-size grid")
     p_curve.add_argument("--file", required=True)
-    p_curve.add_argument(
-        "--omega-min", type=float, default=float(config.get("omega_min", 0.005))
-    )
-    p_curve.add_argument(
-        "--omega-max", type=float, default=float(config.get("omega_max", 1.0))
-    )
-    p_curve.add_argument(
-        "--omega-step", type=float, default=float(config.get("omega_step", 0.005))
-    )
+    p_curve.add_argument("--omega-min", type=float, default=0.005)
+    p_curve.add_argument("--omega-max", type=float, default=1.0)
+    p_curve.add_argument("--omega-step", type=float, default=0.005)
     add_policy(p_curve)
     p_curve.add_argument("--out", required=True, help="output CSV path")
     p_curve.add_argument(
         "--levels",
         type=lambda s: tuple(float(x) for x in s.split(",")),
-        default=tuple(config.get("levels", DEFAULT_LEVELS)),
-        help='log-BF reporting levels, e.g. "-1,-3,-5"',
+        default=DEFAULT_LEVELS,
+        # with a space, argparse takes "-1,-3,-5" for an option
+        help="log-BF reporting levels, e.g. --levels=-1,-3,-5",
     )
     p_curve.set_defaults(func=cmd_curve)
 
@@ -318,9 +298,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = _load_config()
-        parser = _build_parser(config)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError and precondition violations are usage errors

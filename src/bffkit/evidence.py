@@ -21,15 +21,8 @@ from numpy.polynomial.chebyshev import chebder, chebroots, chebval
 
 # log_bf10 is not called here any more; it stays bound in this module
 # because bench/tracing.py wraps this module's bindings.
-from .bayes_factors import (  # noqa: F401
-    StatFamily,
-    TestStatistic,
-    _study_part,
-    _StudyPart,
-    log_bf10,
-    log_bf10_batch,
-)
-from .effect_map import DesignKind, EffectSize, _tau_sq_parts, tau_sq_for
+from .bayes_factors import StatFamily, TestStatistic, log_bf10, log_bf10_batch  # noqa: F401
+from .effect_map import DesignKind, _tau_sq_parts, tau_sq_for
 from .priors import _check_shape, jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
 __all__ = [
@@ -67,21 +60,18 @@ class Study:
     family, by tau_sq_for's rules (a chi-square/F design takes the numerator
     df k, a z/t design none), so no prior scale of a built study fails.
 
-    A built study also holds, in private fields, everything of its log BF10
-    that does not depend on (omega, r): the study part of its closed form,
-    the record (c, extra, s, sign, log_ratio) of bayes_factors' one
-    expression, and the constants of its prior scale (effect_map's
-    _tau_sq_parts), so an evaluation at (omega, r) computes only tau_sq and
+    A built study also holds, in a private field, the constants of its
+    prior scale (effect_map's _tau_sq_parts).  With the study part its
+    statistic holds, that is everything of its log BF10 that does not depend
+    on (omega, r), so an evaluation at (omega, r) computes only tau_sq and
     bayes_factors._item."""
 
     stat: TestStatistic
     design: DesignKind
-    _part: _StudyPart = field(init=False, repr=False, compare=False)
     _scale: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau_sq_for(self.design, 0.0, 1.0, self.stat.k)
-        object.__setattr__(self, "_part", _study_part(self.stat))
         object.__setattr__(self, "_scale", _tau_sq_parts(self.design, self.stat.k))
 
 
@@ -132,17 +122,22 @@ def jeffreys_log_prior(r: float, k: float | None = None) -> float:
     return jeffreys_log_prior_gamma(r, k)
 
 
+def _check_omega(omega: float) -> None:
+    """The one rule for a common effect: finite and > 0."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
+
+
 def _at_omega(study_set: StudySet, omega: float) -> list[tuple]:
     """(study part, c w w, d, s, u) of every study at common effect omega,
     from the study's _tau_sq_parts: c w w is the part of tau_sq that
     depends on omega alone, formed once per omega."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    w = EffectSize(float(omega)).omega
+    _check_omega(omega)
+    w = float(omega)
     scaled = []
     for study in study_set.studies:
         c, d, s, u = study._scale
-        scaled.append((study._part, c * w * w, d, s, u))
+        scaled.append((study.stat._part, c * w * w, d, s, u))
     return scaled
 
 
@@ -166,14 +161,15 @@ def _log_bf_rows(scaled: list[tuple], rs: Sequence[float]) -> list[list]:
     return [values[i : i + n] for i in range(0, len(values), n)]
 
 
-def _raise_first_error(per_study: list) -> None:
-    """Raise the first exception in per_study, of study i, as a copy of it
-    (same type and attributes) whose message is prefixed "study i: ", whose
-    study attribute is i, and whose cause is the original.  The copy is made
-    from the original's own args, so any exception type that copy.copy can
-    rebuild keeps its constructor's signature."""
+def _raise_first_error(per_study: list, skip: type | tuple = ()) -> None:
+    """Raise the first exception in per_study that is not an instance of
+    skip, of study i, as a copy of it (same type and attributes) whose
+    message is prefixed "study i: ", whose study attribute is i, and whose
+    cause is the original.  The copy is made from the original's own args,
+    so any exception type that copy.copy can rebuild keeps its constructor's
+    signature."""
     for i, value in enumerate(per_study):
-        if isinstance(value, Exception):
+        if isinstance(value, Exception) and not isinstance(value, skip):
             error = copy.copy(value)
             error.args = (f"study {i}: {value}",)
             error.study = i
@@ -201,11 +197,13 @@ def _objectives(study_set: StudySet, scaled: list[tuple], rs: Sequence[float]) -
     direction can fall below double-precision resolution at large r (the log
     BF there is enormously negative).  Such r can never be the maximizer, so
     an ArithmeticError makes that r's objective -inf, for mmap_r to pass
-    over, and its per-study list keeps the exception; any other error
-    propagates, tagged with its study.
+    over, and its per-study list keeps the exception.  Any other error
+    propagates, tagged with its study, even where an ArithmeticError of an
+    earlier study comes first, so the result does not depend on study order.
     """
     out = []
     for r, per_study in zip(rs, _log_bf_rows(scaled, rs)):
+        _raise_first_error(per_study, ArithmeticError)
         try:
             _raise_first_error(per_study)
             out.append((sum(per_study) + study_set.jeffreys_log_prior(r), per_study))
@@ -287,8 +285,7 @@ class EffectGrid:
         if len(self.omegas) == 0:
             raise ValueError("effect grid must be non-empty")
         for omega in self.omegas:
-            if not 0.0 < omega < math.inf:
-                raise ValueError(f"omega must be finite and > 0, got {omega}")
+            _check_omega(omega)
         if any(b <= a for a, b in zip(self.omegas, self.omegas[1:])):
             raise ValueError("effect grid must be strictly increasing")
 

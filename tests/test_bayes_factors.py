@@ -58,6 +58,38 @@ class TestTestStatistic:
         with pytest.raises(ValueError):
             TestStatistic(StatFamily.T, 1.0, Sidedness.ONE_SIDED, nu=5.0, k=1.0)
 
+    @pytest.mark.parametrize(
+        "form, value, nu, k, m",
+        [
+            ("t_one", 1.0, 0.0, None, None),
+            ("t_two", 1.0, -2.0, None, None),
+            ("z_one", math.nan, None, None, None),
+            ("z_two", math.inf, None, None, None),
+            ("t_one", -math.inf, 10.0, None, None),
+            ("t_two", 1.0, math.nan, None, None),
+            ("t_one", 1.0, math.inf, None, None),
+            ("chisq", math.inf, None, 2.0, None),
+            ("chisq", 1.0, None, math.nan, None),
+            ("chisq", 1.0, None, 0.0, None),
+            ("chisq", -0.1, None, 2.0, None),
+            ("f", math.nan, None, 2.0, 10.0),
+            ("f", 1.0, None, math.inf, 10.0),
+            ("f", 1.0, None, 2.0, -math.inf),
+            ("f", 1.0, None, 2.0, 0.0),
+            ("f", -1.0, None, 2.0, 10.0),
+        ],
+    )
+    def test_each_value_has_one_check(self, form, value, nu, k, m):
+        # a statistic's values are checked by its closed form's study part
+        # alone, so the statistic and the scalar form give the same message
+        family, _, sided = form.partition("_")
+        with pytest.raises(ValueError) as built:
+            TestStatistic(StatFamily(family), value, Sidedness(sided) if sided else None, nu, k, m)
+        dfs = [x for x in (nu, k, m) if x is not None]
+        with pytest.raises(ValueError) as formed:
+            getattr(bf, f"log_bf10_{form}")(value, *dfs, 1.0, 1.0)
+        assert str(built.value) == str(formed.value)
+
 
 class TestNullStatisticValues:
     """Statistic at its null point: only the prefactor survives."""

@@ -1,4 +1,4 @@
-"""CLI tests: parsing, exit codes, determinism, config precedence, round trips.
+"""CLI tests: parsing, exit codes, determinism, options from flags only, round trips.
 
 main() takes argv and returns the exit code, so everything runs in-process.
 """
@@ -6,6 +6,7 @@ main() takes argv and returns the exit code, so everything runs in-process.
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -125,13 +126,13 @@ class TestParsing:
             ("q,one,1.0,,,,50,,,,one_sample_z", "unknown test 'q'"),
             ("z,one,1.0,,,,50,,,,three_sample_z", "unknown design 'three_sample_z'"),
             ("z,both,1.0,,,,50,,,,one_sample_z", "unknown sidedness 'both'"),
-            ("z,,1.0,,,,50,,,,one_sample_z", "z statistics require a sidedness"),
+            ("z,,1.0,,,,50,,,,one_sample_z", "z statistics require sided"),
             ("t,two,2.1,58,,,60,30,30,,two_sample_t", "two-sample designs take n1/n2, not n"),
             ("z,one,1.0,,,,50,25,25,,one_sample_z", "one_sample_z takes a single sample size n"),
             # stray cells go to TestStatistic, which rejects them
-            ("chisq,one,3.0,7,2,,50,,,,multinomial_chisq", "chisq statistics are inherently one-directional"),
-            ("z,one,1.5,,3,4,100,,,,one_sample_z", "k/m are not meaningful for z statistics"),
-            ("z,two,,7,3,,100,,,0.3,correlation_z", "k/m are not meaningful for z statistics"),
+            ("chisq,one,3.0,7,2,,50,,,,multinomial_chisq", "chisq statistics do not take sided"),
+            ("z,one,1.5,,3,4,100,,,,one_sample_z", "z statistics do not take k"),
+            ("z,two,,7,3,,100,,,0.3,correlation_z", "z statistics do not take nu"),
             ("z,one,1.5,,,,50,,,,multinomial_chisq", "multinomial_chisq requires numerator df k > 0"),
             # integer cells that are not finite are parse errors, not numeric ones
             ("z,one,1.0,,,,inf,,,,one_sample_z", "field 'n' must be an integer, got inf"),
@@ -164,6 +165,27 @@ class TestParsing:
         code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
         assert code == 2
         assert f"row 2: {message}" in err
+
+    def test_repeated_column_rejected(self, tmp_path, capsys):
+        # the last "stat" cell (z = 9) must not silently win
+        f = tmp_path / "s.csv"
+        f.write_text("test,sided,stat,n,design,stat\nz,one,1.5,100,one_sample_z,9\n")
+        code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1", "--r", "1")
+        assert code == 2
+        assert "row 1: column 'stat' repeated" in err
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_byte_order_mark_read(self, tmp_path, capsys, suffix):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        f = tmp_path / f"s{suffix}"
+        text = (DATA / "fig1.csv").read_text() if suffix == ".csv" else json.dumps([_JSON_ROW])
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code_b, out_b, err = run(capsys, "point", "--file", str(f), "--omega", "0.11", "--r", "1")
+        code, out, _ = run(
+            capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.11", "--r", "1"
+        )
+        assert (code_b, err) == (0, "")
+        assert out_b == out
 
     def test_mixed_families_rejected(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
@@ -284,6 +306,19 @@ class TestCurve:
         assert code == 2
         assert "levels must be finite" in err
 
+    def test_levels_help_example_runs(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["curve", "--help"])
+        example = re.search(r"e\.g\. (--levels=\S+)", capsys.readouterr().out).group(1)
+        code, out, _ = run(
+            capsys,
+            "curve", "--file", str(DATA / "fig1.csv"), "--r", "1", "--omega-step", "0.1",
+            example, "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        levels = [l.split(":")[0] for l in out.splitlines() if l.startswith("# crossing")]
+        assert levels == [f"# crossing level={v}" for v in ("-1", "-3", "-5")]
+
     def test_round_trip_summary(self, tmp_path, capsys):
         out_file = tmp_path / "curve.csv"
         code, _, _ = run(
@@ -363,31 +398,3 @@ class TestPublicApi:
         # the quadrature oracle lives with the tests, not in the package
         assert not hasattr(bffkit, "marginal_bf_quadrature")
 
-
-class TestConfig:
-    def test_env_config_defaults_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega_min": 0.1, "omega_max": 0.2, "omega_step": 0.1}))
-        monkeypatch.setenv("BFFKIT_CONFIG", str(cfg))
-        out_file = tmp_path / "c.csv"
-        code, _, _ = run(
-            capsys, "curve", "--file", str(DATA / "fig1.csv"), "--r", "1",
-            "--out", str(out_file),
-        )
-        assert code == 0
-        rows, _ = parse_curve_file(str(out_file))
-        assert [r[0] for r in rows] == pytest.approx([0.1, 0.2])
-        # explicit flag beats the config
-        code, _, _ = run(
-            capsys, "curve", "--file", str(DATA / "fig1.csv"), "--r", "1",
-            "--omega-max", "0.1", "--out", str(out_file),
-        )
-        rows, _ = parse_curve_file(str(out_file))
-        assert [r[0] for r in rows] == pytest.approx([0.1])
-
-    def test_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        monkeypatch.setenv("BFFKIT_CONFIG", str(cfg))
-        code, _, err = run(capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.1")
-        assert code == 2

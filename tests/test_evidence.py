@@ -114,7 +114,7 @@ class TestCombination:
 
     def test_per_study_errors_tagged(self):
         s = StudySet.build([z_study(1.0, 50), z_study(2.0, 60)])
-        with pytest.raises(ValueError, match="omega must be > 0"):
+        with pytest.raises(ValueError, match="omega must be finite and > 0"):
             per_study_log_bf(s, 0.0, 1.0)
 
     def test_point_invariant(self):
@@ -422,6 +422,19 @@ class TestBatchedObjective:
         cause = info.value.__cause__
         assert info.value.study == 1
         assert type(cause) is NonConvergenceError and str(info.value) == f"study 1: {cause}"
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_arithmetic_error_hides_no_other_error(self, monkeypatch, order):
+        # at omega 0.5 and r = 1 the z = -8 bracket cancels, and the z = 6000
+        # series needs more than one block: the non-convergence is raised,
+        # whichever study comes first
+        monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
+        pairs = [z_study(-8.0, 100), z_study(6000.0, 2000, Sidedness.TWO_SIDED)]
+        alone = StudySet.build(pairs[:1])
+        assert _objectives(alone, _at_omega(alone, 0.5), (1.0,))[0][0] == float("-inf")
+        studies = StudySet.build([pairs[i] for i in order])
+        with pytest.raises(NonConvergenceError, match=f"^study {order.index(1)}: series"):
+            _objectives(studies, _at_omega(studies, 0.5), (1.0,))
 
     def test_error_of_any_signature_tagged(self):
         # the tagged error is a copy of the original, not a rebuild from its
