@@ -21,7 +21,6 @@ from .bayes_factors import (
 from .effect_map import (
     DesignKind,
     DesignTag,
-    EffectSize,
     effective_n,
     fisher_z,
     rmses,

@@ -111,11 +111,15 @@ class TestStatistic:
     _part: "_StudyPart" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.family, StatFamily):
+            raise ValueError(f"family must be a StatFamily, got {self.family!r}")
         takes = _TAKES[self.family]
         for name in ("sided", "nu", "k", "m"):
             if (getattr(self, name) is None) == (name in takes):
                 need = "require" if name in takes else "do not take"
                 raise ValueError(f"{self.family.value} statistics {need} {name}")
+        if "sided" in takes and not isinstance(self.sided, Sidedness):
+            raise ValueError(f"sided must be a Sidedness, got {self.sided!r}")
         object.__setattr__(self, "_part", _study_part(self))
 
 
@@ -170,7 +174,10 @@ def _item(part: _StudyPart, tau_sq: float, r: float, log_ratio_r: float, series)
 def _assemble(log_prefactor, log_first, log_second, log_coef, sign) -> float:
     """log BF10 from the log values of an item's series.  A one-sided form
     combines its two terms with a signed log-sum-exp, since the odd term
-    carries the sign of the statistic; the bracket must be positive."""
+    carries the sign of the statistic.  Where the statistic opposes the
+    prior's direction the two terms nearly cancel, and at large |statistic|
+    or r the difference falls below double precision: the bracket then
+    comes out not positive, and an ArithmeticError says so."""
     if log_second is None:
         return log_prefactor + log_first
     log_second += log_coef
@@ -178,8 +185,8 @@ def _assemble(log_prefactor, log_first, log_second, log_coef, sign) -> float:
     v = math.exp(log_first - m) + sign * math.exp(log_second - m)
     if not v > 0.0:
         raise ArithmeticError(
-            "hypergeometric bracket not positive; this cannot happen for a "
-            "valid Bayes factor and indicates an internal error"
+            "hypergeometric bracket not positive: its one-sided terms cancelled "
+            "below double precision for a statistic that opposes the prior"
         )
     return log_prefactor + (m + math.log(v))
 

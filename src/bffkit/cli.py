@@ -1,24 +1,24 @@
 """Command-line front end: ingest study tables and evaluate BFF curves and
 points.
 
-Input is a CSV file whose header row names each of its columns once, out of
+Input is a CSV file, whatever its extension, whose header row names each of
+its columns once, out of
     test,sided,stat,nu,k,m,n,n1,n2,rho,design
-(empty cells for absent fields), or a JSON list of row objects with the same
-field names when the file ends in .json.  Both are read as UTF-8, with or
-without a byte-order mark.  Correlation studies are entered as (rho, n)
-pairs; the Fisher transform happens at ingestion.  Options come from the
-command line only; there is no configuration file.
+(empty cells for absent fields), read as UTF-8 with or without a byte-order
+mark.  Correlation studies are entered as (rho, n) pairs; the Fisher
+transform happens at ingestion.  Options come from the command line only;
+there is no configuration file.  r is MMAP's unless --r fixes it; --r-max
+bounds the MMAP search and cannot be given with --r.
 
 Exit codes: 0 success, 2 usage/parse error (bad options, a bad table or row,
-an input out of its domain), 3 numeric failure (non-convergence, an
-impossible bracket).
+an input out of its domain), 3 numeric failure (non-convergence, a one-sided
+bracket that cancelled below double precision).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -39,13 +39,8 @@ from .evidence import (
 )
 
 DEFAULT_LEVELS = (-1.0, -3.0, -5.0)
-DEFAULT_R_MAX = 200.0
 
 _CSV_FIELDS = ("test", "sided", "stat", "nu", "k", "m", "n", "n1", "n2", "rho", "design")
-
-
-class ParseError(ValueError):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -54,13 +49,13 @@ def _fmt(x: float) -> str:
 
 
 def _opt_float(row: dict, key: str, row_no: int) -> float | None:
-    raw = row.get(key)
-    if raw is None or str(raw).strip() == "":
+    raw = row.get(key, "")
+    if not raw.strip():
         return None
     try:
         return float(raw)
     except ValueError:
-        raise ParseError(f"row {row_no}: field '{key}' is not a number: {raw!r}")
+        raise ValueError(f"row {row_no}: field '{key}' is not a number: {raw!r}")
 
 
 def _opt_int(row: dict, key: str, row_no: int) -> int | None:
@@ -68,12 +63,12 @@ def _opt_int(row: dict, key: str, row_no: int) -> int | None:
     if val is None:
         return None
     if not val.is_integer():  # inf and NaN too
-        raise ParseError(f"row {row_no}: field '{key}' must be an integer, got {val}")
+        raise ValueError(f"row {row_no}: field '{key}' must be an integer, got {val}")
     return int(val)
 
 
 def _cell(row: dict, key: str) -> str:
-    return str(row.get(key) or "").strip().lower()
+    return row.get(key, "").strip().lower()
 
 
 def _lookup(enum, row: dict, key: str, what: str, row_no: int):
@@ -81,22 +76,15 @@ def _lookup(enum, row: dict, key: str, what: str, row_no: int):
     try:
         return enum(_cell(row, key))
     except ValueError:
-        raise ParseError(f"row {row_no}: unknown {what} {row.get(key)!r}")
+        raise ValueError(f"row {row_no}: unknown {what} {row.get(key)!r}")
 
 
-def _study_from_row(row, row_no: int) -> Study:
-    """The study of one table row: a dict of cells, each a string, a number
-    or None (empty), keyed by the CSV header's field names."""
-    if not isinstance(row, dict):
-        raise ParseError(f"row {row_no}: expected an object of fields, got {row!r}")
+def _study_from_row(row: dict[str, str], row_no: int) -> Study:
+    """The study of one table row: its cells keyed by the CSV header's field
+    names."""
     unknown = sorted(set(row) - set(_CSV_FIELDS))
     if unknown:
-        raise ParseError(f"row {row_no}: unknown fields {unknown}")
-    for key, value in row.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
-            raise ParseError(
-                f"row {row_no}: field '{key}' must be a number or a string, got {value!r}"
-            )
+        raise ValueError(f"row {row_no}: unknown fields {unknown}")
     family = _lookup(StatFamily, row, "test", "test", row_no)
     tag = _lookup(DesignTag, row, "design", "design", row_no)
 
@@ -106,17 +94,17 @@ def _study_from_row(row, row_no: int) -> Study:
     try:
         design = DesignKind(tag, n=n, n1=n1, n2=n2)
     except ValueError as exc:
-        raise ParseError(f"row {row_no}: {exc}")
+        raise ValueError(f"row {row_no}: {exc}")
 
     sided = _lookup(Sidedness, row, "sided", "sidedness", row_no) if _cell(row, "sided") else None
 
     stat = _opt_float(row, "stat", row_no)
     rho = _opt_float(row, "rho", row_no)
     if (stat is None) == (rho is None):
-        raise ParseError(f"row {row_no}: exactly one of 'stat' or 'rho' is required")
+        raise ValueError(f"row {row_no}: exactly one of 'stat' or 'rho' is required")
     fields = {key: _opt_float(row, key, row_no) for key in ("nu", "k", "m")}
     if rho is not None and (family is not StatFamily.Z or tag is not DesignTag.CORRELATION_Z):
-        raise ParseError(f"row {row_no}: rho entry requires test=z, design=correlation_z")
+        raise ValueError(f"row {row_no}: rho entry requires test=z, design=correlation_z")
 
     try:
         if rho is None:
@@ -127,42 +115,27 @@ def _study_from_row(row, row_no: int) -> Study:
             statistic = TestStatistic(z.family, z.value, z.sided, **fields)
         return Study(statistic, design)
     except ValueError as exc:
-        raise ParseError(f"row {row_no}: {exc}")
+        raise ValueError(f"row {row_no}: {exc}")
 
 
 def load_studies(path: str) -> StudySet:
-    """Read a study table (CSV, or JSON when the extension is .json)."""
-    if path.endswith(".json"):
-        with open(path, encoding="utf-8-sig") as fh:
-            try:
-                rows = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {path}: {exc}")
-        if not isinstance(rows, list):
-            raise ParseError(f"{path}: expected a JSON list of row objects")
-        studies = [_study_from_row(row, i + 1) for i, row in enumerate(rows)]
-    else:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            lines = [cells for cells in csv.reader(fh) if cells]  # blank lines skipped
-        if not lines:
-            raise ParseError(f"{path}: empty file")
-        header = lines[0]
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise ParseError(f"row 1: column {name!r} repeated")
-        studies = []
-        for row_no, cells in enumerate(lines[1:], start=2):  # header is row 1
-            if len(cells) != len(header):
-                raise ParseError(
-                    f"row {row_no}: {len(cells)} cells, the header has {len(header)}"
-                )
-            studies.append(_study_from_row(dict(zip(header, cells)), row_no))
+    """Read a study table (CSV)."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        lines = [cells for cells in csv.reader(fh) if cells]  # blank lines skipped
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"row 1: column {name!r} repeated")
+    studies = []
+    for row_no, cells in enumerate(lines[1:], start=2):  # header is row 1
+        if len(cells) != len(header):
+            raise ValueError(f"row {row_no}: {len(cells)} cells, the header has {len(header)}")
+        studies.append(_study_from_row(dict(zip(header, cells)), row_no))
     if not studies:
-        raise ParseError(f"{path}: no study rows")
-    try:
-        return StudySet(tuple(studies), label=os.path.basename(path))
-    except ValueError as exc:
-        raise ParseError(str(exc))
+        raise ValueError(f"{path}: no study rows")
+    return StudySet(tuple(studies), label=os.path.basename(path))
 
 
 def _policy_from_args(args) -> "FixedR | MmapR":
@@ -225,7 +198,7 @@ def cmd_curve(args) -> int:
     levels = tuple(args.levels)
     for level in levels:
         if not math.isfinite(level):
-            raise ParseError(f"levels must be finite, got {level}")
+            raise ValueError(f"levels must be finite, got {level}")
     policy = _policy_from_args(args)
     curve = bff_curve(studies, grid, policy)
     k = studies.studies[0].stat.k  # None for z/t sets, shared by chi-square/F sets
@@ -263,12 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_policy(p):
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--r", type=float, default=None, help="fixed prior shape r >= 1")
         group.add_argument(
-            "--mmap", action="store_true", help="maximize r by MMAP (default)"
+            "--r", type=float, default=None, help="fixed prior shape r >= 1 (MMAP's r when absent)"
         )
-        p.add_argument(
-            "--r-max", type=float, default=DEFAULT_R_MAX, help="upper bound of the MMAP search on r"
+        group.add_argument(
+            "--r-max", type=float, default=MmapR.r_max, help="upper bound of the MMAP search on r"
         )
 
     p_point = sub.add_parser("point", help="combined log BF at one effect size")
@@ -301,11 +273,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # ParseError and precondition violations are usage errors
+        # bad tables and rows, and inputs out of their domain, are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:
-        # non-convergence, impossible brackets
+        # non-convergence, one-sided brackets cancelled below double precision
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,7 +19,6 @@ from .priors import _check_shape
 __all__ = [
     "DesignTag",
     "DesignKind",
-    "EffectSize",
     "tau_sq_for",
     "effective_n",
     "fisher_z",
@@ -78,19 +77,6 @@ class DesignKind:
                 raise ValueError("correlation designs require n > 3")
 
 
-@dataclass(frozen=True)
-class EffectSize:
-    """A standardized effect omega, or its root-mean-square analogue for
-    vector effects (is_rmses=True)."""
-
-    omega: float
-    is_rmses: bool = False
-
-    def __post_init__(self):
-        if not math.isfinite(self.omega) or self.omega < 0.0:
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-
-
 def effective_n(design: DesignKind) -> float:
     """Sample size entering the non-centrality map: n, n1 n2/(n1+n2), or n-3."""
     if design.tag in _TWO_SAMPLE:
@@ -98,12 +84,6 @@ def effective_n(design: DesignKind) -> float:
     if design.tag is DesignTag.CORRELATION_Z:
         return design.n - 3.0
     return float(design.n)
-
-
-def _as_omega(omega: "EffectSize | float") -> EffectSize:
-    if isinstance(omega, EffectSize):
-        return omega
-    return EffectSize(float(omega))
 
 
 def _tau_sq_parts(design: DesignKind, k: float | None) -> tuple[float, float, float, float]:
@@ -126,24 +106,19 @@ def _tau_sq_parts(design: DesignKind, k: float | None) -> tuple[float, float, fl
     return effective_n(design), 2.0, 0.0, 0.0
 
 
-def tau_sq_for(
-    design: DesignKind,
-    omega: "EffectSize | float",
-    r: float,
-    k: float | None = None,
-) -> float:
+def tau_sq_for(design: DesignKind, omega: float, r: float, k: float | None = None) -> float:
     """Prior scale tau^2 for the given design, effect size, and shape r.
 
-    k is required for the chi-square/F designs.  The linear-model F entry
-    uses denominator 4, the published rmses form of that entry; the other
-    vector designs use 2.
+    omega is the standardized effect of a z/t design and the RMSES (rmses)
+    of a chi-square/F design's vector effect.  k is required for the
+    chi-square/F designs.  The linear-model F entry uses denominator 4, the
+    published rmses form of that entry; the other vector designs use 2.
     """
     _check_shape(r)
-    eff = _as_omega(omega)
+    if not 0.0 <= omega < math.inf:
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
     c, d, s, u = _tau_sq_parts(design, k)
-    if eff.is_rmses and design.tag not in _VECTOR_EFFECT:
-        raise ValueError(f"{design.tag.value} takes a scalar effect, not an RMSES")
-    w = eff.omega
+    w = float(omega)
     return c * w * w / (d * (s + r - u))
 
 

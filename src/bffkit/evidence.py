@@ -213,6 +213,27 @@ def _objectives(study_set: StudySet, scaled: list[tuple], rs: Sequence[float]) -
 
 
 @dataclass(frozen=True)
+class FixedR:
+    """A prior shape r fixed for every grid point."""
+
+    r: float
+
+    def __post_init__(self):
+        _check_shape(self.r)
+
+
+@dataclass(frozen=True)
+class MmapR:
+    """MMAP's r at every grid point, searched over [1, r_max].  Its r_max
+    default is the one in the package: mmap_r and the CLI read it here."""
+
+    r_max: float = 200.0
+
+    def __post_init__(self):
+        _check_shape(self.r_max, "r_max")
+
+
+@dataclass(frozen=True)
 class MmapResult:
     """The MMAP maximizer r_star, its objective, and the per-study log BF10
     values at r_star that the objective sums."""
@@ -223,7 +244,7 @@ class MmapResult:
     per_study_log_bf: tuple[float, ...]
 
 
-def mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) -> MmapResult:
+def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> MmapResult:
     """Maximize combined_log_bf(set, omega, r) + log Jeffreys prior over
     r in [1, r_max].
 
@@ -304,22 +325,6 @@ class EffectGrid:
 
 
 @dataclass(frozen=True)
-class FixedR:
-    r: float
-
-    def __post_init__(self):
-        _check_shape(self.r)
-
-
-@dataclass(frozen=True)
-class MmapR:
-    r_max: float = 200.0
-
-    def __post_init__(self):
-        _check_shape(self.r_max, "r_max")
-
-
-@dataclass(frozen=True)
 class BffPoint:
     """One BFF evaluation.
 
@@ -382,19 +387,16 @@ def bff_curve(
     return BffCurve(tuple(points), study_set.label)
 
 
-def evidence_thresholds(
-    curve: BffCurve, levels: Sequence[float], *, on_objective: bool = True
-) -> dict[float, float | None]:
-    """For each level, the smallest omega beyond which the curve stays below
-    it, linearly interpolated between grid points.
+def evidence_thresholds(curve: BffCurve, levels: Sequence[float]) -> dict[float, float | None]:
+    """For each level, the smallest omega beyond which the curve's objective
+    stays below it, linearly interpolated between grid points.
 
-    Crossings are located on the objective curve by default (identical to the
-    plain log-BF curve under a fixed-r policy); pass on_objective=False to
-    cross the plain curve.  A level the curve never crosses downward (never
-    above it, or still above it at the end of the grid) maps to None.
+    The objective is log BF10 plus the log Jeffreys prior at r_star under
+    MMAP, and log BF10 itself under a fixed r, as `bffkit curve` reports.  A
+    level the objective never crosses downward (never above it, or still
+    above it at the end of the grid) maps to None.
     """
-    values = curve.objective_array() if on_objective else curve.log_bf_array()
-    return dict(zip(levels, crossings(curve.omega_array(), values, levels)))
+    return dict(zip(levels, crossings(curve.omega_array(), curve.objective_array(), levels)))
 
 
 def crossings(

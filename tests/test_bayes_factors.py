@@ -58,6 +58,18 @@ class TestTestStatistic:
         with pytest.raises(ValueError):
             TestStatistic(StatFamily.T, 1.0, Sidedness.ONE_SIDED, nu=5.0, k=1.0)
 
+    @pytest.mark.parametrize("sided", ["one", "two", True, 1])
+    def test_sided_must_be_a_sidedness(self, sided):
+        # a string is not Sidedness.ONE_SIDED, so it would pass for two-sided
+        for family, nu in ((StatFamily.Z, None), (StatFamily.T, 20.0)):
+            with pytest.raises(ValueError, match=f"^sided must be a Sidedness, got {sided!r}$"):
+                TestStatistic(family, 1.5, sided, nu=nu)
+
+    @pytest.mark.parametrize("family", ["z", "chisq", None])
+    def test_family_must_be_a_stat_family(self, family):
+        with pytest.raises(ValueError, match=f"^family must be a StatFamily, got {family!r}$"):
+            TestStatistic(family, 1.5, Sidedness.ONE_SIDED)
+
     @pytest.mark.parametrize(
         "form, value, nu, k, m",
         [

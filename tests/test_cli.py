@@ -44,10 +44,6 @@ def parse_curve_file(path: str):
     return rows, meta
 
 
-# fig1.csv's one row as a JSON row object
-_JSON_ROW = {"test": "z", "sided": "one", "stat": 1.5, "n": 100, "design": "one_sample_z"}
-
-
 def write_rows(path: Path, rows: list[str]):
     header = "test,sided,stat,nu,k,m,n,n1,n2,rho,design"
     path.write_text("\n".join([header, *rows]) + "\n")
@@ -64,7 +60,7 @@ class TestPoint:
 
     def test_single_row_mmap_returns_r_one(self, capsys):
         code, out, _ = run(
-            capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.11", "--mmap"
+            capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.11"
         )
         assert code == 0
         r_line = next(l for l in out.splitlines() if l.startswith("r_star"))
@@ -149,22 +145,15 @@ class TestParsing:
         assert code == 2
         assert f"row 3: {message}" in err
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            (["z", "two", 1.5], "expected an object of fields, got ['z', 'two', 1.5]"),
-            ({**_JSON_ROW, "stat": [1.5]}, "field 'stat' must be a number or a string, got [1.5]"),
-            ({**_JSON_ROW, "n": True}, "field 'n' must be a number or a string, got True"),
-            ({**_JSON_ROW, "effect": 0.3}, "unknown fields ['effect']"),
-        ],
-        ids=["not_an_object", "list_cell", "bool_cell", "unknown_field"],
-    )
-    def test_rejected_json_row(self, tmp_path, capsys, row, message):
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_json_file_rejected(self, tmp_path, capsys, indent):
+        # tables are CSV whatever the file is called; JSON is a usage error
+        row = {"test": "z", "sided": "one", "stat": 1.5, "n": 100, "design": "one_sample_z"}
         f = tmp_path / "s.json"
-        f.write_text(json.dumps([_JSON_ROW, row]))
-        code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
-        assert code == 2
-        assert f"row 2: {message}" in err
+        f.write_text(json.dumps([row], indent=indent))
+        code, out, err = run(capsys, "point", "--file", str(f), "--omega", "0.1", "--r", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_repeated_column_rejected(self, tmp_path, capsys):
         # the last "stat" cell (z = 9) must not silently win
@@ -174,12 +163,11 @@ class TestParsing:
         assert code == 2
         assert "row 1: column 'stat' repeated" in err
 
-    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize("suffix", [".csv"])
     def test_byte_order_mark_read(self, tmp_path, capsys, suffix):
         # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
         f = tmp_path / f"s{suffix}"
-        text = (DATA / "fig1.csv").read_text() if suffix == ".csv" else json.dumps([_JSON_ROW])
-        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        f.write_bytes(b"\xef\xbb\xbf" + (DATA / "fig1.csv").read_bytes())
         code_b, out_b, err = run(capsys, "point", "--file", str(f), "--omega", "0.11", "--r", "1")
         code, out, _ = run(
             capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.11", "--r", "1"
@@ -199,17 +187,6 @@ class TestParsing:
         code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
         assert code == 2
         assert "mixed" in err
-
-    def test_json_input_equivalent(self, tmp_path, capsys):
-        rows = [_JSON_ROW]
-        jf = tmp_path / "s.json"
-        jf.write_text(json.dumps(rows))
-        code_j, out_j, _ = run(capsys, "point", "--file", str(jf), "--omega", "0.11", "--r", "1")
-        code_c, out_c, _ = run(
-            capsys, "point", "--file", str(DATA / "fig1.csv"), "--omega", "0.11", "--r", "1"
-        )
-        assert code_j == code_c == 0
-        assert out_j == out_c
 
     def test_correlation_rho_mode(self, tmp_path, capsys):
         f = tmp_path / "corr.csv"
@@ -356,6 +333,36 @@ class TestRemovedValidate:
         assert "invalid choice" in err and "validate" in err
 
 
+class TestPolicyFlags:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("point", {"--help", "--file", "--omega", "--r", "--r-max"}),
+            (
+                "curve",
+                {"--help", "--file", "--omega-min", "--omega-max", "--omega-step", "--r",
+                 "--r-max", "--out", "--levels"},
+            ),
+        ],
+    )
+    def test_help_lists_the_flags_that_act(self, capsys, command, flags):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == flags
+        assert "[--r R | --r-max R_MAX]" in out  # MMAP's r unless --r fixes it
+
+    @pytest.mark.parametrize("command", ["point", "curve"])
+    def test_fixed_r_with_r_max_is_a_usage_error(self, tmp_path, capsys, command):
+        argv = [command, "--file", str(DATA / "fig1.csv"), "--r", "1", "--r-max", "5"]
+        argv += ["--omega", "0.1"] if command == "point" else ["--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestRMaxValidation:
     def test_infinite_r_max_is_one_usage_error(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -380,7 +387,7 @@ class TestBoundaryWarning:
             ],
         )
         code, out, _ = run(
-            capsys, "point", "--file", str(f), "--omega", "0.5", "--mmap", "--r-max", "1.2"
+            capsys, "point", "--file", str(f), "--omega", "0.5", "--r-max", "1.2"
         )
         assert code == 0
         assert "warning: r* at search boundary" in out

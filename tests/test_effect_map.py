@@ -10,7 +10,6 @@ from bffkit.bayes_factors import Sidedness, StatFamily
 from bffkit.effect_map import (
     DesignKind,
     DesignTag,
-    EffectSize,
     effective_n,
     fisher_z,
     rmses,
@@ -84,7 +83,7 @@ class TestTauSqFor:
     def test_multinomial(self):
         design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=164)
         expected = 164 * 1 * 0.121**2 / (2 * (0.5 + 18 - 1))
-        got = tau_sq_for(design, EffectSize(0.121, is_rmses=True), 18.0, k=1.0)
+        got = tau_sq_for(design, 0.121, 18.0, k=1.0)
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(164 * 0.014641 / 35.0, rel=1e-4)
 
@@ -102,7 +101,7 @@ class TestTauSqFor:
 
     def test_linear_model_denominator(self):
         design = DesignKind(DesignTag.LINEAR_MODEL_F, n=50)
-        eff = EffectSize(0.3, is_rmses=True)
+        eff = 0.3  # RMSES
         # k/2 + r - 1 = 1 here; published form has denominator 4
         as_printed = tau_sq_for(design, eff, 1.0, k=2.0)
         assert as_printed == pytest.approx(50 * 2 * 0.09 / 4.0, rel=1e-14)
@@ -110,7 +109,7 @@ class TestTauSqFor:
     def test_k_required_for_vector_designs(self):
         design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=50)
         with pytest.raises(ValueError):
-            tau_sq_for(design, EffectSize(0.2, is_rmses=True), 1.0)
+            tau_sq_for(design, 0.2, 1.0)
 
     def test_k_rejected_for_scalar_designs(self):
         design = DesignKind(DesignTag.ONE_SAMPLE_Z, n=50)
@@ -151,7 +150,7 @@ class TestModeConsistency:
         assert mode_consistency_check(design, 0.2, 4.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_chisq_f_designs(self):
-        eff = EffectSize(0.3, is_rmses=True)
+        eff = 0.3  # RMSES
         design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=50)
         for r in (1.0, 3.0, 18.0):
             m = mode_consistency_check(design, eff, r, k=2.0)
@@ -228,12 +227,10 @@ class TestRmses:
 
 class TestEffectSize:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EffectSize(-0.1)
-        with pytest.raises(ValueError):
-            EffectSize(math.inf)
-
-    def test_rmses_flag_rejected_for_scalar_design(self):
-        design = DesignKind(DesignTag.ONE_SAMPLE_Z, n=10)
-        with pytest.raises(ValueError):
-            tau_sq_for(design, EffectSize(0.2, is_rmses=True), 1.0)
+        # the effect size's one rule, applied by tau_sq_for
+        for design, k in ((DesignKind(DesignTag.ONE_SAMPLE_Z, n=10), None),
+                          (DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=10), 2.0)):
+            for omega in (-0.1, math.inf, math.nan):
+                with pytest.raises(ValueError, match="^omega must be finite and >= 0, got"):
+                    tau_sq_for(design, omega, 1.0, k)
+            assert tau_sq_for(design, 0.0, 1.0, k) == 0.0

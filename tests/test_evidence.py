@@ -349,10 +349,9 @@ class TestThresholds:
             BffPoint(0.2, 2.0, 0.5, (0.5,), -0.5),
         )
         curve = BffCurve(points)
+        # the objective (0.5 -> -0.5) crosses 0; log BF10 (1.0 -> 0.5) does not
         crossing_obj = evidence_thresholds(curve, [0.0])[0.0]
-        crossing_raw = evidence_thresholds(curve, [0.0], on_objective=False)[0.0]
         assert crossing_obj == pytest.approx(0.15)
-        assert crossing_raw is None  # raw curve never drops below 0
 
 
 class TestCorrelationIngestion:

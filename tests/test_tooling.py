@@ -3,16 +3,18 @@
 bench/tracing.py wraps functions at the bindings its callers use, so a
 binding that looks dead in the package (evidence.log_bf10,
 evidence.jeffreys_log_prior_nm) is still load-bearing, and a single log_bf10
-call must pass through the wrapped one-value bindings; and the benchmark's
-setup_s times `import bffkit.cli`, which must not pull in scipy.  The
-quadrature oracle and the prior densities it integrates are test support in
-tests/oracle.py; the package must not ship them again.
+call must pass through the wrapped one-value bindings; the benchmark's
+setup_s times `import bffkit.cli`, which must not pull in scipy; and the
+correlation_cli workload runs the CLI with bench/run.py's argv, which must
+still parse.  The quadrature oracle and the prior densities it integrates
+are test support in tests/oracle.py; the package must not ship them again.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,6 +50,20 @@ def test_tracer_sees_the_one_value_route(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["specfun.log_2f1.calls"] > 0
     assert metrics["bayes_factors.t_one.calls"] > 0
+
+
+def test_benchmark_cli_argv_parses_to_mmap(monkeypatch, tmp_path):
+    from bffkit import MmapR, cli
+
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # run.py sets both on import; restored after
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from run import Cli
+
+    table = SimpleNamespace(path=ROOT / "bench" / "data" / "correlation.csv")
+    args = cli._build_parser().parse_args(Cli.argv(table, tmp_path / "curve.csv"))
+    assert args.func is cli.cmd_curve
+    assert cli._policy_from_args(args) == MmapR()
 
 
 def test_cli_import_leaves_out_scipy_and_oracle():
