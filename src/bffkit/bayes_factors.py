@@ -27,10 +27,16 @@ the sign of the statistic.  Per form:
 A one-sided sign is that of the statistic.  A study part (_z_study,
 _t_study, _chisq_study, _f_study; _study_part of a TestStatistic) checks the
 statistic's values, the only place they are checked, and returns its row as
-a _StudyPart; _item computes the rest for one (tau_sq, r).  The one-value
-forms hand _item log_1f1/log_2f1 (_evaluate), log_bf10_batch hands it
-specfun's planners, so both routes give the same value bit for bit.  A
-TestStatistic builds its study part once, when it is built.
+a _StudyPart.  A TestStatistic builds its study part once, when it is built.
+
+The rest is computed by one of two routes, chosen by the shape of the call.
+A single value (log_bf10 and the six one-value forms, through _evaluate) is
+_item and _assemble on plain floats, calling log_1f1/log_2f1: the reference
+route, with the lowest overhead per call.  Many values at once
+(log_bf10_batch, over the columns of _study_columns, as evidence evaluates a
+study set over a pass of r) are the same steps on numpy columns, with every
+transcendental still a per-element math call, and one batched kernel pass
+per function; they equal the one-value route bit for bit, errors included.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -44,12 +50,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .priors import _check_shape
 from .specfun import (
+    NonConvergenceError,
     _log_series_sums,
+    _map,
     _nonconvergence,
     _plan_1f1,
     _plan_2f1,
+    _unclear,
     log_1f1,
     log_2f1,
     log_gamma_half_ratio,
@@ -142,25 +153,34 @@ class _StudyPart(NamedTuple):
     log_ratio: float
 
 
-def _item(part: _StudyPart, tau_sq: float, r: float, log_ratio_r: float, series):
+def _argument_error(x: float, s: float, tau_sq: float) -> ValueError:
+    return ValueError(
+        f"2F1 argument {x} is not below 1 at s={s}, tau_sq={tau_sq}: "
+        "the statistic is beyond double precision"
+    )
+
+
+_CANCELLED = (
+    "hypergeometric bracket not positive: its one-sided terms cancelled "
+    "below double precision for a statistic that opposes the prior"
+)
+
+
+def _item(part: _StudyPart, tau_sq: float, r: float, log_ratio_r: float):
     """The item part of a study part at a checked (tau_sq, r): None when
     tau_sq = 0 (log BF = 0 exactly), else (log prefactor, first, second,
-    log coefficient, sign), where first and second are what series returns
-    for the form's two series; second is None when there is no odd term.
-    series is log_2f1 or _plan_2f1 for a 2F1 form, else log_1f1 or
-    _plan_1f1, so the item part evaluates its series or plans them.
+    log coefficient, sign), where first and second are the log values of
+    the form's two series; second is None when there is no odd term.
     log_ratio_r = log_gamma_half_ratio(r + 1/2) enters only the odd-term
-    coefficient; a caller computes it once per r."""
+    coefficient."""
     c, extra, s, sign, log_ratio = part
     x = s * tau_sq / (1.0 + tau_sq)
     if extra and not x < 1.0:  # NaN too: an overflowing statistic gives s = inf / inf
-        raise ValueError(
-            f"2F1 argument {x} is not below 1 at s={s}, tau_sq={tau_sq}: "
-            "the statistic is beyond double precision"
-        )
+        raise _argument_error(x, s, tau_sq)
     if tau_sq == 0.0:
         return None
     a = c + r
+    series = log_2f1 if extra else log_1f1
     log_prefactor = -a * math.log1p(tau_sq)
     first = series(a, *extra, c, x)
     if not (sign and x > 0.0):
@@ -184,10 +204,7 @@ def _assemble(log_prefactor, log_first, log_second, log_coef, sign) -> float:
     m = log_second if log_second > log_first else log_first  # max(), without the call
     v = math.exp(log_first - m) + sign * math.exp(log_second - m)
     if not v > 0.0:
-        raise ArithmeticError(
-            "hypergeometric bracket not positive: its one-sided terms cancelled "
-            "below double precision for a statistic that opposes the prior"
-        )
+        raise ArithmeticError(_CANCELLED)
     return log_prefactor + (m + math.log(v))
 
 
@@ -195,7 +212,7 @@ def _evaluate(part: _StudyPart, tau_sq: float, r: float) -> float:
     """log BF10 of a study part at (tau_sq, r), one series value at a time."""
     _check_hyperparams(tau_sq, r)
     log_ratio_r = log_gamma_half_ratio(r + 0.5) if part.sign else 0.0
-    item = _item(part, tau_sq, r, log_ratio_r, log_2f1 if part.extra else log_1f1)
+    item = _item(part, tau_sq, r, log_ratio_r)
     return 0.0 if item is None else _assemble(*item)
 
 
@@ -320,49 +337,117 @@ def _study_part(stat: TestStatistic) -> _StudyPart:
     return _f_study(stat.value, stat.k, stat.m)
 
 
-def log_bf10_batch(items) -> list:
-    """log BF10 of every (part, tau_sq, r) in the sequence items, where part
-    is a study part (the _part of a TestStatistic): log_bf10(stat, tau_sq, r)
-    bit for bit.
+def _study_columns(parts) -> np.ndarray:
+    """The study parts of a sequence as the (5, len(parts)) array of the
+    columns c, b, s, sign and log_ratio, where b is extra's entry for a 2F1
+    form and NaN for a 1F1 form."""
+    rows = [(c, extra[0] if extra else math.nan, *rest) for c, extra, *rest in parts]
+    return np.array(rows, dtype=float).reshape(-1, 5).T
 
-    Each item plans its series in _item; log_gamma_half_ratio(r + 1/2) is
-    computed once for each run of consecutive items with the same r.  The
-    plans of all items are summed in one _log_series_sums pass per function
-    (made only when needed).  Where log_bf10 would raise for an item, its
-    entry in the returned list is the exception instead of a float.
+
+def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list:
+    """log BF10 of every item j, the study part parts[:, j] (the columns of
+    _study_columns) at (tau_sq[j], r[j]): log_bf10 bit for bit.  Where
+    log_bf10 would raise for an item, its entry in the returned list is the
+    exception, of the same type and message, instead of a float.
+
+    The items are evaluated as columns: every step of _item and _assemble
+    is a column operation, and every log, log1p and exp a math call per
+    element (specfun._map), so that each value rounds as log_bf10's does.
+    A check whose rule lives in the one-value route (the hyperparameters,
+    the planners' argument and term-cap checks) screens a superset of the
+    items in columns, and the rule itself decides the flagged ones.  The plan
+    rows go to one _log_series_sums pass per function, made only when
+    needed; a one-sided item's two rows share its log x, and
+    log_gamma_half_ratio(r + 1/2) is computed once per distinct r.
     """
-    out = [0.0] * len(items)  # log BF10 at tau_sq = 0; other entries are replaced
-    series = ([], [])  # the plans of the 1F1 pass and of the 2F1 pass
-    owners = ([], [])  # per pass: (index in out, item, position of the first series)
-    last_r = log_ratio_r = None
-    for slot, (part, tau_sq, r) in enumerate(items):
-        is_2f1 = bool(part.extra)
-        try:  # like log_bf10, stop at the first series that fails
-            _check_hyperparams(tau_sq, r)
-            if r != last_r:
-                last_r, log_ratio_r = r, log_gamma_half_ratio(r + 0.5)
-            item = _item(part, tau_sq, r, log_ratio_r, _plan_2f1 if is_2f1 else _plan_1f1)
-        except Exception as exc:
-            out[slot] = exc
+    c, b, s, sign, log_ratio = parts
+    n = len(s)
+    out = np.zeros(n)  # log BF10 at tau_sq = 0; other entries are replaced
+    errors = {}
+    failed = np.zeros(n, dtype=bool)
+
+    def fail(j, error):
+        if not failed[j]:  # an item keeps its first error, as log_bf10 raises it
+            errors[j] = error
+            failed[j] = True
+
+    valid = (tau_sq >= 0.0) & (tau_sq < math.inf) & (r >= 1.0) & (r < math.inf)
+    for j in (~valid).nonzero()[0].tolist():
+        try:
+            _check_hyperparams(float(tau_sq[j]), float(r[j]))
+        except ValueError as exc:
+            fail(j, exc)
+    # s tau_sq can pass the largest double; x of an item failed above is never read
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = s * tau_sq / (1.0 + tau_sq)
+    is_2f1 = b == b
+    for j in (is_2f1 & ~(x < 1.0)).nonzero()[0].tolist():  # NaN too, as in _item
+        fail(j, _argument_error(float(x[j]), float(s[j]), float(tau_sq[j])))
+    live = ~failed & (tau_sq > 0.0)
+    log_x = np.full(n, -math.inf)
+    positive = live & (x > 0.0)
+    log_x[positive] = _map(math.log, x[positive])
+    a = c + r
+    odd = positive & (sign != 0.0)
+    log_coef = np.zeros(n)
+    if odd.any():
+        rs, at = np.unique(r[odd], return_inverse=True)
+        log_ratio_r = np.array([log_gamma_half_ratio(v + 0.5) for v in rs.tolist()])
+        log_coef[odd] = _map(math.log, 2.0 * np.sqrt(x[odd])) + log_ratio[odd] + log_ratio_r[at]
+
+    for two in (False, True):
+        items = (live & (is_2f1 == two)).nonzero()[0]
+        if not len(items):
             continue
-        if item is not None:  # the item's series go to positions i and i + 1
-            plans = series[is_2f1]
-            owners[is_2f1].append((slot, item, len(plans)))
-            plans.append(item[1])
-            if item[2] is not None:
-                plans.append(item[2])
-    for plans, group in zip(series, owners):
-        if not plans:
-            continue
-        sums = _log_series_sums(plans)
-        for slot, (log_prefactor, _, second, log_coef, sign), i in group:
-            log_first = sums[i]
-            log_second = None if second is None else sums[i + 1]
-            if log_first != log_first or log_second != log_second:  # NaN: still running at TERM_CAP
-                out[slot] = _nonconvergence(plans[i if log_first != log_first else i + 1])
+        # the plan rows (log x, *num, c): an item's first series, then the
+        # second series (upper parameters + 1/2, c = 3/2) of the items with one
+        pairs = items[odd[items]]
+        owner = np.concatenate([items, pairs])
+        is_second = np.arange(len(owner)) >= len(items)
+        shift = 0.5 * is_second
+        den = np.where(is_second, 1.5, c[owner])
+        num = [a[owner] + shift]
+        if two:
+            other = b[owner] + shift
+            num = [np.minimum(num[0], other), np.maximum(num[0], other)]
+        rows = np.array([log_x[owner], *num, den]).T
+        # the term cap, decided by the planner where the bound may not clear
+        # it; an item's first row comes before its second, as in _item
+        planner = _plan_2f1 if two else _plan_1f1
+        for i in _unclear(num, den, x[owner]).nonzero()[0].tolist():
+            j = int(owner[i])
+            if not failed[j]:
+                try:
+                    planner(*rows[i, 1:].tolist(), float(x[j]))
+                except (ValueError, NonConvergenceError) as exc:
+                    fail(j, exc)
+        keep = ~failed[owner]
+        if not keep.all():
+            rows, owner, is_second = rows[keep], owner[keep], is_second[keep]
+            if not len(rows):
                 continue
-            try:
-                out[slot] = _assemble(log_prefactor, log_first, log_second, log_coef, sign)
-            except ArithmeticError as exc:
-                out[slot] = exc
-    return out
+        sums = _log_series_sums(rows)
+        for i in np.isnan(sums).nonzero()[0].tolist():  # still running at TERM_CAP
+            fail(int(owner[i]), _nonconvergence(tuple(rows[i].tolist())))
+        items, pairs = owner[~is_second], owner[is_second]
+        log_first = sums[: len(items)]
+        log_prefactor = -a[items] * _map(math.log1p, tau_sq[items])
+        out[items] = log_prefactor + log_first
+        if not len(pairs):
+            continue
+        # the signed bracket of _assemble, where a NaN sum gives v = NaN
+        with_odd = odd[items]
+        log_first = log_first[with_odd]
+        log_second = sums[len(items) :] + log_coef[pairs]
+        m = np.where(log_second > log_first, log_second, log_first)
+        v = _map(math.exp, log_first - m) + sign[pairs] * _map(math.exp, log_second - m)
+        summed = v > 0.0
+        for j in pairs[~summed].tolist():
+            fail(j, ArithmeticError(_CANCELLED))
+        log_bracket = m[summed] + _map(math.log, v[summed])
+        out[pairs[summed]] = log_prefactor[with_odd][summed] + log_bracket
+    values = out.tolist()
+    for j, error in errors.items():
+        values[j] = error
+    return values

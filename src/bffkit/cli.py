@@ -4,8 +4,9 @@ points.
 Input is a CSV file, whatever its extension, whose header row names each of
 its columns once, out of
     test,sided,stat,nu,k,m,n,n1,n2,rho,design
-(empty cells for absent fields), read as UTF-8 with or without a byte-order
-mark.  Correlation studies are entered as (rho, n) pairs; the Fisher
+and test and design among them (empty cells for absent fields), read as
+UTF-8 with or without a byte-order mark.  The header is checked once, as
+row 1.  Correlation studies are entered as (rho, n) pairs; the Fisher
 transform happens at ingestion.  Options come from the command line only;
 there is no configuration file.  r is MMAP's unless --r fixes it; --r-max
 bounds the MMAP search and cannot be given with --r.
@@ -81,10 +82,7 @@ def _lookup(enum, row: dict, key: str, what: str, row_no: int):
 
 def _study_from_row(row: dict[str, str], row_no: int) -> Study:
     """The study of one table row: its cells keyed by the CSV header's field
-    names."""
-    unknown = sorted(set(row) - set(_CSV_FIELDS))
-    if unknown:
-        raise ValueError(f"row {row_no}: unknown fields {unknown}")
+    names, checked by _check_header."""
     family = _lookup(StatFamily, row, "test", "test", row_no)
     tag = _lookup(DesignTag, row, "design", "design", row_no)
 
@@ -118,6 +116,23 @@ def _study_from_row(row: dict[str, str], row_no: int) -> Study:
         raise ValueError(f"row {row_no}: {exc}")
 
 
+def _check_header(header: list[str]) -> None:
+    """Reject a header row that is not a table's: a repeated or unknown
+    column name, or no test or design column, which every row needs."""
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"row 1: column {name!r} repeated")
+    unknown = [name for name in header if name not in _CSV_FIELDS]
+    if unknown:
+        raise ValueError(
+            f"row 1: unknown columns {unknown}; a table's header names columns "
+            f"out of {','.join(_CSV_FIELDS)}"
+        )
+    missing = [name for name in ("test", "design") if name not in header]
+    if missing:
+        raise ValueError(f"row 1: no {' or '.join(repr(m) for m in missing)} column")
+
+
 def load_studies(path: str) -> StudySet:
     """Read a study table (CSV)."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -125,9 +140,7 @@ def load_studies(path: str) -> StudySet:
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0]
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ValueError(f"row 1: column {name!r} repeated")
+    _check_header(header)
     studies = []
     for row_no, cells in enumerate(lines[1:], start=2):  # header is row 1
         if len(cells) != len(header):

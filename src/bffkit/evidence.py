@@ -21,7 +21,13 @@ from numpy.polynomial.chebyshev import chebder, chebroots, chebval
 
 # log_bf10 is not called here any more; it stays bound in this module
 # because bench/tracing.py wraps this module's bindings.
-from .bayes_factors import StatFamily, TestStatistic, log_bf10, log_bf10_batch  # noqa: F401
+from .bayes_factors import (  # noqa: F401
+    StatFamily,
+    TestStatistic,
+    _study_columns,
+    log_bf10,
+    log_bf10_batch,
+)
 from .effect_map import DesignKind, _tau_sq_parts, tau_sq_for
 from .priors import _check_shape, jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
@@ -52,6 +58,9 @@ _FIT[:, [0, -1]] *= 0.5
 _FIT[[0, -1], :] *= 0.5
 # an r* this close to r_max is flagged as pinned against it
 _AT_R_MAX = 2e-4
+# a fixed-r curve's omegas per column pass: enough to spread a pass's fixed
+# cost, few enough to keep its arrays as small as an MMAP node pass's
+_OMEGAS_PER_PASS = 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ class Study:
     prior scale (effect_map's _tau_sq_parts).  With the study part its
     statistic holds, that is everything of its log BF10 that does not depend
     on (omega, r), so an evaluation at (omega, r) computes only tau_sq and
-    bayes_factors._item."""
+    the item part (bayes_factors.log_bf10_batch)."""
 
     stat: TestStatistic
     design: DesignKind
@@ -82,11 +91,14 @@ class StudySet:
     All studies must map to the same prior family (normal-moment for z/t,
     gamma for chi-square/F) so a single Jeffreys prior on r applies; gamma
     sets must additionally share the numerator df k, since the Jeffreys prior
-    depends on it.
+    depends on it.  A built set holds, in a private field, its studies'
+    parts and prior-scale constants as columns, which every evaluation
+    (_at_omega) reads.
     """
 
     studies: tuple[Study, ...]
     label: str = ""
+    _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.studies) == 0:
@@ -104,6 +116,11 @@ class StudySet:
                     "chi-square/F study sets must share the numerator df k; "
                     f"got {sorted(ks)}"
                 )
+        # the study parts' columns, and the prior-scale constants (c, d, s, u)
+        # as the rows of one array
+        parts = _study_columns([s.stat._part for s in self.studies])
+        scales = np.array([s._scale for s in self.studies], dtype=float).T
+        object.__setattr__(self, "_columns", (parts, scales))
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[TestStatistic, DesignKind]], label: str = "") -> "StudySet":
@@ -128,52 +145,60 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega}")
 
 
-def _at_omega(study_set: StudySet, omega: float) -> list[tuple]:
-    """(study part, c w w, d, s, u) of every study at common effect omega,
-    from the study's _tau_sq_parts: c w w is the part of tau_sq that
-    depends on omega alone, formed once per omega."""
+def _at_omega(study_set: StudySet, omega: float) -> tuple:
+    """(study columns, c w w, d, s, u) of the study set at common effect
+    omega: its study parts' columns, and the columns of its studies'
+    _tau_sq_parts, of which c w w, the part of tau_sq that depends on omega
+    alone, is formed once per omega."""
     _check_omega(omega)
     w = float(omega)
-    scaled = []
-    for study in study_set.studies:
-        c, d, s, u = study._scale
-        scaled.append((study.stat._part, c * w * w, d, s, u))
-    return scaled
+    parts, (c, d, s, u) = study_set._columns
+    return parts, c * w * w, d, s, u
 
 
-def _log_bf_rows(scaled: list[tuple], rs: Sequence[float]) -> list[list]:
+def _log_bf_rows(scaled: tuple, rs: Sequence[float]) -> list[list]:
     """Per-study log BF10 at the effect of scaled (_at_omega) for every
     shape in rs, one list per r, with all (r, study) items evaluated by one
-    log_bf10_batch pass.  Where the evaluation of a study raises, its entry
-    is the exception instead of a float.
+    log_bf10_batch pass.  Where scaled holds c w w for several omegas, one
+    row each, and rs is one shape, the lists are one per omega instead.
+    Where the evaluation of a study raises, its entry is the exception
+    instead of a float.
 
-    Each study was compiled when built, so an item computes only its tau_sq
-    here and the rest in log_bf10_batch.  tau_sq is c w w / (d (s + r -
-    u)): tau_sq_for's operations in its order, so its value bit for bit.  An
-    r that is not finite and >= 1 raises tau_sq_for's error for the whole
-    call; it concerns no study."""
-    items = []
+    Each study was compiled when built, so the pass computes only the array
+    of tau_sq here and the rest in log_bf10_batch.  tau_sq is c w w / (d (s
+    + r - u)): tau_sq_for's operations in its order, so its value bit for
+    bit.  An r that is not finite and >= 1 raises tau_sq_for's error for the
+    whole call; it concerns no study."""
+    parts, cww, d, s, u = scaled
     for r in rs:
         _check_shape(r)
-        items += [(part, cww / (d * (s + r - u)), r) for part, cww, d, s, u in scaled]
-    values = log_bf10_batch(items)
-    n = len(scaled)
+    r = np.array(rs, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
+        tau_sq = cww / (d * (s + r - u))
+    rows, n = tau_sq.shape
+    r = np.broadcast_to(r, tau_sq.shape).ravel()
+    values = log_bf10_batch(np.tile(parts, rows), tau_sq.ravel(), r)
     return [values[i : i + n] for i in range(0, len(values), n)]
 
 
-def _raise_first_error(per_study: list, skip: type | tuple = ()) -> None:
+def _raise_first_error(per_study: list, skip: type | tuple = ()) -> bool:
     """Raise the first exception in per_study that is not an instance of
     skip, of study i, as a copy of it (same type and attributes) whose
     message is prefixed "study i: ", whose study attribute is i, and whose
     cause is the original.  The copy is made from the original's own args,
     so any exception type that copy.copy can rebuild keeps its constructor's
-    signature."""
+    signature.  Returns whether per_study holds an exception of skip."""
+    skipped = False
     for i, value in enumerate(per_study):
-        if isinstance(value, Exception) and not isinstance(value, skip):
+        if isinstance(value, Exception):
+            if isinstance(value, skip):
+                skipped = True
+                continue
             error = copy.copy(value)
             error.args = (f"study {i}: {value}",)
             error.study = i
             raise error from value
+    return skipped
 
 
 def per_study_log_bf(study_set: StudySet, omega: float, r: float) -> list[float]:
@@ -188,7 +213,7 @@ def combined_log_bf(study_set: StudySet, omega: float, r: float) -> float:
     return sum(per_study_log_bf(study_set, omega, r))
 
 
-def _objectives(study_set: StudySet, scaled: list[tuple], rs: Sequence[float]) -> list[tuple]:
+def _objectives(study_set: StudySet, scaled: tuple, rs: Sequence[float]) -> list[tuple]:
     """(objective, per-study values) at each r in rs and the effect of
     scaled (_at_omega), where the MMAP objective is combined_log_bf + log
     Jeffreys prior, all through one _log_bf_rows pass.
@@ -203,12 +228,10 @@ def _objectives(study_set: StudySet, scaled: list[tuple], rs: Sequence[float]) -
     """
     out = []
     for r, per_study in zip(rs, _log_bf_rows(scaled, rs)):
-        _raise_first_error(per_study, ArithmeticError)
-        try:
-            _raise_first_error(per_study)
-            out.append((sum(per_study) + study_set.jeffreys_log_prior(r), per_study))
-        except ArithmeticError:
+        if _raise_first_error(per_study, ArithmeticError):
             out.append((float("-inf"), per_study))
+        else:
+            out.append((sum(per_study) + study_set.jeffreys_log_prior(r), per_study))
     return out
 
 
@@ -263,7 +286,8 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
     cancels makes a node -inf (see _objectives); the result is then the best
     finite node, and the objective is unresolvable when no node is finite.
 
-    Each pass is one vectorised kernel call, bit for bit combined_log_bf.
+    Each pass is one column pass of _log_bf_rows over all its (r, study)
+    items, bit for bit combined_log_bf.
     """
     _check_shape(r_max, "r_max")
     scaled = _at_omega(study_set, omega)
@@ -368,21 +392,28 @@ def bff_curve(
 ) -> BffCurve:
     """Evaluate the BFF over the grid under a fixed r or per-point MMAP r."""
     points = []
+    if isinstance(r_policy, FixedR):
+        # per_study_log_bf at each omega, _OMEGAS_PER_PASS omegas per pass
+        parts, (c, d, s, u) = study_set._columns
+        for lo in range(0, len(grid.omegas), _OMEGAS_PER_PASS):
+            omegas = grid.omegas[lo : lo + _OMEGAS_PER_PASS]
+            w = np.array(omegas, dtype=float)[:, None]
+            rows = _log_bf_rows((parts, c * w * w, d, s, u), (r_policy.r,))
+            for omega, per_study in zip(omegas, rows):
+                _raise_first_error(per_study)
+                total = sum(per_study)
+                points.append(BffPoint(omega, r_policy.r, total, tuple(per_study), objective=total))
+        return BffCurve(tuple(points), study_set.label)
     for omega in grid.omegas:
-        if isinstance(r_policy, FixedR):
-            per_study = tuple(per_study_log_bf(study_set, omega, r_policy.r))
-            total = sum(per_study)
-            point = BffPoint(omega, r_policy.r, total, per_study, objective=total)
-        else:
-            res = mmap_r(study_set, omega, r_policy.r_max)
-            point = BffPoint(
-                omega,
-                res.r_star,
-                sum(res.per_study_log_bf),
-                res.per_study_log_bf,
-                objective=res.objective,
-                at_r_boundary=res.at_boundary,
-            )
+        res = mmap_r(study_set, omega, r_policy.r_max)
+        point = BffPoint(
+            omega,
+            res.r_star,
+            sum(res.per_study_log_bf),
+            res.per_study_log_bf,
+            objective=res.objective,
+            at_r_boundary=res.at_boundary,
+        )
         points.append(point)
     return BffCurve(tuple(points), study_set.label)
 

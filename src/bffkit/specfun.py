@@ -13,14 +13,16 @@ the plan, the row (log x, *num, c) of the series sum t_i with t_0 = 1 and
 t_{i+1}/t_i = x prod(num + i) / ((c + i)(1 + i)); one body, _plan, builds
 every row and rejects a series that cannot stop within TERM_CAP terms.  A
 block kernel then sums the plan: _log_series_sum one plan, as log_1f1 and
-log_2f1 do, or _log_series_sums many plans of one length at once, as
+log_2f1 do, or _log_series_sums an array of plans of one length at once, as
 bayes_factors.log_bf10_batch does (the blocked log-sum-exp of Pearson, Olver
-& Porter, arXiv:1407.7786, run over a batch axis).  The batched kernel
-stacks its plans, as given, into chunks of rows, and each block advances
-every live row of a chunk together; both kernels take a block's log term
-ratios from _log_ratios.  Each row comes out bit for bit equal to the
-one-plan kernel, which is cheaper for a single value because its per-call
-overhead is lower.
+& Porter, arXiv:1407.7786, run over a batch axis).  A caller that builds its
+plan rows as columns screens them with _unclear, which tests _plan's
+one-ratio bound on every row at once, and plans only the rows it flags one
+by one.  The batched kernel takes its rows in chunks, and each block
+advances every live row of a chunk together; both kernels take a block's
+log term ratios from _log_ratios.  Each row comes out bit for bit equal to
+the one-plan kernel, which is cheaper for a single value because its
+per-call overhead is lower.
 """
 
 from __future__ import annotations
@@ -196,6 +198,16 @@ def _check_cap(plan: tuple) -> None:
         raise _nonconvergence(plan)
 
 
+def _ratio_bound(num, c, x):
+    """_plan's one-ratio bound of the series (num, c, x), of floats or of
+    columns (num one or two entries)."""
+    h = 0.5 * TERM_CAP
+    bound = x * (num[0] + c + h)
+    if len(num) == 2:  # not a loop over num[1:], which costs a third of a plan
+        bound = bound * (num[1] + 1.0 + h)
+    return bound / ((c + h) * (1.0 + h))
+
+
 def _plan(num: tuple, c: float, x: float) -> tuple:
     """The plan (log x, *num, c) of a series (see the module docstring) with
     checked arguments: x >= 0, and num (one or two entries) and c positive.
@@ -203,23 +215,32 @@ def _plan(num: tuple, c: float, x: float) -> tuple:
     kernel sums the plan to 0.0 in one block.
 
     Raises NonConvergenceError when the series cannot stop within TERM_CAP
-    terms.  A one-ratio bound clears nearly every plan: for i >= h =
-    TERM_CAP / 2 (TERM_CAP is even), (a+i)/(c+i) = 1 + (a-c)/(c+i) is at
-    most (a+c+h)/(c+h) for the first a of num, (b+i)/(1+i) at most
+    terms.  A one-ratio bound (_ratio_bound) clears nearly every plan: for
+    i >= h = TERM_CAP / 2 (TERM_CAP is even), (a+i)/(c+i) = 1 + (a-c)/(c+i)
+    is at most (a+c+h)/(c+h) for the first a of num, (b+i)/(1+i) at most
     (b+1+h)/(1+h) for a second b, and 1/(1+i) at most 1/(1+h) without one,
     so the terms fall over the last h of the cap at least by the h-th power
     of x times these bounds.  A plan it does not clear goes through
     _check_cap's exact test.
     """
     plan = (math.log(x) if x > 0.0 else -math.inf, *num, c)
-    h = 0.5 * TERM_CAP
-    bound = x * (num[0] + c + h)
-    if len(num) == 2:  # not a loop over num[1:], which costs a third of a plan
-        bound *= num[1] + 1.0 + h
-    bound /= (c + h) * (1.0 + h)
-    if bound >= 1.0 or bound**h > 1e-16:  # a power of a bound above 1 can overflow
+    bound = _ratio_bound(num, c, x)
+    if bound >= 1.0 or bound ** (0.5 * TERM_CAP) > 1e-16:  # a power of a bound above 1 can overflow
         _check_cap(plan)
     return plan
+
+
+# log(1e-16), less a margin far wider than the rounding of a column log
+_LOG_BOUND_FLOOR = math.log(1e-16) - 1.0
+
+
+def _unclear(num, c, x) -> np.ndarray:
+    """The mask of the rows of the columns (num, c, x) whose bound _plan may
+    not clear: every row it does not clear, and the few more whose h-th
+    power of the bound, tested here in logs, lies within _LOG_BOUND_FLOOR's
+    margin of 1e-16.  A row outside the mask needs no _check_cap."""
+    with np.errstate(over="ignore", divide="ignore"):  # x near the largest double; x = 0
+        return 0.5 * TERM_CAP * np.log(_ratio_bound(num, c, x)) > _LOG_BOUND_FLOOR
 
 
 def _plan_1f1(a: float, b: float, x: float) -> tuple:
@@ -289,24 +310,30 @@ def _log_series_sum(plan: tuple) -> float:
     raise _nonconvergence(plan)
 
 
-def _log_series_sums(plans: list) -> list[float]:
-    """_log_series_sum of each plan; all plans have the same length.  A plan
-    still running at TERM_CAP comes back as NaN.
+def _map(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each element of the 1-d array values, as an array: a math
+    function applied per element, where numpy's own may differ in the last
+    bit."""
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
 
-    Rows go through in chunks of _CHUNK.  A chunk is the array of its plans,
-    one row each, whose columns are taken once per chunk.  Each block
-    advances every live row of a chunk together, with exactly the block,
-    floor and stopping rule of _log_series_sum, and a row leaves the chunk
-    (and its columns) once it stops, so every row is bit for bit what
-    _log_series_sum returns for it.  The rescale factor and the final log
-    are taken per row with math.exp and math.log, as _log_series_sum takes
-    them: numpy's exp and log may differ from them in the last bit.
+
+def _log_series_sums(plans: np.ndarray) -> np.ndarray:
+    """_log_series_sum of each row of the array plans, one plan (log x,
+    *num, c) per row.  A plan still running at TERM_CAP comes back as NaN.
+
+    Rows go through in chunks of _CHUNK, whose columns are taken once per
+    chunk.  Each block advances every live row of a chunk together, with
+    exactly the block, floor and stopping rule of _log_series_sum, and a row
+    leaves the chunk (and its columns) once it stops, so every row is bit
+    for bit what _log_series_sum returns for it.  The rescale factor and the
+    final log are taken per row with math.exp and math.log, as
+    _log_series_sum takes them: numpy's exp and log may differ from them in
+    the last bit.
     """
-    out = [math.nan] * len(plans)
+    out = np.full(len(plans), math.nan)
     for lo in range(0, len(plans), _CHUNK):
-        chunk = plans[lo : lo + _CHUNK]
-        columns = list(np.array(chunk, dtype=float).T[:, :, None])
-        live = np.arange(lo, lo + len(chunk))
+        columns = list(plans[lo : lo + _CHUNK].T[:, :, None])
+        live = np.arange(lo, min(lo + _CHUNK, len(plans)))
         log_max = np.zeros(len(live))
         acc = np.ones(len(live))
         log_term = np.zeros(len(live))
@@ -318,15 +345,14 @@ def _log_series_sums(plans: list) -> list[float]:
             block_max = log_terms.max(axis=1)
             up = np.flatnonzero(block_max > log_max)
             if len(up):
-                acc[up] *= [math.exp(d) for d in (log_max[up] - block_max[up]).tolist()]
+                acc[up] *= _map(math.exp, log_max[up] - block_max[up])
                 log_max[up] = block_max[up]
             acc += np.exp(log_terms - log_max[:, None]).sum(axis=1)
             log_term = log_terms[:, -1]
             i0 += _BLOCK
             done = (inc[:, -1] < 0.0) & (log_term - log_max <= _LOG_TERM_FLOOR)
             if done.any():
-                for j, m, a in zip(live[done].tolist(), log_max[done].tolist(), acc[done].tolist()):
-                    out[j] = m + math.log(a)
+                out[live[done]] = log_max[done] + _map(math.log, acc[done])
                 keep = ~done
                 if not keep.any():
                     break

@@ -7,6 +7,7 @@ against the closed forms evaluated by mpmath (oracle.mpmath_log_bf10).
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -27,6 +28,8 @@ from bffkit.bayes_factors import (
     log_bf10_z_one,
     log_bf10_z_two,
 )
+from bffkit.effect_map import DesignKind, DesignTag, tau_sq_for
+from bffkit.evidence import StudySet, per_study_log_bf
 from bffkit.specfun import NonConvergenceError
 from oracle import mpmath_log_bf10
 
@@ -262,8 +265,11 @@ class TestDispatcher:
 
 
 def _batch(items):
-    """log_bf10_batch of (stat, tau_sq, r) items, each with its study part."""
-    return log_bf10_batch([(bf._study_part(stat), tau_sq, r) for stat, tau_sq, r in items])
+    """log_bf10_batch of (stat, tau_sq, r) items, as the columns of their
+    study parts, tau_sq and r."""
+    stats, tau_sq, r = zip(*items)
+    parts = bf._study_columns([stat._part for stat in stats])
+    return log_bf10_batch(parts, np.array(tau_sq, dtype=float), np.array(r, dtype=float))
 
 
 def _forbid_kernels(monkeypatch):
@@ -355,44 +361,53 @@ class TestDomainGuards:
 
 class TestBeyondDoublePrecision:
     """Statistics whose series cannot be summed in double precision fail
-    typed at plan time, through log_bf10 and log_bf10_batch alike, instead
-    of spinning to the term cap or returning a wrong number."""
+    typed at plan time, through log_bf10, log_bf10_batch and the column
+    route of a study set (per_study_log_bf) alike, instead of spinning to
+    the term cap or returning a wrong number.  Each case's design gives its
+    tau_sq at omega = 1 and r = 1."""
 
     @pytest.mark.parametrize(
-        "stat, tau_sq, error",
+        "stat, design, tau_sq, error",
         [
             # x = 1 - 1.8e-17 rounds to 1.0, so the 2F1 argument check rejects it
-            (TestStatistic(StatFamily.T, 1e9, Sidedness.ONE_SIDED, nu=10.0), 1.25e17,
-             ValueError),
+            (TestStatistic(StatFamily.T, 1e9, Sidedness.ONE_SIDED, nu=10.0),
+             DesignKind(DesignTag.ONE_SAMPLE_T, n=25 * 10**16), 1.25e17, ValueError),
             # the 1F1 argument overflows to inf
-            (TestStatistic(StatFamily.Z, 1e200, Sidedness.TWO_SIDED), 1.0, ValueError),
+            (TestStatistic(StatFamily.Z, 1e200, Sidedness.TWO_SIDED),
+             DesignKind(DesignTag.ONE_SAMPLE_Z, n=2), 1.0, ValueError),
             # x = 2.5e307: the 1F1 series cannot stop within TERM_CAP terms
-            (TestStatistic(StatFamily.CHI_SQ, 1e308, k=2.0), 1.0, NonConvergenceError),
+            (TestStatistic(StatFamily.CHI_SQ, 1e308, k=2.0),
+             DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=1), 1.0, NonConvergenceError),
             # t * t overflows: s = inf / inf is NaN, which the 2F1 argument check rejects
-            (TestStatistic(StatFamily.T, 1e200, Sidedness.TWO_SIDED, nu=10.0), 1.0, ValueError),
+            (TestStatistic(StatFamily.T, 1e200, Sidedness.TWO_SIDED, nu=10.0),
+             DesignKind(DesignTag.ONE_SAMPLE_T, n=2), 1.0, ValueError),
             # y^2 = 1 - 1.1e-6: the term ratio at the cap is below 1, but the
             # term there is still e^-7.6 of the peak term
-            (TestStatistic(StatFamily.T, 1e3, Sidedness.TWO_SIDED, nu=1.0), 1e7,
-             NonConvergenceError),
+            (TestStatistic(StatFamily.T, 1e3, Sidedness.TWO_SIDED, nu=1.0),
+             DesignKind(DesignTag.ONE_SAMPLE_T, n=2 * 10**7), 1e7, NonConvergenceError),
             # the same first series, planned on the one-sided route
-            (TestStatistic(StatFamily.T, 1e3, Sidedness.ONE_SIDED, nu=1.0), 1e7,
-             NonConvergenceError),
+            (TestStatistic(StatFamily.T, 1e3, Sidedness.ONE_SIDED, nu=1.0),
+             DesignKind(DesignTag.ONE_SAMPLE_T, n=2 * 10**7), 1e7, NonConvergenceError),
         ],
         ids=[
             "t_one_near_one", "z_two_inf", "chisq_huge", "t_two_overflow", "t_two_long_tail",
             "t_one_long_tail",
         ],
     )
-    def test_beyond_double_precision_fails_fast(self, monkeypatch, stat, tau_sq, error):
+    def test_beyond_double_precision_fails_fast(self, monkeypatch, stat, design, tau_sq, error):
         def fail(*args):
             raise AssertionError("a series kernel was reached")
 
         monkeypatch.setattr(sf, "_log_series_sum", fail)
         monkeypatch.setattr(bf, "_log_series_sums", fail)
+        studies = StudySet.build([(stat, design)])
+        assert tau_sq_for(design, 1.0, 1.0, stat.k) == tau_sq
         start = time.perf_counter()
         with pytest.raises(error):
             log_bf10(stat, tau_sq, 1.0)
         (batched,) = _batch([(stat, tau_sq, 1.0)])
+        with pytest.raises(error, match=f"^study 0: {re.escape(str(batched))}$"):
+            per_study_log_bf(studies, 1.0, 1.0)
         assert time.perf_counter() - start < 0.01
         assert type(batched) is error
 
@@ -437,6 +452,38 @@ class TestBatch:
         assert any(isinstance(e, ArithmeticError) for e in expected)
         got = _batch(items)
         for g, e in zip(got, expected):
+            if isinstance(e, Exception):
+                assert type(g) is type(e) and str(g) == str(e)
+            else:
+                assert g == e
+
+    def test_series_still_running_at_the_cap(self, monkeypatch):
+        # a series that passes the cap check but is still running at the cap
+        # (here, made so: every series with x > 2) makes its item a
+        # NonConvergenceError naming the item's first such series, as
+        # log_bf10 raises it, and never the ArithmeticError of a NaN bracket
+        def running(plan):
+            return plan[0] > math.log(2.0)
+
+        one_plan, many_plans = sf._log_series_sum, bf._log_series_sums
+
+        def one(plan):
+            if running(plan):
+                raise sf._nonconvergence(plan)
+            return one_plan(plan)
+
+        def many(plans):
+            sums = many_plans(plans)
+            sums[np.array([running(plan) for plan in plans], dtype=bool)] = math.nan
+            return sums
+
+        monkeypatch.setattr(sf, "_log_series_sum", one)
+        monkeypatch.setattr(bf, "_log_series_sums", many)
+        items = self._items()
+        expected = [_scalar_or_error(*item) for item in items]
+        one_sided = [stat.sided is Sidedness.ONE_SIDED for stat, _, _ in items]
+        assert any(isinstance(e, NonConvergenceError) and o for e, o in zip(expected, one_sided))
+        for g, e in zip(_batch(items), expected):
             if isinstance(e, Exception):
                 assert type(g) is type(e) and str(g) == str(e)
             else:

@@ -154,6 +154,25 @@ class TestParsing:
         code, out, err = run(capsys, "point", "--file", str(f), "--omega", "0.1", "--r", "1")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        # one line of JSON, a header and no rows, is not taken for an empty table
+        assert "row 1: unknown columns" in err and "no study rows" not in err
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            ("test,sided,stat,n", "z,one,1.5,100", "row 1: no 'design' column"),
+            ("sided,stat,n,design", "one,1.5,100,one_sample_z", "row 1: no 'test' column"),
+            ("sided,stat,n", "one,1.5,100", "row 1: no 'test' or 'design' column"),
+        ],
+    )
+    def test_missing_test_or_design_column(self, tmp_path, capsys, header, row, message):
+        # the header is checked once, before any row: a missing column is
+        # named, not reported as an unknown value None in row 2
+        f = tmp_path / "s.csv"
+        f.write_text(f"{header}\n{row}\n")
+        code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1", "--r", "1")
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_repeated_column_rejected(self, tmp_path, capsys):
         # the last "stat" cell (z = 9) must not silently win

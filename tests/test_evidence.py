@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bffkit.bayes_factors as bf
 import bffkit.evidence as ev
@@ -287,6 +289,8 @@ class TestBffCurve:
             assert p.objective == p.log_bf10
             assert p.r_star == 1.0
             assert p.log_bf10 == pytest.approx(sum(p.per_study_log_bf), abs=1e-9)
+            # the curve's passes over many omegas give each omega's own pass
+            assert p.per_study_log_bf == tuple(per_study_log_bf(self.studies, p.omega, 1.0))
 
     def test_mmap_dominance(self):
         mmap = bff_curve(self.studies, self.grid, MmapR())
@@ -462,6 +466,8 @@ class TestBatchedObjective:
         )
         with pytest.raises(ValueError, match="^study 1: 2F1 argument"):
             mmap_r(studies, 0.5)
+        with pytest.raises(ValueError, match="^study 1: 2F1 argument"):
+            bff_curve(studies, EffectGrid((0.1, 0.5)), FixedR(1.0))
         # r < 1 concerns no study, so its error carries no study tag
         with pytest.raises(ValueError, match="^r must be"):
             per_study_log_bf(studies, 0.5, 0.5)
@@ -793,3 +799,82 @@ class TestCompiledStudies:
         # beyond the one-time study work, one ratio per r is one per n = 20
         # items; one per item would be items
         assert calls["ratio"] - n < items / 10
+
+
+# Studies whose statistic is beyond double precision, each with a design
+# that makes it fail fast (or sum a short series) at every omega drawn below:
+# an overflowing z or t (s = inf, or inf / inf), a z or chi-square whose
+# series cannot stop within the term cap, and a t or F whose 2F1 argument
+# rounds to 1 under the huge prior scale of n = 10^30.
+_BEYOND_NM = (
+    z_study(1e200, 50, Sidedness.TWO_SIDED),
+    z_study(-1e9, 50),
+    t_study(1e200, 10),
+    (TestStatistic(StatFamily.T, 1e9, Sidedness.TWO_SIDED, nu=10.0),
+     DesignKind(DesignTag.ONE_SAMPLE_T, n=10**30)),
+)
+_OMEGAS = (1e-170, 1e-160, 1e-3, 0.2, 0.7, 1.0)  # tau_sq from 0 and subnormal to about 200
+_RS = st.one_of(st.sampled_from((1.0, 2.5, 63.2, 200.0)), st.floats(1.0, 200.0))
+
+
+@st.composite
+def _nm_sets(draw):
+    """Mixed z and t studies of both sides, some against the prior's
+    direction, some beyond double precision."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            pairs.append(draw(st.sampled_from(_BEYOND_NM)))
+            continue
+        value = draw(st.floats(-8.0, 8.0))
+        sided = draw(st.sampled_from((Sidedness.ONE_SIDED, Sidedness.TWO_SIDED)))
+        n = draw(st.integers(5, 400))
+        if draw(st.booleans()):
+            pairs.append(z_study(value, n, sided))
+        else:
+            pairs.append(t_study(value, draw(st.sampled_from((1, 4, 30, 300))), sided))
+    return StudySet.build(pairs)
+
+
+@st.composite
+def _gamma_sets(draw):
+    """Chi-square and F studies with a shared k, some beyond double
+    precision."""
+    k = draw(st.sampled_from((1.0, 3.0)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        beyond = draw(st.integers(0, 4)) == 0
+        if draw(st.booleans()):
+            h = 1e308 if beyond else draw(st.floats(0.0, 40.0))
+            pairs.append(chisq_study(h, k, draw(st.integers(5, 400))))
+        else:
+            f = 1e300 if beyond else draw(st.floats(0.0, 10.0))
+            stat = TestStatistic(StatFamily.F, f, k=k, m=float(draw(st.integers(2, 200))))
+            n = 10**30 if beyond else draw(st.integers(5, 400))
+            pairs.append((stat, DesignKind(DesignTag.LINEAR_MODEL_F, n=n)))
+    return StudySet.build(pairs)
+
+
+class TestColumnRoute:
+    """Random study sets through the column route (_log_bf_rows) against
+    log_bf10 study by study: the same float bit for bit, or an exception of
+    the same type and message."""
+
+    def _check(self, studies, omega, rs):
+        rows = ev._log_bf_rows(_at_omega(studies, omega), rs)
+        for r, row in zip(rs, rows):
+            expected = [
+                _value_or_error(log_bf10, s.stat, tau_sq_for(s.design, omega, r, s.stat.k), r)
+                for s in studies.studies
+            ]
+            assert all(_same(g, e) for g, e in zip(row, expected)), (omega, r, row, expected)
+
+    @given(_nm_sets(), st.sampled_from(_OMEGAS), st.lists(_RS, min_size=1, max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_normal_moment_sets(self, studies, omega, rs):
+        self._check(studies, omega, rs)
+
+    @given(_gamma_sets(), st.sampled_from(_OMEGAS), st.lists(_RS, min_size=1, max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_chisq_f_sets(self, studies, omega, rs):
+        self._check(studies, omega, rs)

@@ -222,8 +222,8 @@ def _scalar_or_error(fn, *args):
 
 
 def _batch(planner, columns):
-    """The batched path as log_bf10_batch drives it: plan every row, sum the
-    planned rows in one _log_series_sums pass, and turn a NaN row into its
+    """The planners and the batched kernel: plan every row, sum the planned
+    rows in one _log_series_sums pass, and turn a NaN row into its
     NonConvergenceError.  Returns (values, errors by row)."""
     rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
     values, errors, planned = np.zeros(len(rows)), {}, []
@@ -235,7 +235,7 @@ def _batch(planner, columns):
             continue
         if plan is not None:
             planned.append((j, plan))
-    sums = sf._log_series_sums([plan for _, plan in planned])
+    sums = sf._log_series_sums(np.array([plan for _, plan in planned], dtype=float))
     for (j, plan), value in zip(planned, sums):
         values[j] = value
         if math.isnan(value):
@@ -298,10 +298,10 @@ class TestBatchKernel:
         long_rows = np.arange(sf._CHUNK - 6, sf._CHUNK + 6)
         log_x[long_rows] = math.log(600.0)
         log_x[-1] = math.log(900.0)
-        plans = [(float(log_x[j]), a[j], b[j]) for j in range(n)]
+        plans = np.column_stack([log_x, a, b])
         out = sf._log_series_sums(plans)
         for j in range(n):
-            assert out[j] == sf._log_series_sum(plans[j])
+            assert out[j] == sf._log_series_sum(tuple(plans[j].tolist()))
         # with a one-block cap, exactly the long rows fail to converge
         monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
         capped = sf._log_series_sums(plans)
@@ -327,7 +327,7 @@ class TestBatchKernel:
         _assert_rows_match((values, errors), log_2f1, (a, b, c, x))
 
     def test_empty_batch(self):
-        assert sf._log_series_sums([]) == []
+        assert sf._log_series_sums(np.empty((0, 3))).shape == (0,)
         values, errors = _batch(sf._plan_1f1, ([], [], []))
         assert len(values) == 0 and errors == {}
 
@@ -348,7 +348,7 @@ class TestCapCheck:
         summed = [
             not math.isnan(value)
             for arity in (1, 2)
-            for value in sf._log_series_sums([p for p in plans if len(p) == 2 + arity])
+            for value in sf._log_series_sums(np.array([p for p in plans if len(p) == 2 + arity]))
         ]
         rejected = []
         for plan in plans:
@@ -407,3 +407,25 @@ class TestCapCheck:
         assert sf._plan_1f1(2.0, 1.0, 6e6) == (math.log(6e6), 2.0, 1.0)
         with pytest.raises(NonConvergenceError):
             sf._plan_2f1(3.0, 4.0, 0.5, 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_column_screen_flags_every_row_the_bound_does_not_clear(self, arity):
+        # rows whose h-th power of the one-ratio bound lies from e^-40 to
+        # e^-34, across _plan's threshold 1e-16 = e^-36.8, plus x = 0 and
+        # bounds above 1: _unclear flags every row _plan would send to
+        # _check_cap, and clears the rows well below the threshold
+        rng = np.random.default_rng(31)
+        h = 0.5 * sf.TERM_CAP
+        num = [rng.uniform(0.5, 300.0, 400) for _ in range(arity)]
+        c = rng.uniform(0.5, 50.0, 400)
+        log_power = rng.uniform(-40.0, -34.0, 400)
+        per_x = sf._ratio_bound(num, c, 1.0)
+        x = np.exp(log_power / h) / per_x
+        x[:5], x[5:10] = 0.0, rng.uniform(1.0, 2.0, 5) / per_x[5:10]
+        flagged = sf._unclear(num, c, x)
+        for j in range(400):
+            bound = sf._ratio_bound([p[j] for p in num], c[j], float(x[j]))
+            if bound >= 1.0 or bound**h > 1e-16:
+                assert flagged[j], j
+        assert flagged[5:10].all() and not flagged[:5].any()
+        assert not flagged[10:][log_power[10:] < -38.0].any()

@@ -4,9 +4,10 @@ bench/tracing.py wraps functions at the bindings its callers use, so a
 binding that looks dead in the package (evidence.log_bf10,
 evidence.jeffreys_log_prior_nm) is still load-bearing, and a single log_bf10
 call must pass through the wrapped one-value bindings; the benchmark's
-setup_s times `import bffkit.cli`, which must not pull in scipy; and the
+setup_s times `import bffkit.cli`, which must not pull in scipy; the
 correlation_cli workload runs the CLI with bench/run.py's argv, which must
-still parse.  The quadrature oracle and the prior densities it integrates
+still parse, on tables that bench/workloads.py writes, which must still
+load.  The quadrature oracle and the prior densities it integrates
 are test support in tests/oracle.py; the package must not ship them again.
 """
 
@@ -81,3 +82,20 @@ def test_cli_import_leaves_out_scipy_and_oracle():
         check=True,
     )
     assert out.stdout.strip() == "False True []"
+
+
+def test_benchmark_tables_load(monkeypatch, tmp_path):
+    # the pinned tables, and a resample written as correlation_cli writes its
+    # input files (all 11 columns), pass the CLI's header and row checks
+    from bffkit.cli import load_studies
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    for name, count in (("stroop.csv", 20), ("correlation.csv", 20)):
+        assert len(load_studies(str(workloads.DATA / name)).studies) == count
+    rows, _ = workloads.balanced_pair(1, "correlation_cli")
+    path = tmp_path / "resample.csv"
+    workloads.write_rows(rows, path)
+    assert path.read_text().splitlines()[0].split(",") == list(workloads.CSV_FIELDS)
+    assert len(load_studies(str(path)).studies) == len(rows)
