@@ -19,10 +19,13 @@ bayes_factors.log_bf10_batch does (the blocked log-sum-exp of Pearson, Olver
 plan rows as columns screens them with _unclear, which tests _plan's
 one-ratio bound on every row at once, and plans only the rows it flags one
 by one.  The batched kernel takes its rows in chunks, and each block
-advances every live row of a chunk together; both kernels take a block's
-log term ratios from _log_ratios.  Each row comes out bit for bit equal to
-the one-plan kernel, which is cheaper for a single value because its
-per-call overhead is lower.
+advances every live row of a chunk together.  The one-plan kernel takes its
+first block alone and then 2, 4, ... up to _MAX_BLOCKS blocks per numpy
+call, as the rows of one array.  Both kernels take their log term ratios
+from _log_ratios, and both keep the same block boundaries, summation order
+and stopping rule, so they agree bit for bit; _log_series_sums, which
+advances each row one block at a time, is the reference the tests hold
+_log_series_sum to.
 """
 
 from __future__ import annotations
@@ -136,6 +139,12 @@ def log_gamma_half_ratio(x: float) -> float:
 
 
 _IDX = np.arange(_BLOCK, dtype=np.float64)
+# Most blocks _log_series_sum takes in one numpy call, and the offsets of the
+# term indices of those blocks from the first one's start: row j is
+# j * _BLOCK + _IDX.  A plan's series runs over i0 + _IDX (_log_series_sums)
+# or i0 + _IDX_ROWS[:k] (_log_series_sum), the same indices either way.
+_MAX_BLOCKS = 32
+_IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
 # Rows per chunk of the batched kernel: large enough to amortize numpy's
 # per-call overhead, small enough to keep its per-block arrays small.
 _CHUNK = 128
@@ -283,30 +292,54 @@ def _log_series_sum(plan: tuple) -> float:
     """Log of the series sum_{i>=0} t_i of a plan (log x, *num, c) (see
     _plan).
 
-    Terms are positive; the series is unimodal in i.  Blocks of log-terms are
-    accumulated with an online-rescaled log-sum-exp.  Stops when the latest
-    term is <= 1e-16 of the running maximum AND the term ratio is < 1 (past
-    the series peak); raises NonConvergenceError at the term cap.
+    Terms are positive; the series is unimodal in i.  Blocks of _BLOCK
+    log-terms are accumulated with an online-rescaled log-sum-exp.  Stops
+    after the first block whose last term is <= 1e-16 of the running maximum
+    AND whose last term ratio is < 1 (past the series peak); raises
+    NonConvergenceError when no block starting below TERM_CAP stops.
+
+    The first block, where most series stop, is summed alone.  Past it, k =
+    2, 4, ... up to _MAX_BLOCKS blocks are the rows of one (k, _BLOCK) array:
+    each row gets its own cumulative sum, maximum and exp-sum (the exp-sum
+    over the running maximum up to and including its row), its start term
+    is an in-order accumulate of the previous rows' last terms, and a scalar
+    loop then folds the rows into (log_max, acc) in order and stops at the
+    first row that stops.  Every value is the one _log_series_sums computes
+    a block at a time, bit for bit.
     """
-    log_max = 0.0
-    acc = 1.0
-    log_term = 0.0
-    i0 = 0.0
+    # the first block folded into log_max = 0, acc = 1 (t_0): exp(-log_max)
+    # is 1 * exp(0 - block_max) past 0 and 1 below it
+    inc = _log_ratios(plan, _IDX)
+    log_terms = np.add.accumulate(inc)
+    log_max = max(0.0, float(np.maximum.reduce(log_terms)))
+    acc = math.exp(-log_max) + float(np.add.reduce(np.exp(log_terms - log_max)))
+    log_term = float(log_terms[-1])
+    if inc[-1] < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
+        return log_max + math.log(acc)
+    i0, k = _BLOCK, 2
     while i0 < TERM_CAP:
-        inc = _log_ratios(plan, i0 + _IDX)
-        log_terms = log_term + np.cumsum(inc)
-        block_max = float(log_terms.max())
-        if block_max > log_max:
-            acc = acc * math.exp(log_max - block_max) + float(
-                np.exp(log_terms - block_max).sum()
-            )
-            log_max = block_max
-        else:
-            acc += float(np.exp(log_terms - log_max).sum())
-        log_term = float(log_terms[-1])
-        i0 += _BLOCK
-        if inc[-1] < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
-            return log_max + math.log(acc)
+        k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap
+        inc = _log_ratios(plan, i0 + _IDX_ROWS[:k])
+        log_terms = np.add.accumulate(inc, axis=1)
+        starts = np.empty(k)
+        starts[0] = log_term
+        starts[1:] = log_terms[:-1, -1]
+        log_terms += np.add.accumulate(starts)[:, None]
+        block_max = np.maximum.reduce(log_terms, axis=1)
+        run_max = np.maximum.accumulate(block_max)
+        np.maximum(run_max, log_max, out=run_max)
+        sums = np.add.reduce(np.exp(log_terms - run_max[:, None]), axis=1)
+        rows = zip(block_max.tolist(), sums.tolist(), log_terms[:, -1].tolist(), inc[:, -1].tolist())
+        for block_max_j, sum_j, log_term, inc_j in rows:
+            if block_max_j > log_max:
+                acc = acc * math.exp(log_max - block_max_j) + sum_j
+                log_max = block_max_j
+            else:
+                acc += sum_j
+            if inc_j < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
+                return log_max + math.log(acc)
+        i0 += k * _BLOCK
+        k = min(2 * k, _MAX_BLOCKS)
     raise _nonconvergence(plan)
 
 

@@ -212,6 +212,14 @@ class Test2F1:
         monkeypatch.setattr(sf, "TERM_CAP", 256)
         with pytest.raises(NonConvergenceError):
             log_2f1(5.0, 5.0, 0.5, 0.999999)
+        # caps between blocks and on the edges of _log_series_sum's calls:
+        # a 2-block series still sums, a 100-block one raises
+        short = log_2f1(2.5, 3.5, 1.5, 0.69)
+        for cap in (300, 5 * sf._BLOCK + 5, 3 * sf._BLOCK, 7 * sf._BLOCK):
+            monkeypatch.setattr(sf, "TERM_CAP", cap)
+            assert log_2f1(2.5, 3.5, 1.5, 0.69) == short
+            with pytest.raises(NonConvergenceError):
+                log_2f1(2.5, 3.5, 1.5, 0.9961)
 
 
 def _scalar_or_error(fn, *args):
@@ -253,6 +261,27 @@ def _assert_rows_match(batch, scalar_fn, columns):
         else:
             assert j not in errors
             assert values[j] == expected  # bit for bit
+
+
+# Blocks after which the series of 1F1(1.5, 2; x) and 2F1(2.5, 3.5; 1.5; x)
+# stop, at the x of _X_1F1 and _X_2F1.  They cross every edge of
+# _log_series_sum's 1, 2, 4, ... blocks per call and of its _MAX_BLOCKS cap.
+_BLOCKS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 64, 65, 100)
+_X_1F1 = (10.0, 60.0, 150.0, 250.0, 560.0, 670.0, 1460.0, 1570.0, 3340.0, 3460.0, 3580.0, 7320.0, 7450.0,
+          11740.0)
+_X_2F1 = (0.1, 0.69, 0.83, 0.88, 0.9376, 0.9463, 0.9728, 0.9746, 0.9872, 0.9876, 0.988, 0.9939, 0.994,
+          0.9961)
+
+
+def _block_plans():
+    """[(plans, blocks)] for 1F1 and 2F1: the plans at x = 0 and at the x of
+    _X_1F1 or _X_2F1 as the rows of an array, and the blocks each stops
+    after."""
+    out = []
+    for xs, params in ((_X_1F1, (1.5, 2.0)), (_X_2F1, (2.5, 3.5, 1.5))):
+        log_x = [-math.inf] + [math.log(x) for x in xs]
+        out.append((np.array([(v, *params) for v in log_x]), np.array((1, *_BLOCKS))))
+    return out
 
 
 class TestBatchKernel:
@@ -302,6 +331,15 @@ class TestBatchKernel:
         out = sf._log_series_sums(plans)
         for j in range(n):
             assert out[j] == sf._log_series_sum(tuple(plans[j].tolist()))
+        for plans_k, _ in _block_plans():
+            out_k = sf._log_series_sums(plans_k)
+            for plan, value in zip(plans_k.tolist(), out_k.tolist()):
+                assert sf._log_series_sum(tuple(plan)) == value
+        # the plans of _block_plans need exactly their blocks
+        for plans_k, blocks in _block_plans():
+            for cap in _BLOCKS:
+                monkeypatch.setattr(sf, "TERM_CAP", cap * sf._BLOCK)
+                assert np.array_equal(np.isnan(sf._log_series_sums(plans_k)), blocks > cap)
         # with a one-block cap, exactly the long rows fail to converge
         monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
         capped = sf._log_series_sums(plans)
@@ -325,6 +363,21 @@ class TestBatchKernel:
         values, errors = _batch(sf._plan_2f1, (a, b, c, x))
         assert set(errors) == {0} and isinstance(errors[0], NonConvergenceError)
         _assert_rows_match((values, errors), log_2f1, (a, b, c, x))
+        # the one-value kernel raises on exactly the plans the batched one
+        # leaves NaN, those of more blocks than start below the cap; the
+        # caps fall between blocks (300, 5 blocks + 5) and on the edges of
+        # the one-value kernel's calls (3 and 7 blocks)
+        for cap in (300, 5 * sf._BLOCK + 5, 3 * sf._BLOCK, 7 * sf._BLOCK):
+            monkeypatch.setattr(sf, "TERM_CAP", cap)
+            for plans, blocks in _block_plans():
+                sums = sf._log_series_sums(plans)
+                assert np.array_equal(np.isnan(sums), blocks > -(-cap // sf._BLOCK))
+                for plan, value in zip(plans.tolist(), sums.tolist()):
+                    if math.isnan(value):
+                        with pytest.raises(NonConvergenceError):
+                            sf._log_series_sum(tuple(plan))
+                    else:
+                        assert sf._log_series_sum(tuple(plan)) == value
 
     def test_empty_batch(self):
         assert sf._log_series_sums(np.empty((0, 3))).shape == (0,)
