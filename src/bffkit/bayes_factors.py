@@ -358,7 +358,7 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
     the planners' argument and term-cap checks) screens a superset of the
     items in columns, and the rule itself decides the flagged ones.  The plan
     rows go to one _log_series_sums pass per function, made only when
-    needed; a one-sided item's two rows share its log x, and
+    needed; a one-sided item's two rows share its x, and
     log_gamma_half_ratio(r + 1/2) is computed once per distinct r.
     """
     c, b, s, sign, log_ratio = parts
@@ -385,22 +385,21 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
     for j in (is_2f1 & ~(x < 1.0)).nonzero()[0].tolist():  # NaN too, as in _item
         fail(j, _argument_error(float(x[j]), float(s[j]), float(tau_sq[j])))
     live = ~failed & (tau_sq > 0.0)
-    log_x = np.full(n, -math.inf)
     positive = live & (x > 0.0)
-    log_x[positive] = _map(math.log, x[positive])
     a = c + r
     odd = positive & (sign != 0.0)
     log_coef = np.zeros(n)
     if odd.any():
-        rs, at = np.unique(r[odd], return_inverse=True)
-        log_ratio_r = np.array([log_gamma_half_ratio(v + 0.5) for v in rs.tolist()])
-        log_coef[odd] = _map(math.log, 2.0 * np.sqrt(x[odd])) + log_ratio[odd] + log_ratio_r[at]
+        r_odd = r[odd].tolist()
+        by_r = {v: log_gamma_half_ratio(v + 0.5) for v in dict.fromkeys(r_odd)}
+        log_ratio_r = np.fromiter(map(by_r.__getitem__, r_odd), float, len(r_odd))
+        log_coef[odd] = _map(math.log, 2.0 * np.sqrt(x[odd])) + log_ratio[odd] + log_ratio_r
 
     for two in (False, True):
         items = (live & (is_2f1 == two)).nonzero()[0]
         if not len(items):
             continue
-        # the plan rows (log x, *num, c): an item's first series, then the
+        # the plan rows (x, *num, c): an item's first series, then the
         # second series (upper parameters + 1/2, c = 3/2) of the items with one
         pairs = items[odd[items]]
         owner = np.concatenate([items, pairs])
@@ -411,7 +410,7 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
         if two:
             other = b[owner] + shift
             num = [np.minimum(num[0], other), np.maximum(num[0], other)]
-        rows = np.array([log_x[owner], *num, den]).T
+        rows = np.array([x[owner], *num, den]).T
         # the term cap, decided by the planner where the bound may not clear
         # it; an item's first row comes before its second, as in _item
         planner = _plan_2f1 if two else _plan_1f1

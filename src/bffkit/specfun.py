@@ -3,33 +3,39 @@
 Everything here returns natural logs, as plain floats, so that callers never
 touch quantities like 1F1(13, 0.5, 900), whose linear value overflows double
 precision by hundreds of orders of magnitude.  The hypergeometric series are
-summed by streaming log-sum-exp over buffered blocks of terms; all in-scope
-calls have positive parameters and non-negative argument, so every term is
-positive and the series is unimodal in the term index.
+summed in blocks of terms, each block as running products of its term
+ratios, with the sum carried between blocks over a power of two per series;
+all in-scope calls have positive parameters and non-negative argument, so
+every term is positive and the series is unimodal in the term index.
 
 Each hypergeometric function is its raw power series, evaluated in two
 steps.  A planner (_plan_1f1, _plan_2f1) checks the arguments and returns
-the plan, the row (log x, *num, c) of the series sum t_i with t_0 = 1 and
+the plan, the row (x, *num, c) of the series sum t_i with t_0 = 1 and
 t_{i+1}/t_i = x prod(num + i) / ((c + i)(1 + i)); one body, _plan, builds
 every row and rejects a series that cannot stop within TERM_CAP terms.  A
 block kernel then sums the plan: _log_series_sum one plan, as log_1f1 and
 log_2f1 do, or _log_series_sums an array of plans of one length at once, as
-bayes_factors.log_bf10_batch does (the blocked log-sum-exp of Pearson, Olver
-& Porter, arXiv:1407.7786, run over a batch axis).  A caller that builds its
+bayes_factors.log_bf10_batch does (direct summation, as in Pearson, Olver &
+Porter, arXiv:1407.7786, run over a batch axis).  A caller that builds its
 plan rows as columns screens them with _unclear, which tests _plan's
 one-ratio bound on every row at once, and plans only the rows it flags one
 by one.  The batched kernel takes its rows in chunks, and each block
-advances every live row of a chunk together.  The one-plan kernel takes its
-first block alone and then 2, 4, ... up to _MAX_BLOCKS blocks per numpy
-call, as the rows of one array.  Both kernels take their log term ratios
-from _log_ratios, and both keep the same block boundaries, summation order
-and stopping rule, so they agree bit for bit; _log_series_sums, which
-advances each row one block at a time, is the reference the tests hold
-_log_series_sum to.
+advances every live row of a chunk together.  The one-plan kernel takes 1,
+2, 4, ... up to _MAX_BLOCKS blocks per numpy call, as the rows of one array.
+A block takes no transcendental per term, unless its terms rise too far
+within it for the carried sum (hundreds of nats, as in the first blocks of
+a 1F1 series at x in the tens of thousands): that block alone is summed in
+logs (_log_block).  Both kernels take their term ratios from _ratios, and
+both keep the same block boundaries, fold, rescaling and stopping rule,
+with only +, *, comparisons and exact scalings by powers of two between
+blocks, so they agree bit for bit; _log_series_sums, which advances each
+row one block at a time, is the reference the tests hold _log_series_sum
+to.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -45,15 +51,25 @@ __all__ = [
 TERM_CAP = 10_000_000
 
 _BLOCK = 128
-# A term this far (in log) below the running maximum contributes nothing.
-_LOG_TERM_FLOOR = math.log(1e-16)
-# _check_cap's margin, in log.  On near-cap 1F1 and 2F1 plans at TERM_CAP,
-# the kernel's running log term at the cap, less its running maximum, agreed
-# with _check_cap's lgamma sums to within 7e-8, with peak log terms up to
-# 1e7 (1F1 at x near TERM_CAP).  Its rounding grows at worst as
-# TERM_CAP / _BLOCK additions of eps times the peak log term (9e-5 at 1e7),
-# so 1e-3 covers peak log terms up to 1e8; a series whose term at the cap is
-# within the margin above _LOG_TERM_FLOOR still runs to the cap.
+# A term this far below the running maximum contributes nothing; in log,
+# for _check_cap.
+_TERM_FLOOR = 1e-16
+_LOG_TERM_FLOOR = math.log(_TERM_FLOOR)
+_LN2 = math.log(2.0)
+# The kernels' running sum is scaled back to [1/2, 1) once it reaches this,
+# which leaves the next block a rise of at least 2^512 (355 nats) before its
+# fold overflows.
+_RESCALE = 2.0**511
+# _check_cap's margin, in log.  On near-cap plans at TERM_CAP (1F1 at x near
+# TERM_CAP, 2F1 at x within 1e-5 of 1, and 2F1 with a parameter near 1e17),
+# the kernel's log of its running term at the cap over its running maximum
+# agreed with _check_cap's lgamma sums to within 6e-8, most of it the
+# rounding of lgamma values near 1.5e8 in _check_cap itself.  The kernel's
+# running term is a product of at most TERM_CAP ratios, whose rounding grows
+# at worst as TERM_CAP eps (1e-9 in log), plus eps times the rise of each
+# block summed in logs (a few thousand nats at most), so 1e-3 leaves a wide
+# margin; a series whose term at the cap is within the margin above
+# _LOG_TERM_FLOOR still runs to the cap.
 _CAP_MARGIN = 1e-3
 
 
@@ -142,19 +158,29 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 # Most blocks _log_series_sum takes in one numpy call, and the offsets of the
 # term indices of those blocks from the first one's start: row j is
 # j * _BLOCK + _IDX.  A plan's series runs over i0 + _IDX (_log_series_sums)
-# or i0 + _IDX_ROWS[:k] (_log_series_sum), the same indices either way.
+# or i0 + _IDX_ROWS[:k] (_log_series_sum), the same indices either way, and
+# both kernels round each parameter plus an index once.
 _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
 # Rows per chunk of the batched kernel: large enough to amortize numpy's
 # per-call overhead, small enough to keep its per-block arrays small.
 _CHUNK = 128
+# Below this bound on every term ratio of a block, its products and their sum
+# stay below the largest double (245^128 * 128 < 2^1023), so _log_series_sum
+# sums a first block under it without np.errstate, whose cost is a tenth of
+# a one-block series.
+_QUIET_RATIO = 245.0
+_QUIET = contextlib.nullcontext()
+# Most rows _log_series_sums sums one at a time with _log_series_sum, whose
+# cost per row is below the batched kernel's fixed cost per call up to here.
+_FEW_ROWS = 3
 
 
 def _nonconvergence(plan: tuple) -> NonConvergenceError:
-    log_x, *num, c = plan
+    x, *num, c = plan
     return NonConvergenceError(
         f"series did not converge within {TERM_CAP} terms "
-        f"(x=e^{log_x:.3g}, num={num}, c={c})"
+        f"(x={x:.3g}, num={num}, c={c})"
     )
 
 
@@ -189,7 +215,8 @@ def _check_cap(plan: tuple) -> None:
     differences (Pochhammer symbols, _log_rising_to_cap).  The test leaves a
     margin of _CAP_MARGIN, so a series the kernel can sum is never rejected.
     """
-    log_x, *num, c = plan
+    x, *num, c = plan
+    log_x = math.log(x)
     den = (c, 1.0)
     lo, hi = 0, TERM_CAP
     while lo < hi:
@@ -218,10 +245,10 @@ def _ratio_bound(num, c, x):
 
 
 def _plan(num: tuple, c: float, x: float) -> tuple:
-    """The plan (log x, *num, c) of a series (see the module docstring) with
+    """The plan (x, *num, c) of a series (see the module docstring) with
     checked arguments: x >= 0, and num (one or two entries) and c positive.
-    At x = 0, log x = -inf makes every term after the first 0, and either
-    kernel sums the plan to 0.0 in one block.
+    At x = 0 every term after the first is 0, and either kernel sums the
+    plan to 0.0 in one block.
 
     Raises NonConvergenceError when the series cannot stop within TERM_CAP
     terms.  A one-ratio bound (_ratio_bound) clears nearly every plan: for
@@ -232,7 +259,7 @@ def _plan(num: tuple, c: float, x: float) -> tuple:
     of x times these bounds.  A plan it does not clear goes through
     _check_cap's exact test.
     """
-    plan = (math.log(x) if x > 0.0 else -math.inf, *num, c)
+    plan = (x, *num, c)
     bound = _ratio_bound(num, c, x)
     if bound >= 1.0 or bound ** (0.5 * TERM_CAP) > 1e-16:  # a power of a bound above 1 can overflow
         _check_cap(plan)
@@ -253,7 +280,7 @@ def _unclear(num, c, x) -> np.ndarray:
 
 
 def _plan_1f1(a: float, b: float, x: float) -> tuple:
-    """The plan (log x, a, b) of log_1f1(a, b, x); see _plan."""
+    """The plan (x, a, b) of log_1f1(a, b, x); see _plan."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= x < math.inf:
@@ -262,7 +289,7 @@ def _plan_1f1(a: float, b: float, x: float) -> tuple:
 
 
 def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
-    """The plan (log x, a, b, c) of log_2f1(a, b, c, x), with a <= b; see
+    """The plan (x, a, b, c) of log_2f1(a, b, c, x), with a <= b; see
     _plan."""
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise ValueError(f"log_2f1 requires a, b, c > 0, got a={a}, b={b}, c={c}")
@@ -273,73 +300,116 @@ def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
     return _plan((a, b), c, x)
 
 
-def _log_ratios(row, idx: np.ndarray) -> np.ndarray:
-    """log(t_{i+1}/t_i) for i in idx, of a row (log x, *num, c) of floats
-    (one plan) or of (rows, 1) columns (a chunk of plans)."""
-    log_x, *num, c = row
-    inc = num[0] + idx
-    for p in num[1:]:
-        inc *= p + idx
-    den = c + idx
-    den *= 1.0 + idx
-    inc /= den
-    np.log(inc, out=inc)
-    inc += log_x
+def _ratios(x, num_i, c_i: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """t_{i+1}/t_i for i in idx, of a plan's x (a float, or a (rows, 1)
+    column for a chunk of plans) from its parameters plus the indices:
+    num_i, each p + idx of num, and c_i = c + idx, which it overwrites."""
+    inc = num_i[0]
+    for p_i in num_i[1:]:
+        inc *= p_i
+    c_i *= 1.0 + idx
+    inc /= c_i
+    inc *= x
     return inc
 
 
+def _log_block(ratios: np.ndarray) -> tuple:
+    """The steep blocks of ratios, rows of _BLOCK term ratios, summed in
+    logs: (shift, sums, maxes, lasts), where sums, maxes and lasts are those
+    of each row's terms from a start of 1, all over 2^shift (an integer
+    array), which brings the largest term into [1, 2)."""
+    log_terms = np.add.accumulate(np.log(ratios), axis=1)
+    shift = np.floor(np.maximum.reduce(log_terms, axis=1) / _LN2)
+    log_terms -= (shift * _LN2)[:, None]
+    terms = np.exp(log_terms)
+    return (
+        shift.astype(int),
+        np.add.reduce(terms, axis=1),
+        np.maximum.reduce(terms, axis=1),
+        terms[:, -1],
+    )
+
+
+def _fold(state: tuple, sum_j: float, max_j: float, last_j: float, ratios: np.ndarray, j: int) -> tuple:
+    """The state (scale, acc, top, term) of _log_series_sum after the block
+    whose terms from a start of 1 have the sum, largest and last term
+    sum_j, max_j and last_j, and whose ratios are row j of ratios."""
+    scale, acc, top, term = state
+    new = acc + term * sum_j
+    if not new < math.inf:  # NaN too: a 0 term times an overflowed sum
+        shift, sum_j, max_j, last_j = (v.tolist()[0] for v in _log_block(ratios[j : j + 1]))
+        acc, top, scale = math.ldexp(acc, -shift), math.ldexp(top, -shift), scale + shift
+        new = acc + term * sum_j
+    max_j *= term
+    if max_j > top:
+        top = max_j
+    term *= last_j
+    if new >= _RESCALE:
+        new, shift = math.frexp(new)
+        top, term, scale = math.ldexp(top, -shift), math.ldexp(term, -shift), scale + shift
+    return scale, new, top, term
+
+
 def _log_series_sum(plan: tuple) -> float:
-    """Log of the series sum_{i>=0} t_i of a plan (log x, *num, c) (see
-    _plan).
+    """Log of the series sum_{i>=0} t_i of a plan (x, *num, c) (see _plan).
 
-    Terms are positive; the series is unimodal in i.  Blocks of _BLOCK
-    log-terms are accumulated with an online-rescaled log-sum-exp.  Stops
-    after the first block whose last term is <= 1e-16 of the running maximum
-    AND whose last term ratio is < 1 (past the series peak); raises
-    NonConvergenceError when no block starting below TERM_CAP stops.
+    Terms are positive; the series is unimodal in i.  The terms are summed
+    in blocks of _BLOCK as running products of their ratios, carried in a
+    state (scale, acc, top, term): the sum so far, the largest term and the
+    last term, all over 2^scale, from (0, 1, 1, 1) for t_0 = 1.  A block
+    gives the sum, largest and last of its terms from a start of 1, and
+    _fold folds them into the state by acc + term * sum, max(top, term *
+    largest) and term * last; a block whose fold would overflow (a rise of
+    hundreds of nats within the block) is taken from _log_block instead,
+    after the state is scaled down by its shift.  Once acc reaches
+    _RESCALE, the state is scaled by the power of two that brings acc into
+    [1/2, 1).  Stops after the first block whose last term is <= 1e-16 of
+    the largest AND whose last term ratio is < 1 (past the series peak),
+    with the log scale ln 2 + log acc (log acc alone for a sum below
+    _RESCALE); raises NonConvergenceError when no block starting below
+    TERM_CAP stops.
 
-    The first block, where most series stop, is summed alone.  Past it, k =
-    2, 4, ... up to _MAX_BLOCKS blocks are the rows of one (k, _BLOCK) array:
-    each row gets its own cumulative sum, maximum and exp-sum (the exp-sum
-    over the running maximum up to and including its row), its start term
-    is an in-order accumulate of the previous rows' last terms, and a scalar
-    loop then folds the rows into (log_max, acc) in order and stops at the
-    first row that stops.  Every value is the one _log_series_sums computes
-    a block at a time, bit for bit.
+    The first block, where most series stop, is summed alone; past it, k =
+    2, 4, ... up to _MAX_BLOCKS blocks are the rows of one (k, _BLOCK) array,
+    each row with its own products, sum, maximum and last term, folded in
+    order until a row stops.  The fold uses only +, *, comparisons and exact
+    scalings by powers of two, so it rounds as _log_series_sums' column
+    fold does, and every value is the one _log_series_sums computes a block
+    at a time, bit for bit.  A product can underflow only past the peak,
+    where every later term is far below 1e-16 of the largest, so underflow
+    needs no log block.
     """
-    # the first block folded into log_max = 0, acc = 1 (t_0): exp(-log_max)
-    # is 1 * exp(0 - block_max) past 0 and 1 below it
-    inc = _log_ratios(plan, _IDX)
-    log_terms = np.add.accumulate(inc)
-    log_max = max(0.0, float(np.maximum.reduce(log_terms)))
-    acc = math.exp(-log_max) + float(np.add.reduce(np.exp(log_terms - log_max)))
-    log_term = float(log_terms[-1])
-    if inc[-1] < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
-        return log_max + math.log(acc)
+    x, *num, c = plan
+    # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
+    bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
+    with _QUIET if bound < _QUIET_RATIO else np.errstate(over="ignore", invalid="ignore"):
+        ratios = _ratios(x, [p + _IDX for p in num], c + _IDX, _IDX)
+        terms = np.multiply.accumulate(ratios)
+        sum_0, max_0 = float(np.add.reduce(terms)), float(np.maximum.reduce(terms))
+        state = _fold((0, 1.0, 1.0, 1.0), sum_0, max_0, terms.item(-1), ratios[None], 0)
+    scale, acc, top, term = state
+    if ratios.item(-1) < 1.0 and term <= _TERM_FLOOR * top:
+        return scale * _LN2 + math.log(acc)
     i0, k = _BLOCK, 2
-    while i0 < TERM_CAP:
-        k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap
-        inc = _log_ratios(plan, i0 + _IDX_ROWS[:k])
-        log_terms = np.add.accumulate(inc, axis=1)
-        starts = np.empty(k)
-        starts[0] = log_term
-        starts[1:] = log_terms[:-1, -1]
-        log_terms += np.add.accumulate(starts)[:, None]
-        block_max = np.maximum.reduce(log_terms, axis=1)
-        run_max = np.maximum.accumulate(block_max)
-        np.maximum(run_max, log_max, out=run_max)
-        sums = np.add.reduce(np.exp(log_terms - run_max[:, None]), axis=1)
-        rows = zip(block_max.tolist(), sums.tolist(), log_terms[:, -1].tolist(), inc[:, -1].tolist())
-        for block_max_j, sum_j, log_term, inc_j in rows:
-            if block_max_j > log_max:
-                acc = acc * math.exp(log_max - block_max_j) + sum_j
-                log_max = block_max_j
-            else:
-                acc += sum_j
-            if inc_j < 0.0 and log_term - log_max <= _LOG_TERM_FLOOR:
-                return log_max + math.log(acc)
-        i0 += k * _BLOCK
-        k = min(2 * k, _MAX_BLOCKS)
+    with np.errstate(over="ignore", invalid="ignore"):  # a steep block overflows; _log_block sums it
+        while i0 < TERM_CAP:
+            k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap
+            idx = i0 + _IDX_ROWS[:k]
+            ratios = _ratios(x, [p + idx for p in num], c + idx, idx)
+            terms = np.multiply.accumulate(ratios, axis=1)
+            rows = zip(
+                np.add.reduce(terms, axis=1).tolist(),
+                np.maximum.reduce(terms, axis=1).tolist(),
+                terms[:, -1].tolist(),
+                ratios[:, -1].tolist(),
+            )
+            for j, (sum_j, max_j, last_j, ratio_j) in enumerate(rows):
+                state = _fold(state, sum_j, max_j, last_j, ratios, j)
+                scale, acc, top, term = state
+                if ratio_j < 1.0 and term <= _TERM_FLOOR * top:
+                    return scale * _LN2 + math.log(acc)
+            i0 += k * _BLOCK
+            k = min(2 * k, _MAX_BLOCKS)
     raise _nonconvergence(plan)
 
 
@@ -350,47 +420,82 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
-def _log_series_sums(plans: np.ndarray) -> np.ndarray:
-    """_log_series_sum of each row of the array plans, one plan (log x,
-    *num, c) per row.  A plan still running at TERM_CAP comes back as NaN.
+def _sum_or_nan(plan: list) -> float:
+    """_log_series_sum of plan, or NaN where it raises NonConvergenceError."""
+    try:
+        return _log_series_sum(tuple(plan))
+    except NonConvergenceError:
+        return math.nan
 
-    Rows go through in chunks of _CHUNK, whose columns are taken once per
-    chunk.  Each block advances every live row of a chunk together, with
-    exactly the block, floor and stopping rule of _log_series_sum, and a row
-    leaves the chunk (and its columns) once it stops, so every row is bit
-    for bit what _log_series_sum returns for it.  The rescale factor and the
-    final log are taken per row with math.exp and math.log, as
-    _log_series_sum takes them: numpy's exp and log may differ from them in
-    the last bit.
+
+def _log_series_sums(plans: np.ndarray) -> np.ndarray:
+    """_log_series_sum of each row of the array plans, one plan (x, *num, c)
+    per row.  A plan still running at TERM_CAP comes back as NaN.
+
+    At most _FEW_ROWS rows go through _log_series_sum one by one.  More go
+    through in chunks of _CHUNK.  Each block advances every live row of a
+    chunk together, with exactly the block, fold, rescale and stopping rule
+    of _log_series_sum as column operations, and a row leaves the chunk
+    (and its columns) once it stops, so every row is bit for bit what
+    _log_series_sum returns for it.  The final log is taken per row with
+    math.log, as _log_series_sum takes it: numpy's log may differ from it
+    in the last bit.
     """
+    if len(plans) <= _FEW_ROWS:
+        return np.array([_sum_or_nan(plan) for plan in plans.tolist()], dtype=float)
     out = np.full(len(plans), math.nan)
-    for lo in range(0, len(plans), _CHUNK):
-        columns = list(plans[lo : lo + _CHUNK].T[:, :, None])
-        live = np.arange(lo, min(lo + _CHUNK, len(plans)))
-        log_max = np.zeros(len(live))
-        acc = np.ones(len(live))
-        log_term = np.zeros(len(live))
-        i0 = 0.0
-        while i0 < TERM_CAP:
-            inc = _log_ratios(columns, i0 + _IDX)
-            log_terms = np.cumsum(inc, axis=1)
-            log_terms += log_term[:, None]
-            block_max = log_terms.max(axis=1)
-            up = np.flatnonzero(block_max > log_max)
-            if len(up):
-                acc[up] *= _map(math.exp, log_max[up] - block_max[up])
-                log_max[up] = block_max[up]
-            acc += np.exp(log_terms - log_max[:, None]).sum(axis=1)
-            log_term = log_terms[:, -1]
-            i0 += _BLOCK
-            done = (inc[:, -1] < 0.0) & (log_term - log_max <= _LOG_TERM_FLOOR)
-            if done.any():
-                out[live[done]] = log_max[done] + _map(math.log, acc[done])
-                keep = ~done
-                if not keep.any():
-                    break
-                live, log_max, acc, log_term = (v[keep] for v in (live, log_max, acc, log_term))
-                columns = [v[keep] for v in columns]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _log_series_sum
+        for lo in range(0, len(plans), _CHUNK):
+            chunk = plans[lo : lo + _CHUNK]
+            live = np.arange(lo, lo + len(chunk))
+            x = chunk[:, :1]
+            # each parameter p of each row paired with 1: the product of a
+            # pair and (1, i) is p + i rounded once, as _log_series_sum
+            # forms it, since both of its terms are exact, and one matrix
+            # product over every pair costs a third of broadcasting each
+            # column over the indices
+            params = len(plans[0]) - 1
+            pairs = np.stack([chunk[:, 1:].T.ravel(), np.ones(params * len(chunk))], axis=1)
+            shifts = np.array([np.ones(_BLOCK), _IDX])
+            scale = np.zeros(len(live), dtype=int)
+            acc, top, term = np.ones(len(live)), np.ones(len(live)), np.ones(len(live))
+            i0 = 0.0
+            while i0 < TERM_CAP:
+                shifts[1] = i0 + _IDX
+                plus_i = (pairs @ shifts).reshape(params, len(live), _BLOCK)
+                ratios = _ratios(x, plus_i[:-1], plus_i[-1], shifts[1])
+                terms = np.multiply.accumulate(ratios, axis=1)
+                sums = np.add.reduce(terms, axis=1)
+                maxes = np.maximum.reduce(terms, axis=1)
+                lasts = terms[:, -1]
+                new = acc + term * sums
+                steep = np.flatnonzero(~(new < math.inf))
+                if len(steep):
+                    shift, steep_sums, maxes[steep], lasts[steep] = _log_block(ratios[steep])
+                    acc[steep] = np.ldexp(acc[steep], -shift)
+                    top[steep] = np.ldexp(top[steep], -shift)
+                    scale[steep] += shift
+                    new[steep] = acc[steep] + term[steep] * steep_sums
+                acc = new
+                maxes *= term
+                np.maximum(top, maxes, out=top)
+                term *= lasts
+                big = np.flatnonzero(acc >= _RESCALE)
+                if len(big):
+                    acc[big], shift = np.frexp(acc[big])
+                    top[big] = np.ldexp(top[big], -shift)
+                    term[big] = np.ldexp(term[big], -shift)
+                    scale[big] += shift
+                i0 += _BLOCK
+                done = (ratios[:, -1] < 1.0) & (term <= _TERM_FLOOR * top)
+                if done.any():
+                    out[live[done]] = scale[done] * _LN2 + _map(math.log, acc[done])
+                    keep = ~done
+                    if not keep.any():
+                        break
+                    live, scale, acc, top, term = (v[keep] for v in (live, scale, acc, top, term))
+                    x = x[keep]
+                    pairs = pairs.reshape(params, -1, 2)[:, keep].reshape(-1, 2)
     return out
 
 

@@ -463,7 +463,7 @@ class TestBatch:
         # NonConvergenceError naming the item's first such series, as
         # log_bf10 raises it, and never the ArithmeticError of a NaN bracket
         def running(plan):
-            return plan[0] > math.log(2.0)
+            return plan[0] > 2.0
 
         one_plan, many_plans = sf._log_series_sum, bf._log_series_sums
 

@@ -2,12 +2,15 @@
 
 Expected values marked as frozen were computed once with mpmath at 60 digits
 (direct series summation, not mpmath's hypergeometric routines, for the
-series cross-checks) and pasted in; the tests themselves stay double-only.
+series cross-checks) and pasted in.  The property test of the kernels on
+mixed plans compares with mpmath as it runs; the other tests stay
+double-only.
 """
 
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,9 +282,42 @@ def _block_plans():
     after."""
     out = []
     for xs, params in ((_X_1F1, (1.5, 2.0)), (_X_2F1, (2.5, 3.5, 1.5))):
-        log_x = [-math.inf] + [math.log(x) for x in xs]
-        out.append((np.array([(v, *params) for v in log_x]), np.array((1, *_BLOCKS))))
+        out.append((np.array([(v, *params) for v in (0.0, *xs)]), np.array((1, *_BLOCKS))))
     return out
+
+
+def _x_of(s, tau_sq):
+    """A closed form's series argument, as bayes_factors forms it."""
+    return s * tau_sq / (1.0 + tau_sq)
+
+
+# Plans whose first blocks leave the linear range, so that the kernels sum
+# those blocks in logs (_log_block), with the log of their sums: frozen
+# mpmath values at 60 digits, and 1F1(1; 1; x) = e^x.  The first block of
+# 1F1(1.5, 2; x) rises 787 nats at x = 2e4 (701 at 11740, the last x of
+# _X_1F1, which stays linear); the two-sided z form at z = 2000 and the
+# two-sided t form at t = 300 and nu = 1e8 are both at tau_sq = 1e3 and
+# r = 1, and the z form's first 74 blocks leave the range.
+_STEEP_1F1 = (
+    ((20000.0, 1.5, 2.0), 19995.16902596105466296858),
+    ((_x_of(2000.0**2 / 2.0, 1e3), 1.5, 0.5), 1998017.19880766705863884),
+    ((20000.0, 1.0, 1.0), 20000.0),
+)
+_STEEP_2F1 = (
+    ((_x_of(300.0**2 / (1e8 + 300.0**2), 1e3), 1.5, (1e8 + 1.0) / 2.0, 0.5), 44946.21414208927772629166),
+)
+
+
+def _agrees(value, reference):
+    """Relative 1e-13, absolute where |reference| < 1."""
+    return abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
+def _count_log_blocks(monkeypatch):
+    """The rows of each _log_block call, as a list that fills as it runs."""
+    calls, real = [], sf._log_block
+    monkeypatch.setattr(sf, "_log_block", lambda ratios: (calls.append(len(ratios)), real(ratios))[1])
+    return calls
 
 
 class TestBatchKernel:
@@ -321,13 +357,13 @@ class TestBatchKernel:
     def test_chunk_mixing_one_block_and_long_series(self, monkeypatch):
         # rows around the first chunk boundary need ~1000 terms, the rest one block
         n = 2 * sf._CHUNK + 7
-        log_x = np.full(n, math.log(0.3))
+        x = np.full(n, 0.3)
         a = np.full(n, 1.5)
         b = np.full(n, 2.0)
         long_rows = np.arange(sf._CHUNK - 6, sf._CHUNK + 6)
-        log_x[long_rows] = math.log(600.0)
-        log_x[-1] = math.log(900.0)
-        plans = np.column_stack([log_x, a, b])
+        x[long_rows] = 600.0
+        x[-1] = 900.0
+        plans = np.column_stack([x, a, b])
         out = sf._log_series_sums(plans)
         for j in range(n):
             assert out[j] == sf._log_series_sum(tuple(plans[j].tolist()))
@@ -379,6 +415,90 @@ class TestBatchKernel:
                     else:
                         assert sf._log_series_sum(tuple(plan)) == value
 
+    def test_steep_rows_against_mpmath(self, monkeypatch):
+        # each plan among mild rows of one chunk: both kernels agree bit for
+        # bit, sum its first block in logs, and agree with the reference
+        calls = _count_log_blocks(monkeypatch)
+        for steep, params in ((_STEEP_1F1, (1.5, 2.0)), (_STEEP_2F1, (2.5, 3.5, 1.5))):
+            for plan, reference in steep:
+                rows = [(x, *params) for x in (0.3, 0.5, 0.8, 0.05)]
+                rows.insert(2, plan)
+                calls.clear()
+                sums = sf._log_series_sums(np.array(rows))
+                assert calls and max(calls) == 1  # the steep row alone
+                calls.clear()
+                assert sf._log_series_sum(plan) == sums[2] and calls
+                assert _agrees(sums[2], reference), (plan, sums[2], reference)
+                for row, value in zip(rows, sums.tolist()):
+                    assert sf._log_series_sum(row) == value
+
+    def test_domain_switch_at_a_block_boundary(self, monkeypatch):
+        # 1F1(1.5, 2; 2e4) needs 166 blocks; only its first leaves the
+        # linear range, so the row switches to the linear fold after one
+        # block in logs, while the other rows of its chunk never leave it
+        calls = _count_log_blocks(monkeypatch)
+        plan, reference = _STEEP_1F1[0]
+        rows = np.array([(x, 1.5, 2.0) for x in (0.0, 1e-300, 3.0, 600.0, 11740.0)] + [plan])
+        sums = sf._log_series_sums(rows)
+        assert calls == [1]
+        assert _agrees(sums[-1], reference)
+        for row, value in zip(rows.tolist(), sums.tolist()):
+            assert sf._log_series_sum(tuple(row)) == value
+        monkeypatch.setattr(sf, "TERM_CAP", 165 * sf._BLOCK)
+        assert np.isnan(sf._log_series_sums(rows)).tolist() == [False] * 5 + [True]
+
+    def test_zero_and_tiny_x(self):
+        # at x = 0 every term after the first is 0; at tiny x the products
+        # underflow to 0 within the first block, which stops there, and the
+        # log of the sum is the first term a x / b (a b x / c for 2F1), well
+        # below 1e-13 from the second on
+        xs = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 1e-12)
+        for params in ((1.5, 2.0), (2.5, 3.5, 1.5)):
+            *num, c = params
+            rows = np.array([(x, *params) for x in xs] + [(0.5, *params)])
+            sums = sf._log_series_sums(rows)
+            for row, value in zip(rows.tolist(), sums.tolist()):
+                assert sf._log_series_sum(tuple(row)) == value
+            for x, value in zip(xs, sums.tolist()):
+                assert _agrees(value, x * math.prod(num) / c), (params, x, value)
+            assert sums[0] == 0.0
+
+    @given(
+        arity=st.sampled_from([1, 2]),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(1e-320, 1e-250),
+                    st.floats(0.01, 60.0),
+                    st.floats(500.0, 30000.0),
+                ),
+                st.floats(0.1, 50.0),
+                st.floats(0.1, 50.0),
+                st.floats(0.5, 50.0),
+            ),
+            min_size=4,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_plans_against_mpmath(self, arity, rows):
+        # rows of every kind in one chunk: x = 0, products that underflow,
+        # and, for 1F1, first blocks that leave the linear range from
+        # x = 1.1e4 on; 2F1 rows take x to 0.9 x / (1 + x)
+        if arity == 1:
+            plans = [(x, a, b) for x, a, b, _ in rows]
+        else:
+            plans = [(0.9 * x / (1.0 + x), a, b, c) for x, a, b, c in rows]
+        sums = sf._log_series_sums(np.array(plans))
+        for plan, value in zip(plans, sums.tolist()):
+            assert sf._log_series_sum(plan) == value
+            x, *num, c = plan
+            with mpmath.workdps(30):
+                series = mpmath.hyp1f1(*num, c, x) if arity == 1 else mpmath.hyp2f1(*num, c, x)
+                reference = float(mpmath.log(series))
+            assert _agrees(value, reference), (plan, value, reference)
+
     def test_empty_batch(self):
         assert sf._log_series_sums(np.empty((0, 3))).shape == (0,)
         values, errors = _batch(sf._plan_1f1, ([], [], []))
@@ -396,8 +516,8 @@ class TestCapCheck:
         a, b, c = rng.uniform(0.2, 30.0, (3, 80))
         x_1f1 = sf.TERM_CAP * rng.uniform(0.6, 1.2, 80)
         x_2f1 = 1.0 - 10 ** rng.uniform(-4.0, -1.0, 80)
-        plans = [(math.log(x_1f1[j]), a[j], b[j]) for j in range(80)]
-        plans += [(math.log(x_2f1[j]), a[j], b[j], c[j]) for j in range(80)]
+        plans = [(x_1f1[j], a[j], b[j]) for j in range(80)]
+        plans += [(x_2f1[j], a[j], b[j], c[j]) for j in range(80)]
         summed = [
             not math.isnan(value)
             for arity in (1, 2)
@@ -446,7 +566,7 @@ class TestCapCheck:
         # 88.57 nats below _LOG_TERM_FLOOR at y^2 = 9.95e-11 (summable, not
         # summed here: it takes seconds) and 0.327 nats above it at 9.973e-11
         a = (2e17 + 1) / 2
-        assert sf._plan_2f1(a, 1.5, 0.5, 9.95e-11) == (math.log(9.95e-11), 1.5, a, 0.5)
+        assert sf._plan_2f1(a, 1.5, 0.5, 9.95e-11) == (9.95e-11, 1.5, a, 0.5)
         start = time.perf_counter()
         with pytest.raises(NonConvergenceError):
             sf._plan_2f1(a, 1.5, 0.5, 9.973e-11)
@@ -457,7 +577,7 @@ class TestCapCheck:
         # the exact test: x = 1e7 peaks at the cap, x = 6e6 well inside it
         with pytest.raises(NonConvergenceError):
             sf._plan_1f1(2.0, 1.0, 1e7)
-        assert sf._plan_1f1(2.0, 1.0, 6e6) == (math.log(6e6), 2.0, 1.0)
+        assert sf._plan_1f1(2.0, 1.0, 6e6) == (6e6, 2.0, 1.0)
         with pytest.raises(NonConvergenceError):
             sf._plan_2f1(3.0, 4.0, 0.5, 1.0 - 1e-9)
 
