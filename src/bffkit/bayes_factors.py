@@ -378,15 +378,16 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
             _check_hyperparams(float(tau_sq[j]), float(r[j]))
         except ValueError as exc:
             fail(j, exc)
-    # s tau_sq can pass the largest double; x of an item failed above is never read
+    # s tau_sq, and c + r, can pass the largest double (the planner rejects
+    # an infinite a); x of an item failed above is never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = s * tau_sq / (1.0 + tau_sq)
+        a = c + r
     is_2f1 = b == b
     for j in (is_2f1 & ~(x < 1.0)).nonzero()[0].tolist():  # NaN too, as in _item
         fail(j, _argument_error(float(x[j]), float(s[j]), float(tau_sq[j])))
     live = ~failed & (tau_sq > 0.0)
     positive = live & (x > 0.0)
-    a = c + r
     odd = positive & (sign != 0.0)
     log_coef = np.zeros(n)
     if odd.any():

@@ -162,6 +162,9 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 # both kernels round each parameter plus an index once.
 _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
+# The rows (1, i) of the first block of _log_series_sums, whose second row it
+# moves to each block's indices.
+_SHIFTS = np.array([np.ones(_BLOCK), _IDX])
 # Rows per chunk of the batched kernel: large enough to amortize numpy's
 # per-call overhead, small enough to keep its per-block arrays small.
 _CHUNK = 128
@@ -171,9 +174,6 @@ _CHUNK = 128
 # a one-block series.
 _QUIET_RATIO = 245.0
 _QUIET = contextlib.nullcontext()
-# Most rows _log_series_sums sums one at a time with _log_series_sum, whose
-# cost per row is below the batched kernel's fixed cost per call up to here.
-_FEW_ROWS = 3
 
 
 def _nonconvergence(plan: tuple) -> NonConvergenceError:
@@ -246,7 +246,8 @@ def _ratio_bound(num, c, x):
 
 def _plan(num: tuple, c: float, x: float) -> tuple:
     """The plan (x, *num, c) of a series (see the module docstring) with
-    checked arguments: x >= 0, and num (one or two entries) and c positive.
+    checked arguments: x >= 0, and num (one or two entries) and c positive
+    and finite.
     At x = 0 every term after the first is 0, and either kernel sums the
     plan to 0.0 in one block.
 
@@ -272,17 +273,19 @@ _LOG_BOUND_FLOOR = math.log(1e-16) - 1.0
 
 def _unclear(num, c, x) -> np.ndarray:
     """The mask of the rows of the columns (num, c, x) whose bound _plan may
-    not clear: every row it does not clear, and the few more whose h-th
-    power of the bound, tested here in logs, lies within _LOG_BOUND_FLOOR's
-    margin of 1e-16.  A row outside the mask needs no _check_cap."""
-    with np.errstate(over="ignore", divide="ignore"):  # x near the largest double; x = 0
-        return 0.5 * TERM_CAP * np.log(_ratio_bound(num, c, x)) > _LOG_BOUND_FLOOR
+    not clear: every row it does not clear, the few more whose h-th power
+    of the bound, tested here in logs, lies within _LOG_BOUND_FLOOR's
+    margin of 1e-16, and every row whose bound is NaN (an infinite
+    parameter at x = 0), which the planners reject.  A row outside the mask
+    needs no planner."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # x near the largest double; x = 0
+        return ~(0.5 * TERM_CAP * np.log(_ratio_bound(num, c, x)) <= _LOG_BOUND_FLOOR)
 
 
 def _plan_1f1(a: float, b: float, x: float) -> tuple:
     """The plan (x, a, b) of log_1f1(a, b, x); see _plan."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"log_1f1 requires a, b > 0, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"log_1f1 requires finite a, b > 0, got a={a}, b={b}")
     if not 0.0 <= x < math.inf:
         raise ValueError(f"log_1f1 requires finite x >= 0, got x={x}")
     return _plan((a,), b, x)
@@ -291,8 +294,8 @@ def _plan_1f1(a: float, b: float, x: float) -> tuple:
 def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
     """The plan (x, a, b, c) of log_2f1(a, b, c, x), with a <= b; see
     _plan."""
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise ValueError(f"log_2f1 requires a, b, c > 0, got a={a}, b={b}, c={c}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
+        raise ValueError(f"log_2f1 requires finite a, b, c > 0, got a={a}, b={b}, c={c}")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"log_2f1 requires 0 <= x < 1, got x={x}")
     if a > b:  # symmetric in (a, b); normalize so results match bit-for-bit
@@ -420,20 +423,11 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
-def _sum_or_nan(plan: list) -> float:
-    """_log_series_sum of plan, or NaN where it raises NonConvergenceError."""
-    try:
-        return _log_series_sum(tuple(plan))
-    except NonConvergenceError:
-        return math.nan
-
-
 def _log_series_sums(plans: np.ndarray) -> np.ndarray:
     """_log_series_sum of each row of the array plans, one plan (x, *num, c)
     per row.  A plan still running at TERM_CAP comes back as NaN.
 
-    At most _FEW_ROWS rows go through _log_series_sum one by one.  More go
-    through in chunks of _CHUNK.  Each block advances every live row of a
+    The rows go through in chunks of _CHUNK.  Each block advances every live row of a
     chunk together, with exactly the block, fold, rescale and stopping rule
     of _log_series_sum as column operations, and a row leaves the chunk
     (and its columns) once it stops, so every row is bit for bit what
@@ -441,8 +435,6 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
     math.log, as _log_series_sum takes it: numpy's log may differ from it
     in the last bit.
     """
-    if len(plans) <= _FEW_ROWS:
-        return np.array([_sum_or_nan(plan) for plan in plans.tolist()], dtype=float)
     out = np.full(len(plans), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _log_series_sum
         for lo in range(0, len(plans), _CHUNK):
@@ -455,10 +447,11 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
             # product over every pair costs a third of broadcasting each
             # column over the indices
             params = len(plans[0]) - 1
-            pairs = np.stack([chunk[:, 1:].T.ravel(), np.ones(params * len(chunk))], axis=1)
-            shifts = np.array([np.ones(_BLOCK), _IDX])
+            pairs = np.ones((params * len(chunk), 2))
+            pairs[:, 0] = chunk[:, 1:].T.ravel()
+            shifts = _SHIFTS.copy()
             scale = np.zeros(len(live), dtype=int)
-            acc, top, term = np.ones(len(live)), np.ones(len(live)), np.ones(len(live))
+            acc, top, term = np.ones((3, len(live)))
             i0 = 0.0
             while i0 < TERM_CAP:
                 shifts[1] = i0 + _IDX
@@ -469,7 +462,7 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
                 maxes = np.maximum.reduce(terms, axis=1)
                 lasts = terms[:, -1]
                 new = acc + term * sums
-                steep = np.flatnonzero(~(new < math.inf))
+                steep = (~(new < math.inf)).nonzero()[0]
                 if len(steep):
                     shift, steep_sums, maxes[steep], lasts[steep] = _log_block(ratios[steep])
                     acc[steep] = np.ldexp(acc[steep], -shift)
@@ -480,7 +473,7 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
                 maxes *= term
                 np.maximum(top, maxes, out=top)
                 term *= lasts
-                big = np.flatnonzero(acc >= _RESCALE)
+                big = (acc >= _RESCALE).nonzero()[0]
                 if len(big):
                     acc[big], shift = np.frexp(acc[big])
                     top[big] = np.ldexp(top[big], -shift)

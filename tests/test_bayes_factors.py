@@ -444,12 +444,19 @@ class TestBatch:
         items += [(z0, 1.0, 2.0), (z0, 0.0, 2.0)]  # y = 0; tau_sq = 0
         # a bracket that cancels below double precision (ArithmeticError)
         items.append((TestStatistic(StatFamily.Z, -8.0, one), 10.0, 2.0))
+        # finite degrees of freedom and r whose series parameter k/2 + r or
+        # (k + m)/2 overflows to inf, at x = 0 (where _unclear's bound is
+        # NaN) and x > 0: the planner's ValueError
+        huge = 1.7e308
+        items += [(TestStatistic(StatFamily.CHI_SQ, h, k=huge), 1.0, 1e308) for h in (0.0, 1.0)]
+        items += [(TestStatistic(StatFamily.F, f, k=huge, m=huge), 1.0, 2.0) for f in (0.0, 1e-300)]
         return items
 
     def test_matches_log_bf10(self):
         items = self._items()
         expected = [_scalar_or_error(*item) for item in items]
         assert any(isinstance(e, ArithmeticError) for e in expected)
+        assert [type(e) for e in expected[-4:]] == [ValueError] * 4
         got = _batch(items)
         for g, e in zip(got, expected):
             if isinstance(e, Exception):

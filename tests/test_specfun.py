@@ -120,6 +120,8 @@ class Test1F1:
         for x in (math.inf, math.nan):  # rejected before any term is summed
             with pytest.raises(ValueError):
                 log_1f1(1.0, 1.0, x)
+        with pytest.raises(ValueError):
+            log_1f1(math.inf, 1.0, 1.0)
 
 
 class Test2F1:
@@ -210,6 +212,8 @@ class Test2F1:
             log_2f1(0.0, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             log_2f1(1.0, 1.0, 1.0, math.nan)
+        with pytest.raises(ValueError):
+            log_2f1(1.0, math.inf, 2.0, 0.5)
 
     def test_term_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sf, "TERM_CAP", 256)
