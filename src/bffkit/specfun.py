@@ -20,17 +20,21 @@ Porter, arXiv:1407.7786, run over a batch axis).  A caller that builds its
 plan rows as columns screens them with _unclear, which tests _plan's
 one-ratio bound on every row at once, and plans only the rows it flags one
 by one.  The batched kernel takes its rows in chunks, and each block
-advances every live row of a chunk together.  The one-plan kernel takes 1,
-2, 4, ... up to _MAX_BLOCKS blocks per numpy call, as the rows of one array.
-A block takes no transcendental per term, unless its terms rise too far
-within it for the carried sum (hundreds of nats, as in the first blocks of
-a 1F1 series at x in the tens of thousands): that block alone is summed in
-logs (_log_block).  Both kernels take their term ratios from _ratios, and
-both keep the same block boundaries, fold, rescaling and stopping rule,
-with only +, *, comparisons and exact scalings by powers of two between
-blocks, so they agree bit for bit; _log_series_sums, which advances each
-row one block at a time, is the reference the tests hold _log_series_sum
-to.
+advances every live row of a chunk together.  The one-plan kernel estimates
+from the plan alone how many blocks its series needs (_blocks: the terms'
+closed-form peak and decay length) and sums them as the rows of one array,
+at most _MAX_BLOCKS per numpy call, so a series the estimate covers takes
+one call.  A series estimated at one block starts with that block alone,
+and a series that outruns its estimate takes twice as many blocks per call
+as its last, up to _MAX_BLOCKS.  A block takes no transcendental per term,
+unless its terms rise too far within it for the carried sum (hundreds of
+nats, as in the first blocks of a 1F1 series at x in the tens of
+thousands): that block alone is summed in logs (_log_block).  Both kernels
+take their term ratios from _ratios, and both keep the same block
+boundaries, fold, rescaling and stopping rule, with only +, *, comparisons
+and exact scalings by powers of two between blocks, so they agree bit for
+bit; _log_series_sums, which advances each row one block at a time, is the
+reference the tests hold _log_series_sum to.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ TERM_CAP = 10_000_000
 
 _BLOCK = 128
 # A term this far below the running maximum contributes nothing; in log,
-# for _check_cap.
+# for _check_cap, and as the fall in nats past the peak for _estimate_blocks.
 _TERM_FLOOR = 1e-16
 _LOG_TERM_FLOOR = math.log(_TERM_FLOOR)
+_FALL = -_LOG_TERM_FLOOR
 _LN2 = math.log(2.0)
 # The kernels' running sum is scaled back to [1/2, 1) once it reaches this,
 # which leaves the next block a rise of at least 2^512 (355 nats) before its
@@ -133,7 +138,7 @@ def _stirling_tail(y: float) -> float:
 
 def log_gamma_half_ratio(x: float) -> float:
     """ln Gamma(x + 1/2) - ln Gamma(x), with absolute error near machine
-    precision for all x > 0.
+    precision for all finite x > 0.
 
     Direct lgamma subtraction carries the absolute rounding of two huge
     values when x is large; past x = 50 the difference is formed from the
@@ -141,8 +146,8 @@ def log_gamma_half_ratio(x: float) -> float:
     (the difference enters cancellation-prone brackets where absolute log
     errors are amplified).
     """
-    if not x > 0.0:
-        raise ValueError(f"log_gamma_half_ratio requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:  # inf would reach the Stirling branch as inf * 0
+        raise ValueError(f"log_gamma_half_ratio requires finite x > 0, got {x}")
     if x < _HALF_RATIO_SWITCH:
         return math.lgamma(x + 0.5) - math.lgamma(x)
     return (
@@ -155,11 +160,12 @@ def log_gamma_half_ratio(x: float) -> float:
 
 
 _IDX = np.arange(_BLOCK, dtype=np.float64)
-# Most blocks _log_series_sum takes in one numpy call, and the offsets of the
-# term indices of those blocks from the first one's start: row j is
-# j * _BLOCK + _IDX.  A plan's series runs over i0 + _IDX (_log_series_sums)
-# or i0 + _IDX_ROWS[:k] (_log_series_sum), the same indices either way, and
-# both kernels round each parameter plus an index once.
+# Most blocks _log_series_sum takes in one numpy call (_blocks sizes each
+# call), and the offsets of the term indices of those blocks from the first
+# one's start: row j is j * _BLOCK + _IDX.  A plan's series runs over
+# i0 + _IDX (_log_series_sums) or i0 + _IDX_ROWS[:k] (_log_series_sum), the
+# same indices either way, and both kernels round each parameter plus an
+# index once.
 _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
 # The rows (1, i) of the first block of _log_series_sums, whose second row it
@@ -353,6 +359,70 @@ def _fold(state: tuple, sum_j: float, max_j: float, last_j: float, ratios: np.nd
     return scale, new, top, term
 
 
+# Past a 1F1's peak the slope of its log term ratio, about -1/i, flattens, so
+# its terms fall more slowly than the Gaussian of _estimate_blocks.  With
+# this widening no 1F1 series of the benchmark's sim_points workload (8,000
+# of its 16,000 series) is estimated short of its blocks; without it 465 are,
+# each by one block, and take a second numpy call.
+_SPAN_1F1 = 1.2
+
+
+def _estimate_blocks(x: float, num: list, c: float) -> float:
+    """The blocks the series of the plan (x, *num, c) needs before
+    _log_series_sum stops, estimated from the plan alone, as a float: NaN
+    or inf where the estimate fails.
+
+    The terms peak where the ratio t_{i+1}/t_i falls to 1, at the largest
+    root of the quadratic (c + i)(1 + i) = x prod(num + i), or at i = 0 when
+    it has no positive root.  Past the peak the log ratio falls with slope
+    -k, k = 1/(c + i) + 1/(1 + i) - sum 1/(p + i) at the peak, so the terms
+    fall by -ln 1e-16 = _FALL nats within about sqrt(2 _FALL / k) terms (a
+    Gaussian, widened by _SPAN_1F1 for a 1F1).  A 2F1's ratio tends to x,
+    so far past the peak its terms fall by about -ln x >= 1 - x nats per
+    term, and the estimate adds _FALL / (1 - x) terms for that stretch.
+    It takes only +, -, *, /, sqrt and comparisons, costs under a
+    microsecond and never raises.  It is NaN for a log ratio still rising
+    at i = 0, and NaN or inf for a parameter near the largest double.
+    """
+    a = num[0]
+    if len(num) == 1:
+        lead, mid, const = 1.0, 1.0 + c - x, c - x * a
+    else:
+        b = num[1]
+        lead, mid, const = 1.0 - x, 1.0 + c - x * (a + b), c - x * a * b
+    disc = mid * mid - 4.0 * lead * const
+    peak = 0.0
+    if not disc < 0.0:  # NaN goes on, to a NaN estimate
+        root = math.sqrt(disc)
+        # the largest root, without cancellation between mid and root
+        peak = -2.0 * const / (mid + root) if mid > 0.0 else (root - mid) / (2.0 * lead)
+        if peak < 0.0:
+            peak = 0.0
+    if len(num) == 1:
+        slope = 1.0 / (c + peak) + 1.0 / (1.0 + peak) - 1.0 / (a + peak)
+        if not slope > 0.0:
+            return math.nan
+        span = _SPAN_1F1 * math.sqrt(2.0 * _FALL / slope)
+    else:
+        slope = 1.0 / (c + peak) + 1.0 / (1.0 + peak) - 1.0 / (a + peak) - 1.0 / (b + peak)
+        if not slope > 0.0:
+            return math.nan
+        span = math.sqrt(2.0 * _FALL / slope) + _FALL / (1.0 - x)
+    return (peak + span) / _BLOCK + 1.0
+
+
+def _blocks(x: float, num: list, c: float) -> int:
+    """The blocks of _log_series_sum's first call on the plan (x, *num, c):
+    _estimate_blocks as an integer in [1, _MAX_BLOCKS], _MAX_BLOCKS for a
+    longer series, and 1 where the estimate is NaN or infinite, after which
+    the kernel doubles its blocks per call as for a series that outruns its
+    estimate."""
+    blocks = _estimate_blocks(x, num, c)
+    if not 1.0 <= blocks < math.inf:
+        return 1
+    return int(blocks) if blocks < _MAX_BLOCKS else _MAX_BLOCKS
+
+
 def _log_series_sum(plan: tuple) -> float:
     """Log of the series sum_{i>=0} t_i of a plan (x, *num, c) (see _plan).
 
@@ -372,28 +442,38 @@ def _log_series_sum(plan: tuple) -> float:
     _RESCALE); raises NonConvergenceError when no block starting below
     TERM_CAP stops.
 
-    The first block, where most series stop, is summed alone; past it, k =
-    2, 4, ... up to _MAX_BLOCKS blocks are the rows of one (k, _BLOCK) array,
-    each row with its own products, sum, maximum and last term, folded in
-    order until a row stops.  The fold uses only +, *, comparisons and exact
-    scalings by powers of two, so it rounds as _log_series_sums' column
-    fold does, and every value is the one _log_series_sums computes a block
-    at a time, bit for bit.  A product can underflow only past the peak,
-    where every later term is far below 1e-16 of the largest, so underflow
-    needs no log block.
+    The blocks of one numpy call are the rows of one (k, _BLOCK) array, each
+    row with its own products, sum, maximum and last term, folded in order
+    until a row stops.  The first call takes the k blocks that _blocks
+    estimates the series needs, up to _MAX_BLOCKS; a series estimated at
+    one block, as most are, has its first block summed alone.  Each later
+    call takes twice the blocks of the last, up to _MAX_BLOCKS: every call
+    of a series estimated past _MAX_BLOCKS takes _MAX_BLOCKS, and a series
+    that outruns its estimate doubles, from 2 after a first block alone.
+    How the blocks fall into calls changes no value: the fold uses only +,
+    *, comparisons and exact scalings by powers of two, so it rounds as
+    _log_series_sums' column fold does, and every value is the one
+    _log_series_sums computes a block at a time, bit for bit.  Blocks a
+    call computes past the stopping row are discarded.  A product can
+    underflow only past the peak, where every later term is far below 1e-16
+    of the largest, so underflow needs no log block.
     """
     x, *num, c = plan
-    # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
-    bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
-    with _QUIET if bound < _QUIET_RATIO else np.errstate(over="ignore", invalid="ignore"):
-        ratios = _ratios(x, [p + _IDX for p in num], c + _IDX, _IDX)
-        terms = np.multiply.accumulate(ratios)
-        sum_0, max_0 = float(np.add.reduce(terms)), float(np.maximum.reduce(terms))
-        state = _fold((0, 1.0, 1.0, 1.0), sum_0, max_0, terms.item(-1), ratios[None], 0)
-    scale, acc, top, term = state
-    if ratios.item(-1) < 1.0 and term <= _TERM_FLOOR * top:
-        return scale * _LN2 + math.log(acc)
-    i0, k = _BLOCK, 2
+    k = _blocks(x, num, c)
+    if k == 1:
+        # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
+        bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
+        with _QUIET if bound < _QUIET_RATIO else np.errstate(over="ignore", invalid="ignore"):
+            ratios = _ratios(x, [p + _IDX for p in num], c + _IDX, _IDX)
+            terms = np.multiply.accumulate(ratios)
+            sum_0, max_0 = float(np.add.reduce(terms)), float(np.maximum.reduce(terms))
+            state = _fold((0, 1.0, 1.0, 1.0), sum_0, max_0, terms.item(-1), ratios[None], 0)
+        scale, acc, top, term = state
+        if ratios.item(-1) < 1.0 and term <= _TERM_FLOOR * top:
+            return scale * _LN2 + math.log(acc)
+        i0, k = _BLOCK, 2
+    else:
+        i0, state = 0, (0, 1.0, 1.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a steep block overflows; _log_block sums it
         while i0 < TERM_CAP:
             k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap

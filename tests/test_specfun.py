@@ -68,6 +68,12 @@ class TestHalfRatio:
         above = log_gamma_half_ratio(50.000001)
         assert abs(above - below) < 1e-7
 
+    def test_domain(self):
+        # inf would reach the Stirling branch as inf * 0 and come back NaN
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="requires finite x > 0"):
+                log_gamma_half_ratio(x)
+
 
 class Test1F1:
     def test_at_zero(self):
@@ -219,8 +225,10 @@ class Test2F1:
         monkeypatch.setattr(sf, "TERM_CAP", 256)
         with pytest.raises(NonConvergenceError):
             log_2f1(5.0, 5.0, 0.5, 0.999999)
-        # caps between blocks and on the edges of _log_series_sum's calls:
-        # a 2-block series still sums, a 100-block one raises
+        # caps between blocks and at block ends (3 and 7 blocks, call edges
+        # of the one-value kernel's doubling from a first block alone): a
+        # 2-block series still sums, a 100-block one raises;
+        # TestCallSchedule moves the call edges over these caps
         short = log_2f1(2.5, 3.5, 1.5, 0.69)
         for cap in (300, 5 * sf._BLOCK + 5, 3 * sf._BLOCK, 7 * sf._BLOCK):
             monkeypatch.setattr(sf, "TERM_CAP", cap)
@@ -271,8 +279,9 @@ def _assert_rows_match(batch, scalar_fn, columns):
 
 
 # Blocks after which the series of 1F1(1.5, 2; x) and 2F1(2.5, 3.5; 1.5; x)
-# stop, at the x of _X_1F1 and _X_2F1.  They cross every edge of
-# _log_series_sum's 1, 2, 4, ... blocks per call and of its _MAX_BLOCKS cap.
+# stop, at the x of _X_1F1 and _X_2F1.  They cross every edge of the
+# doubling that _log_series_sum falls back to (calls of 1, 2, 4, ...
+# blocks) and of its _MAX_BLOCKS blocks per call.
 _BLOCKS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 64, 65, 100)
 _X_1F1 = (10.0, 60.0, 150.0, 250.0, 560.0, 670.0, 1460.0, 1570.0, 3340.0, 3460.0, 3580.0, 7320.0, 7450.0,
           11740.0)
@@ -405,8 +414,9 @@ class TestBatchKernel:
         _assert_rows_match((values, errors), log_2f1, (a, b, c, x))
         # the one-value kernel raises on exactly the plans the batched one
         # leaves NaN, those of more blocks than start below the cap; the
-        # caps fall between blocks (300, 5 blocks + 5) and on the edges of
-        # the one-value kernel's calls (3 and 7 blocks)
+        # caps fall between blocks (300, 5 blocks + 5) and at block ends (3
+        # and 7 blocks); TestCallSchedule moves the one-value kernel's call
+        # edges over these caps
         for cap in (300, 5 * sf._BLOCK + 5, 3 * sf._BLOCK, 7 * sf._BLOCK):
             monkeypatch.setattr(sf, "TERM_CAP", cap)
             for plans, blocks in _block_plans():
@@ -507,6 +517,118 @@ class TestBatchKernel:
         assert sf._log_series_sums(np.empty((0, 3))).shape == (0,)
         values, errors = _batch(sf._plan_1f1, ([], [], []))
         assert len(values) == 0 and errors == {}
+
+
+# Block estimates that TestCallSchedule forces on _log_series_sum: a first
+# block alone, a few blocks, each side of _MAX_BLOCKS, and a failed
+# estimate.
+_FORCED_ESTIMATES = (1.0, 2.0, 3.0, 31.0, 32.0, 33.0, math.nan)
+# The caps of TestBatchKernel::test_term_cap_per_row and
+# Test2F1::test_term_cap_raises.
+_CAPS = (256, 300, 5 * sf._BLOCK + 5, 3 * sf._BLOCK, 7 * sf._BLOCK)
+
+# The planners' domain for TestCallSchedule's estimate tests: x = 0 and
+# subnormal x, and parameters from tiny to 1e17 and near the largest double.
+_TINY_X = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308))
+_PARAMS = st.one_of(
+    st.floats(1e-300, 1e3),
+    st.floats(1e3, 1e17),
+    st.floats(1e300, 1.7976931348623157e308),
+)
+
+
+def _force_estimate(monkeypatch, blocks):
+    monkeypatch.setattr(sf, "_estimate_blocks", lambda x, num, c: blocks)
+
+
+def _one_value_or_nan(plan):
+    """_log_series_sum of plan, NaN where it raises NonConvergenceError."""
+    try:
+        return sf._log_series_sum(tuple(plan))
+    except NonConvergenceError:
+        return math.nan
+
+
+def _doubling_calls(blocks):
+    """The numpy calls of the doubling from a first block alone (1, 2, 4,
+    ... blocks per call, up to _MAX_BLOCKS) on a series of blocks."""
+    calls, done, k = 1, 1, 2
+    while done < blocks:
+        calls, done, k = calls + 1, done + k, min(2 * k, sf._MAX_BLOCKS)
+    return calls
+
+
+class TestCallSchedule:
+    """How _log_series_sum groups blocks into numpy calls: it changes no
+    value, and a series the estimate covers takes one call."""
+
+    def test_any_grouping_gives_the_batched_values(self, monkeypatch):
+        groups = [plans.tolist() for plans, _ in _block_plans()]
+        groups += [[plan for plan, _ in steep] for steep in (_STEEP_1F1, _STEEP_2F1)]
+        expected = [sf._log_series_sums(np.array(group)).tolist() for group in groups]
+        for blocks in _FORCED_ESTIMATES:
+            _force_estimate(monkeypatch, blocks)
+            for group, sums in zip(groups, expected):
+                for plan, value in zip(group, sums):
+                    assert sf._log_series_sum(tuple(plan)) == value, (blocks, plan)
+
+    def test_any_grouping_raises_where_the_batched_kernel_is_nan(self, monkeypatch):
+        # each cap, a call edge of some forced estimate, splits no value:
+        # every plan sums as the batched kernel does or raises where it is NaN
+        groups = [plans.tolist() for plans, _ in _block_plans()] + [[(0.999999, 5.0, 5.0, 0.5)]]
+        for cap in _CAPS:
+            monkeypatch.setattr(sf, "TERM_CAP", cap)
+            expected = [sf._log_series_sums(np.array(group)).tolist() for group in groups]
+            for blocks in _FORCED_ESTIMATES:
+                _force_estimate(monkeypatch, blocks)
+                for group, sums in zip(groups, expected):
+                    values = [_one_value_or_nan(plan) for plan in group]
+                    assert np.array_equal(values, sums, equal_nan=True), (cap, blocks)
+
+    def test_calls_per_series(self, monkeypatch):
+        # a series the estimate covers takes one numpy call, a longer one
+        # _MAX_BLOCKS blocks per call, with at most one call more for an
+        # estimate one block short; a failed estimate falls back to the
+        # doubling from a first block alone, which takes 6 calls at 33 blocks
+        calls, real = [], sf._ratios
+        monkeypatch.setattr(sf, "_ratios", lambda *args: (calls.append(1), real(*args))[1])
+        for plans, blocks in _block_plans():
+            for plan, n in zip(plans.tolist(), blocks.tolist()):
+                calls.clear()
+                sf._log_series_sum(tuple(plan))
+                assert len(calls) <= -(-n // sf._MAX_BLOCKS) + 1, (plan, n, len(calls))
+        for failed in (math.nan, math.inf):
+            _force_estimate(monkeypatch, failed)
+            for plans, blocks in _block_plans():
+                for plan, n in zip(plans.tolist(), blocks.tolist()):
+                    calls.clear()
+                    sf._log_series_sum(tuple(plan))
+                    assert len(calls) == _doubling_calls(n), (failed, plan, n)
+
+    @given(
+        x=st.one_of(_TINY_X, st.floats(0.0, 1e7)),
+        a=_PARAMS,
+        c=_PARAMS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_1f1_estimate_over_the_planners_domain(self, x, a, c):
+        blocks = sf._blocks(x, [a], c)
+        assert type(blocks) is int and 1 <= blocks <= sf._MAX_BLOCKS, (x, a, c, blocks)
+
+    @given(
+        x=st.one_of(
+            _TINY_X,
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.floats(-12.0, 0.0).map(lambda e: 1.0 - 10.0**e),
+        ),
+        a=_PARAMS,
+        b=_PARAMS,
+        c=_PARAMS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_2f1_estimate_over_the_planners_domain(self, x, a, b, c):
+        blocks = sf._blocks(x, [a, b], c)
+        assert type(blocks) is int and 1 <= blocks <= sf._MAX_BLOCKS, (x, a, b, c, blocks)
 
 
 class TestCapCheck:
