@@ -34,9 +34,11 @@ A single value (log_bf10 and the six one-value forms, through _evaluate) is
 _item and _assemble on plain floats, calling log_1f1/log_2f1: the reference
 route, with the lowest overhead per call.  Many values at once
 (log_bf10_batch, over the columns of _study_columns, as evidence evaluates a
-study set over a pass of r) are the same steps on numpy columns, with every
-transcendental still a per-element math call, and one batched kernel pass
-per function; they equal the one-value route bit for bit, errors included.
+study set over a pass of (omega, r)) are the same steps on numpy columns,
+with every transcendental still a per-element math call, and one batched
+kernel pass per function.  There, screens flag and _evaluate decides: the
+one-value route evaluates every item a column test flags, so the two routes
+agree bit for bit, errors included.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -57,9 +59,6 @@ from .specfun import (
     NonConvergenceError,
     _log_series_sums,
     _map,
-    _nonconvergence,
-    _plan_1f1,
-    _plan_2f1,
     _unclear,
     log_1f1,
     log_2f1,
@@ -134,12 +133,6 @@ class TestStatistic:
         object.__setattr__(self, "_part", _study_part(self))
 
 
-def _check_hyperparams(tau_sq: float, r: float) -> None:
-    if not 0.0 <= tau_sq < math.inf:
-        raise ValueError(f"tau_sq must be finite and >= 0, got {tau_sq}")
-    _check_shape(r)
-
-
 class _StudyPart(NamedTuple):
     """The study part of a closed form: its row of the table in the module
     docstring, for a statistic checked once.  extra is () for a 1F1 form
@@ -153,19 +146,6 @@ class _StudyPart(NamedTuple):
     log_ratio: float
 
 
-def _argument_error(x: float, s: float, tau_sq: float) -> ValueError:
-    return ValueError(
-        f"2F1 argument {x} is not below 1 at s={s}, tau_sq={tau_sq}: "
-        "the statistic is beyond double precision"
-    )
-
-
-_CANCELLED = (
-    "hypergeometric bracket not positive: its one-sided terms cancelled "
-    "below double precision for a statistic that opposes the prior"
-)
-
-
 def _item(part: _StudyPart, tau_sq: float, r: float, log_ratio_r: float):
     """The item part of a study part at a checked (tau_sq, r): None when
     tau_sq = 0 (log BF = 0 exactly), else (log prefactor, first, second,
@@ -176,7 +156,10 @@ def _item(part: _StudyPart, tau_sq: float, r: float, log_ratio_r: float):
     c, extra, s, sign, log_ratio = part
     x = s * tau_sq / (1.0 + tau_sq)
     if extra and not x < 1.0:  # NaN too: an overflowing statistic gives s = inf / inf
-        raise _argument_error(x, s, tau_sq)
+        raise ValueError(
+            f"2F1 argument {x} is not below 1 at s={s}, tau_sq={tau_sq}: "
+            "the statistic is beyond double precision"
+        )
     if tau_sq == 0.0:
         return None
     a = c + r
@@ -204,13 +187,18 @@ def _assemble(log_prefactor, log_first, log_second, log_coef, sign) -> float:
     m = log_second if log_second > log_first else log_first  # max(), without the call
     v = math.exp(log_first - m) + sign * math.exp(log_second - m)
     if not v > 0.0:
-        raise ArithmeticError(_CANCELLED)
+        raise ArithmeticError(
+            "hypergeometric bracket not positive: its one-sided terms cancelled "
+            "below double precision for a statistic that opposes the prior"
+        )
     return log_prefactor + (m + math.log(v))
 
 
 def _evaluate(part: _StudyPart, tau_sq: float, r: float) -> float:
     """log BF10 of a study part at (tau_sq, r), one series value at a time."""
-    _check_hyperparams(tau_sq, r)
+    if not 0.0 <= tau_sq < math.inf:
+        raise ValueError(f"tau_sq must be finite and >= 0, got {tau_sq}")
+    _check_shape(r)
     log_ratio_r = log_gamma_half_ratio(r + 0.5) if part.sign else 0.0
     item = _item(part, tau_sq, r, log_ratio_r)
     return 0.0 if item is None else _assemble(*item)
@@ -351,42 +339,29 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
     log_bf10 would raise for an item, its entry in the returned list is the
     exception, of the same type and message, instead of a float.
 
-    The items are evaluated as columns: every step of _item and _assemble
-    is a column operation, and every log, log1p and exp a math call per
-    element (specfun._map), so that each value rounds as log_bf10's does.
-    A check whose rule lives in the one-value route (the hyperparameters,
-    the planners' argument and term-cap checks) screens a superset of the
-    items in columns, and the rule itself decides the flagged ones.  The plan
-    rows go to one _log_series_sums pass per function, made only when
-    needed; a one-sided item's two rows share its x, and
-    log_gamma_half_ratio(r + 1/2) is computed once per distinct r.
+    Screens flag, _evaluate decides.  The items are evaluated as columns:
+    every step of _item and _assemble is a column operation, and every log,
+    log1p and exp a math call per element (specfun._map), so that each value
+    rounds as log_bf10's does.  A column test only flags the items it
+    concerns (a bad hyperparameter, a 2F1 argument not below 1, a plan row
+    _unclear flags, a NaN sum, a bracket not positive), and _evaluate then
+    decides each flagged item on its study part rebuilt from its columns.
+    The other items' plan rows go to one _log_series_sums pass per function;
+    a one-sided item's two rows share its x, and log_gamma_half_ratio(r +
+    1/2) is computed once per distinct r.
     """
     c, b, s, sign, log_ratio = parts
     n = len(s)
     out = np.zeros(n)  # log BF10 at tau_sq = 0; other entries are replaced
-    errors = {}
-    failed = np.zeros(n, dtype=bool)
-
-    def fail(j, error):
-        if not failed[j]:  # an item keeps its first error, as log_bf10 raises it
-            errors[j] = error
-            failed[j] = True
-
-    valid = (tau_sq >= 0.0) & (tau_sq < math.inf) & (r >= 1.0) & (r < math.inf)
-    for j in (~valid).nonzero()[0].tolist():
-        try:
-            _check_hyperparams(float(tau_sq[j]), float(r[j]))
-        except ValueError as exc:
-            fail(j, exc)
+    flagged = ~((tau_sq >= 0.0) & (tau_sq < math.inf) & (r >= 1.0) & (r < math.inf))
     # s tau_sq, and c + r, can pass the largest double (the planner rejects
-    # an infinite a); x of an item failed above is never read
+    # an infinite a); x of a flagged item is never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = s * tau_sq / (1.0 + tau_sq)
         a = c + r
     is_2f1 = b == b
-    for j in (is_2f1 & ~(x < 1.0)).nonzero()[0].tolist():  # NaN too, as in _item
-        fail(j, _argument_error(float(x[j]), float(s[j]), float(tau_sq[j])))
-    live = ~failed & (tau_sq > 0.0)
+    flagged |= is_2f1 & ~(x < 1.0)  # NaN too, as in _item
+    live = ~flagged & (tau_sq > 0.0)
     positive = live & (x > 0.0)
     odd = positive & (sign != 0.0)
     log_coef = np.zeros(n)
@@ -412,24 +387,14 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
             other = b[owner] + shift
             num = [np.minimum(num[0], other), np.maximum(num[0], other)]
         rows = np.array([x[owner], *num, den]).T
-        # the term cap, decided by the planner where the bound may not clear
-        # it; an item's first row comes before its second, as in _item
-        planner = _plan_2f1 if two else _plan_1f1
-        for i in _unclear(num, den, x[owner]).nonzero()[0].tolist():
-            j = int(owner[i])
-            if not failed[j]:
-                try:
-                    planner(*rows[i, 1:].tolist(), float(x[j]))
-                except (ValueError, NonConvergenceError) as exc:
-                    fail(j, exc)
-        keep = ~failed[owner]
+        flagged[owner[_unclear(num, den, x[owner])]] = True
+        keep = ~flagged[owner]
         if not keep.all():
             rows, owner, is_second = rows[keep], owner[keep], is_second[keep]
             if not len(rows):
                 continue
         sums = _log_series_sums(rows)
-        for i in np.isnan(sums).nonzero()[0].tolist():  # still running at TERM_CAP
-            fail(int(owner[i]), _nonconvergence(tuple(rows[i].tolist())))
+        flagged[owner[np.isnan(sums)]] = True  # still running at TERM_CAP
         items, pairs = owner[~is_second], owner[is_second]
         log_first = sums[: len(items)]
         log_prefactor = -a[items] * _map(math.log1p, tau_sq[items])
@@ -443,11 +408,15 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
         m = np.where(log_second > log_first, log_second, log_first)
         v = _map(math.exp, log_first - m) + sign[pairs] * _map(math.exp, log_second - m)
         summed = v > 0.0
-        for j in pairs[~summed].tolist():
-            fail(j, ArithmeticError(_CANCELLED))
+        flagged[pairs[~summed]] = True
         log_bracket = m[summed] + _map(math.log, v[summed])
         out[pairs[summed]] = log_prefactor[with_odd][summed] + log_bracket
     values = out.tolist()
-    for j, error in errors.items():
-        values[j] = error
+    for j in flagged.nonzero()[0].tolist():
+        c_j, b_j, s_j, sign_j, log_ratio_j = parts[:, j].tolist()
+        part = _StudyPart(c_j, () if b_j != b_j else (b_j,), s_j, int(sign_j), log_ratio_j)
+        try:
+            values[j] = _evaluate(part, float(tau_sq[j]), float(r[j]))
+        except (ValueError, ArithmeticError, NonConvergenceError) as exc:
+            values[j] = exc
     return values

@@ -93,7 +93,7 @@ class StudySet:
     sets must additionally share the numerator df k, since the Jeffreys prior
     depends on it.  A built set holds, in a private field, its studies'
     parts and prior-scale constants as columns, which every evaluation
-    (_at_omega) reads.
+    (_log_bf_rows) reads.
     """
 
     studies: tuple[Study, ...]
@@ -145,39 +145,28 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega}")
 
 
-def _at_omega(study_set: StudySet, omega: float) -> tuple:
-    """(study columns, c w w, d, s, u) of the study set at common effect
-    omega: its study parts' columns, and the columns of its studies'
-    _tau_sq_parts, of which c w w, the part of tau_sq that depends on omega
-    alone, is formed once per omega."""
-    _check_omega(omega)
-    w = float(omega)
-    parts, (c, d, s, u) = study_set._columns
-    return parts, c * w * w, d, s, u
-
-
-def _log_bf_rows(scaled: tuple, rs: Sequence[float]) -> list[list]:
-    """Per-study log BF10 at the effect of scaled (_at_omega) for every
-    shape in rs, one list per r, with all (r, study) items evaluated by one
-    log_bf10_batch pass.  Where scaled holds c w w for several omegas, one
-    row each, and rs is one shape, the lists are one per omega instead.
-    Where the evaluation of a study raises, its entry is the exception
-    instead of a float.
+def _log_bf_rows(study_set: StudySet, omegas: Sequence[float], rs: Sequence[float]) -> list[list]:
+    """Per-study log BF10 at every (omega, r) of omegas x rs, one list per
+    pair, omega-major, with all items evaluated by one log_bf10_batch pass.
+    Where the evaluation of a study raises, its entry is the exception.
 
     Each study was compiled when built, so the pass computes only the array
     of tau_sq here and the rest in log_bf10_batch.  tau_sq is c w w / (d (s
     + r - u)): tau_sq_for's operations in its order, so its value bit for
-    bit.  An r that is not finite and >= 1 raises tau_sq_for's error for the
-    whole call; it concerns no study."""
-    parts, cww, d, s, u = scaled
+    bit.  An omega that is not finite and > 0, then an r that is not finite
+    and >= 1, raises for the whole call; it concerns no study."""
+    for omega in omegas:
+        _check_omega(omega)
     for r in rs:
         _check_shape(r)
+    parts, (c, d, s, u) = study_set._columns
+    w = np.array(omegas, dtype=float)[:, None, None]
     r = np.array(rs, dtype=float)[:, None]
     with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
-        tau_sq = cww / (d * (s + r - u))
-    rows, n = tau_sq.shape
+        tau_sq = c * w * w / (d * (s + r - u))
+    n = len(s)
     r = np.broadcast_to(r, tau_sq.shape).ravel()
-    values = log_bf10_batch(np.tile(parts, rows), tau_sq.ravel(), r)
+    values = log_bf10_batch(np.tile(parts, len(omegas) * len(rs)), tau_sq.ravel(), r)
     return [values[i : i + n] for i in range(0, len(values), n)]
 
 
@@ -203,7 +192,7 @@ def _raise_first_error(per_study: list, skip: type | tuple = ()) -> bool:
 
 def per_study_log_bf(study_set: StudySet, omega: float, r: float) -> list[float]:
     """Per-study log BF10 at common effect omega and shape r."""
-    per_study = _log_bf_rows(_at_omega(study_set, omega), (r,))[0]
+    per_study = _log_bf_rows(study_set, (omega,), (r,))[0]
     _raise_first_error(per_study)
     return per_study
 
@@ -213,10 +202,10 @@ def combined_log_bf(study_set: StudySet, omega: float, r: float) -> float:
     return sum(per_study_log_bf(study_set, omega, r))
 
 
-def _objectives(study_set: StudySet, scaled: tuple, rs: Sequence[float]) -> list[tuple]:
-    """(objective, per-study values) at each r in rs and the effect of
-    scaled (_at_omega), where the MMAP objective is combined_log_bf + log
-    Jeffreys prior, all through one _log_bf_rows pass.
+def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[tuple]:
+    """(objective, per-study values) at common effect omega and each r in
+    rs, where the MMAP objective is combined_log_bf + log Jeffreys prior,
+    all through one _log_bf_rows pass.
 
     One-sided brackets with the statistic strongly opposing the prior
     direction can fall below double-precision resolution at large r (the log
@@ -227,7 +216,7 @@ def _objectives(study_set: StudySet, scaled: tuple, rs: Sequence[float]) -> list
     earlier study comes first, so the result does not depend on study order.
     """
     out = []
-    for r, per_study in zip(rs, _log_bf_rows(scaled, rs)):
+    for r, per_study in zip(rs, _log_bf_rows(study_set, (omega,), rs)):
         if _raise_first_error(per_study, ArithmeticError):
             out.append((float("-inf"), per_study))
         else:
@@ -290,15 +279,14 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
     items, bit for bit combined_log_bf.
     """
     _check_shape(r_max, "r_max")
-    scaled = _at_omega(study_set, omega)
     if r_max == 1.0:
-        ((obj, per_study),) = _objectives(study_set, scaled, (1.0,))
+        ((obj, per_study),) = _objectives(study_set, omega, (1.0,))
         _raise_first_error(per_study)  # no other r to fall back on
         return MmapResult(1.0, obj, True, tuple(per_study))
     half = 0.5 * math.log(r_max)
     rs = np.exp(half * (1.0 + np.cos(_THETA))).tolist()
     rs[0], rs[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
-    nodes = _objectives(study_set, scaled, rs)
+    nodes = _objectives(study_set, omega, rs)
     values = np.array([value for value, _ in nodes])
     best = int(np.argmax(values))
     if not math.isfinite(values[best]):
@@ -313,7 +301,7 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
         predicted = chebval(x, coef)
         if len(x) and predicted.max() > obj:
             r = min(math.exp(half * (1.0 + x[np.argmax(predicted)])), r_max)
-            ((found, found_per_study),) = _objectives(study_set, scaled, (r,))
+            ((found, found_per_study),) = _objectives(study_set, omega, (r,))
             if found > obj:
                 r_star, obj, per_study = r, found, found_per_study
     return MmapResult(r_star, obj, r_max - r_star <= _AT_R_MAX, tuple(per_study))
@@ -391,15 +379,14 @@ def bff_curve(
     study_set: StudySet, grid: EffectGrid, r_policy: "FixedR | MmapR"
 ) -> BffCurve:
     """Evaluate the BFF over the grid under a fixed r or per-point MMAP r."""
+    if not isinstance(r_policy, (FixedR, MmapR)):
+        raise TypeError(f"r_policy must be a FixedR or an MmapR, got {r_policy!r}")
     points = []
     if isinstance(r_policy, FixedR):
         # per_study_log_bf at each omega, _OMEGAS_PER_PASS omegas per pass
-        parts, (c, d, s, u) = study_set._columns
         for lo in range(0, len(grid.omegas), _OMEGAS_PER_PASS):
             omegas = grid.omegas[lo : lo + _OMEGAS_PER_PASS]
-            w = np.array(omegas, dtype=float)[:, None]
-            rows = _log_bf_rows((parts, c * w * w, d, s, u), (r_policy.r,))
-            for omega, per_study in zip(omegas, rows):
+            for omega, per_study in zip(omegas, _log_bf_rows(study_set, omegas, (r_policy.r,))):
                 _raise_first_error(per_study)
                 total = sum(per_study)
                 points.append(BffPoint(omega, r_policy.r, total, tuple(per_study), objective=total))

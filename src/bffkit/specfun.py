@@ -18,8 +18,8 @@ log_2f1 do, or _log_series_sums an array of plans of one length at once, as
 bayes_factors.log_bf10_batch does (direct summation, as in Pearson, Olver &
 Porter, arXiv:1407.7786, run over a batch axis).  A caller that builds its
 plan rows as columns screens them with _unclear, which tests _plan's
-one-ratio bound on every row at once, and plans only the rows it flags one
-by one.  The batched kernel takes its rows in chunks, and each block
+one-ratio bound on every row at once, and leaves the rows it flags to the
+one-value route, whose planners decide them.  The batched kernel takes its rows in chunks, and each block
 advances every live row of a chunk together.  The one-plan kernel estimates
 from the plan alone how many blocks its series needs (_blocks: the terms'
 closed-form peak and decay length) and sums them as the rows of one array,

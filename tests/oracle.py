@@ -39,7 +39,7 @@ from scipy.special import gammaincc
 
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 from bffkit.effect_map import DesignKind, DesignTag
-from bffkit.evidence import StudySet, _at_omega, _objectives
+from bffkit.evidence import StudySet, _objectives
 
 __all__ = [
     "PriorFamily",
@@ -679,10 +679,8 @@ def reference_mmap_r(study_set: StudySet, omega: float, r_max: float = 200.0) ->
     neighbours until its bracket is 1e-10 wide.  The best of the scan point
     and the search's two last points wins, so a maximum at r = 1 or r_max
     comes back as that end."""
-    scaled = _at_omega(study_set, omega)
-
     def objective(rs):
-        return [value for value, _ in _objectives(study_set, scaled, rs)]
+        return [value for value, _ in _objectives(study_set, omega, rs)]
 
     scan = np.exp(np.linspace(0.0, math.log(r_max), 32)).tolist()
     scan[0], scan[-1] = 1.0, r_max

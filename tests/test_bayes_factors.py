@@ -9,6 +9,7 @@ against the closed forms evaluated by mpmath (oracle.mpmath_log_bf10).
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from bffkit.bayes_factors import (
     log_bf10_z_one,
     log_bf10_z_two,
 )
+from bffkit.cli import load_studies
 from bffkit.effect_map import DesignKind, DesignTag, tau_sq_for
-from bffkit.evidence import StudySet, per_study_log_bf
+from bffkit.evidence import StudySet, mmap_r, per_study_log_bf
 from bffkit.specfun import NonConvergenceError
 from oracle import mpmath_log_bf10
 
@@ -419,6 +421,34 @@ def _scalar_or_error(stat, tau_sq, r):
         return exc
 
 
+def _assert_same(got, expected):
+    """Equal floats item by item, or errors of one type and message."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if isinstance(e, Exception):
+            assert type(g) is type(e) and str(g) == str(e)
+        else:
+            assert g == e
+
+
+def _record_evaluate(monkeypatch):
+    """Wrap bf._evaluate; return the lists of its calls and of the errors it
+    raised."""
+    calls, raised = [], []
+    real = bf._evaluate
+
+    def record(*args):
+        calls.append(args)
+        try:
+            return real(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(bf, "_evaluate", record)
+    return calls, raised
+
+
 class TestBatch:
     """log_bf10_batch against log_bf10, item by item and bit for bit."""
 
@@ -457,12 +487,40 @@ class TestBatch:
         expected = [_scalar_or_error(*item) for item in items]
         assert any(isinstance(e, ArithmeticError) for e in expected)
         assert [type(e) for e in expected[-4:]] == [ValueError] * 4
-        got = _batch(items)
-        for g, e in zip(got, expected):
-            if isinstance(e, Exception):
-                assert type(g) is type(e) and str(g) == str(e)
-            else:
-                assert g == e
+        _assert_same(_batch(items), expected)
+
+    def test_over_flagging_changes_no_entry(self, monkeypatch):
+        # every plan row flagged: every item with a series goes to _evaluate
+        monkeypatch.setattr(bf, "_unclear", lambda num, c, x: np.ones(len(x), dtype=bool))
+        items = self._items()
+        expected = [_scalar_or_error(*item) for item in items]
+        _assert_same(_batch(items), expected)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # a flagged item whose evaluation raises anything but ValueError,
+        # ArithmeticError or NonConvergenceError raises it from the batch
+        def fail(plan):
+            raise AssertionError("one-value kernel reached")
+
+        monkeypatch.setattr(bf, "_unclear", lambda num, c, x: np.ones(len(x), dtype=bool))
+        monkeypatch.setattr(sf, "_log_series_sum", fail)
+        with pytest.raises(AssertionError, match="one-value kernel reached"):
+            _batch(self._items())
+
+    def test_every_error_is_raised_by_evaluate(self, monkeypatch):
+        # the one decider: each exception entry is an object _evaluate raised
+        _, raised = _record_evaluate(monkeypatch)
+        errors = [v for v in _batch(self._items()) if isinstance(v, Exception)]
+        assert errors
+        assert all(any(error is seen for seen in raised) for error in errors)
+
+    def test_mmap_points_stay_in_columns(self, monkeypatch):
+        # no item of a Stroop MMAP point is flagged, r* = 1 or interior
+        calls, _ = _record_evaluate(monkeypatch)
+        studies = load_studies(str(Path(__file__).parent / "data" / "stroop.csv"))
+        for omega in (0.5, 0.885):
+            mmap_r(studies, omega)
+        assert calls == []
 
     def test_series_still_running_at_the_cap(self, monkeypatch):
         # a series that passes the cap check but is still running at the cap
@@ -490,11 +548,7 @@ class TestBatch:
         expected = [_scalar_or_error(*item) for item in items]
         one_sided = [stat.sided is Sidedness.ONE_SIDED for stat, _, _ in items]
         assert any(isinstance(e, NonConvergenceError) and o for e, o in zip(expected, one_sided))
-        for g, e in zip(_batch(items), expected):
-            if isinstance(e, Exception):
-                assert type(g) is type(e) and str(g) == str(e)
-            else:
-                assert g == e
+        _assert_same(_batch(items), expected)
 
     def test_one_kernel_call_per_function(self, monkeypatch):
         calls = []  # the set of series arities (1 for 1F1, 2 for 2F1) per pass

@@ -25,7 +25,7 @@ from bffkit.evidence import (
     mmap_r,
     per_study_log_bf,
 )
-from bffkit.evidence import _at_omega, _objectives
+from bffkit.evidence import _objectives
 from bffkit.specfun import NonConvergenceError
 from oracle import reference_mmap_r, single_statistic_sets
 
@@ -193,7 +193,7 @@ class TestMmap:
         # precision at some r, so some nodes are -inf and the fit does not run
         studies = StudySet.build([z_study(2.5, 80), z_study(-8.0, 100)])
         res = mmap_r(studies, 0.3)
-        evaluated = _objectives(studies, _at_omega(studies, 0.3), _node_rs(studies, 0.3))
+        evaluated = _objectives(studies, 0.3, _node_rs(studies, 0.3))
         finite = [v for v, _ in evaluated if math.isfinite(v)]
         assert math.isfinite(res.objective)
         assert finite and res.objective >= max(finite)
@@ -219,7 +219,7 @@ class TestMmap:
         # r* is interior at omega 0.885; a -inf node leaves the fit out
         studies = _stroop()
         rs = _node_rs(studies, 0.885)
-        values = [v for v, _ in _objectives(studies, _at_omega(studies, 0.885), rs)]
+        values = [v for v, _ in _objectives(studies, 0.885, rs)]
         best = int(np.argmax(values))
         _drop(monkeypatch, {rs[best]})
         passes = _record_passes(monkeypatch)
@@ -234,12 +234,12 @@ class TestMmap:
         # best node's, or -inf from a cancelling bracket: the node wins
         studies = _stroop()
         rs = _node_rs(studies, 0.885)
-        nodes = _objectives(studies, _at_omega(studies, 0.885), rs)
+        nodes = _objectives(studies, 0.885, rs)
         real = ev._objectives
         monkeypatch.setattr(
             ev,
             "_objectives",
-            lambda s, scaled, r: real(s, scaled, r) if r == rs else [(-math.inf, [])] * len(r),
+            lambda s, omega, r: real(s, omega, r) if r == rs else [(-math.inf, [])] * len(r),
         )
         res = mmap_r(studies, 0.885)
         best = int(np.argmax([value for value, _ in nodes]))
@@ -291,6 +291,11 @@ class TestBffCurve:
             assert p.log_bf10 == pytest.approx(sum(p.per_study_log_bf), abs=1e-9)
             # the curve's passes over many omegas give each omega's own pass
             assert p.per_study_log_bf == tuple(per_study_log_bf(self.studies, p.omega, 1.0))
+
+    @pytest.mark.parametrize("policy", [2.0, None, "mmap"])
+    def test_unknown_policy_is_type_error(self, policy):
+        with pytest.raises(TypeError, match="FixedR or an MmapR"):
+            bff_curve(self.studies, self.grid, policy)
 
     def test_mmap_dominance(self):
         mmap = bff_curve(self.studies, self.grid, MmapR())
@@ -407,7 +412,7 @@ class TestBatchedObjective:
                 expected.append(sum(per_study) + studies.jeffreys_log_prior(r))
             except ArithmeticError:
                 expected.append(float("-inf"))
-        got = [objective for objective, _ in _objectives(studies, _at_omega(studies, omega), rs)]
+        got = [objective for objective, _ in _objectives(studies, omega, rs)]
         assert got == expected
         assert any(v == float("-inf") for v in got)
         assert any(math.isfinite(v) for v in got)
@@ -434,10 +439,10 @@ class TestBatchedObjective:
         monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
         pairs = [z_study(-8.0, 100), z_study(6000.0, 2000, Sidedness.TWO_SIDED)]
         alone = StudySet.build(pairs[:1])
-        assert _objectives(alone, _at_omega(alone, 0.5), (1.0,))[0][0] == float("-inf")
+        assert _objectives(alone, 0.5, (1.0,))[0][0] == float("-inf")
         studies = StudySet.build([pairs[i] for i in order])
         with pytest.raises(NonConvergenceError, match=f"^study {order.index(1)}: series"):
-            _objectives(studies, _at_omega(studies, 0.5), (1.0,))
+            _objectives(studies, 0.5, (1.0,))
 
     def test_error_of_any_signature_tagged(self):
         # the tagged error is a copy of the original, not a rebuild from its
@@ -509,9 +514,9 @@ def _record_passes(monkeypatch) -> list:
     passes = []
     real = ev._objectives
 
-    def record(study_set, scaled, rs):
+    def record(study_set, omega, rs):
         passes.append(list(rs))
-        return real(study_set, scaled, rs)
+        return real(study_set, omega, rs)
 
     monkeypatch.setattr(ev, "_objectives", record)
     return passes
@@ -529,8 +534,8 @@ def _drop(monkeypatch, dropped):
     """Make the objective -inf at every r in dropped."""
     real = ev._objectives
 
-    def objectives(study_set, scaled, rs):
-        values = real(study_set, scaled, rs)
+    def objectives(study_set, omega, rs):
+        values = real(study_set, omega, rs)
         return [(-math.inf, v[1]) if r in dropped else v for r, v in zip(rs, values)]
 
     monkeypatch.setattr(ev, "_objectives", objectives)
@@ -657,7 +662,7 @@ class TestCoarseToFineScan:
         # of the finite nodes wins, from the one node pass
         studies = _stroop()
         rs = _node_rs(studies, omega)
-        values = [v for v, _ in _objectives(studies, _at_omega(studies, omega), rs)]
+        values = [v for v, _ in _objectives(studies, omega, rs)]
         _drop(monkeypatch, set(rs[::2]))
         passes = _record_passes(monkeypatch)
         res = mmap_r(studies, omega)
@@ -740,7 +745,7 @@ class TestCompiledStudies:
         seen = set()
         for studies in _guard_sets():
             for omega in omegas:
-                rows = ev._log_bf_rows(_at_omega(studies, omega), rs)
+                rows = ev._log_bf_rows(studies, (omega,), rs)
                 for r, row in zip(rs, rows):
                     expected = [
                         _value_or_error(
@@ -861,13 +866,38 @@ class TestColumnRoute:
     the same type and message."""
 
     def _check(self, studies, omega, rs):
-        rows = ev._log_bf_rows(_at_omega(studies, omega), rs)
+        rows = ev._log_bf_rows(studies, (omega,), rs)
         for r, row in zip(rs, rows):
             expected = [
                 _value_or_error(log_bf10, s.stat, tau_sq_for(s.design, omega, r, s.stat.k), r)
                 for s in studies.studies
             ]
             assert all(_same(g, e) for g, e in zip(row, expected)), (omega, r, row, expected)
+
+    def test_omega_major_product(self):
+        studies = _stroop()
+        omegas, rs = (0.3, 0.7), (1.0, 2.5, 40.0)
+        rows = ev._log_bf_rows(studies, omegas, rs)
+        pairs = [(omega, r) for omega in omegas for r in rs]
+        assert len(rows) == len(pairs) == 6
+        for row, (omega, r) in zip(rows, pairs):
+            assert [repr(v) for v in row] == [repr(v) for v in per_study_log_bf(studies, omega, r)]
+
+    @pytest.mark.parametrize(
+        "omegas, rs, message",
+        [
+            ((0.3, 0.0), (1.0, 2.5, 40.0), "^omega must be"),
+            ((math.nan, 0.7), (1.0, 2.5, 40.0), "^omega must be"),
+            ((0.3, 0.7), (1.0, 0.5, 40.0), "^r must be"),
+        ],
+    )
+    def test_bad_omega_or_r_fails_the_whole_call(self, monkeypatch, omegas, rs, message):
+        def fail(*args):
+            raise AssertionError("a series kernel was reached")
+
+        monkeypatch.setattr(bf, "_log_series_sums", fail)
+        with pytest.raises(ValueError, match=message):
+            ev._log_bf_rows(_stroop(), omegas, rs)
 
     @given(_nm_sets(), st.sampled_from(_OMEGAS), st.lists(_RS, min_size=1, max_size=3))
     @settings(max_examples=120, deadline=None)
