@@ -30,11 +30,21 @@ as its last, up to _MAX_BLOCKS.  A block takes no transcendental per term,
 unless its terms rise too far within it for the carried sum (hundreds of
 nats, as in the first blocks of a 1F1 series at x in the tens of
 thousands): that block alone is summed in logs (_log_block).  Both kernels
-take their term ratios from _ratios, and both keep the same block
-boundaries, fold, rescaling and stopping rule, with only +, *, comparisons
-and exact scalings by powers of two between blocks, so they agree bit for
-bit; _log_series_sums, which advances each row one block at a time, is the
-reference the tests hold _log_series_sum to.
+take their term ratios as x P_i, with P_i = prod(num + i) / ((c + i)(1 +
+i)) from _ratio_factors and x multiplied last, and both keep the same
+block boundaries, fold, rescaling and stopping rule, with only +, *,
+comparisons and exact scalings by powers of two between blocks, so they
+agree bit for bit; _log_series_sums, which advances each row one block at a
+time, is the reference the tests hold _log_series_sum to.
+
+P is free of the statistic: only x carries it, and the closed forms call
+the functions with many statistics at few (r, design) pairs.  So
+_log_series_sum keeps the P rows of each series' first numpy call in _ROWS,
+a module-level dict keyed by the plan's parameters (*num, c) (after
+_plan_2f1 puts a <= b), whose arrays are read-only and at most _ROWS_CAP
+blocks in all; a series whose first call finds its rows there takes them
+times x, in one multiply.  The product is the double x P_i that the series
+would form anyway, so no value depends on what the cache holds.
 """
 
 from __future__ import annotations
@@ -168,18 +178,29 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 # index once.
 _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
+# 1 + i over the same rows (exact), so that a fill of _ROWS forms none
+_ONE_ROWS = 1.0 + _IDX_ROWS
 # The rows (1, i) of the first block of _log_series_sums, whose second row it
 # moves to each block's indices.
 _SHIFTS = np.array([np.ones(_BLOCK), _IDX])
 # Rows per chunk of the batched kernel: large enough to amortize numpy's
 # per-call overhead, small enough to keep its per-block arrays small.
 _CHUNK = 128
-# Below this bound on every term ratio of a block, its products and their sum
-# stay below the largest double (245^128 * 128 < 2^1023), so _log_series_sum
-# sums a first block under it without np.errstate, whose cost is a tenth of
-# a one-block series.
+# Below this bound on every term ratio of a series, the products of each of
+# its blocks and their sum stay below the largest double (245^128 * 128 <
+# 2^1023), so _log_series_sum makes every numpy call of such a series without
+# np.errstate, whose cost is a tenth of a one-block series.
 _QUIET_RATIO = 245.0
 _QUIET = contextlib.nullcontext()
+# The statistic-free ratio rows of _log_series_sum's first numpy call of a
+# series, by its parameters (*num, c), the plan without x: row j holds P_i
+# (_ratio_factors) for i in j * _BLOCK + _IDX, read-only.  They hold at most
+# _ROWS_CAP blocks of 1 KiB (4 MiB), counted in _rows_held; a fill that would
+# pass the cap clears them first.  The benchmark's sim_points series take
+# 3,342 blocks over 338 parameter tuples.
+_ROWS: dict = {}
+_ROWS_CAP = 4096
+_rows_held = 0
 
 
 def _nonconvergence(plan: tuple) -> NonConvergenceError:
@@ -309,16 +330,20 @@ def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
     return _plan((a, b), c, x)
 
 
-def _ratios(x, num_i, c_i: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """t_{i+1}/t_i for i in idx, of a plan's x (a float, or a (rows, 1)
-    column for a chunk of plans) from its parameters plus the indices:
-    num_i, each p + idx of num, and c_i = c + idx, which it overwrites."""
+def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray) -> np.ndarray:
+    """P_i = prod(num + i) / ((c + i)(1 + i)) for the indices i of a block
+    (or of rows of blocks), from a plan's parameters plus the indices: num_i,
+    each p + i of num, c_i = c + i, which it overwrites, and one_i = 1 + i.
+
+    The term ratio t_{i+1}/t_i of the plan (x, *num, c) is x P_i, with x
+    multiplied last by every caller: P is free of the statistic, which only
+    x carries, so a ratio is the same double whether its P was formed for
+    this x or taken from _ROWS."""
     inc = num_i[0]
     for p_i in num_i[1:]:
         inc *= p_i
-    c_i *= 1.0 + idx
+    c_i *= one_i
     inc /= c_i
-    inc *= x
     return inc
 
 
@@ -423,6 +448,24 @@ def _blocks(x: float, num: list, c: float) -> int:
     return int(blocks) if blocks < _MAX_BLOCKS else _MAX_BLOCKS
 
 
+def _fill_rows(key: tuple, num: list, c: float, k: int, old) -> np.ndarray:
+    """The new entry of _ROWS for key = (*num, c): the rows of P
+    (_ratio_factors) of the first k blocks, read-only.  It replaces old,
+    the key's shorter entry, or None."""
+    global _rows_held
+    if old is not None:
+        _rows_held -= len(old)
+    if _rows_held + k > _ROWS_CAP:
+        _ROWS.clear()
+        _rows_held = 0
+    idx = _IDX_ROWS[:k]
+    rows = _ratio_factors([p + idx for p in num], c + idx, _ONE_ROWS[:k])
+    rows.setflags(write=False)
+    _ROWS[key] = rows
+    _rows_held += k
+    return rows
+
+
 def _log_series_sum(plan: tuple) -> float:
     """Log of the series sum_{i>=0} t_i of a plan (x, *num, c) (see _plan).
 
@@ -445,8 +488,9 @@ def _log_series_sum(plan: tuple) -> float:
     The blocks of one numpy call are the rows of one (k, _BLOCK) array, each
     row with its own products, sum, maximum and last term, folded in order
     until a row stops.  The first call takes the k blocks that _blocks
-    estimates the series needs, up to _MAX_BLOCKS; a series estimated at
-    one block, as most are, has its first block summed alone.  Each later
+    estimates the series needs, up to _MAX_BLOCKS, as the P rows of _ROWS
+    times x; a series estimated at one block, as most are, has its first
+    block summed alone.  Each later
     call takes twice the blocks of the last, up to _MAX_BLOCKS: every call
     of a series estimated past _MAX_BLOCKS takes _MAX_BLOCKS, and a series
     that outruns its estimate doubles, from 2 after a first block alone.
@@ -460,25 +504,33 @@ def _log_series_sum(plan: tuple) -> float:
     """
     x, *num, c = plan
     k = _blocks(x, num, c)
-    if k == 1:
-        # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
-        bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
-        with _QUIET if bound < _QUIET_RATIO else np.errstate(over="ignore", invalid="ignore"):
-            ratios = _ratios(x, [p + _IDX for p in num], c + _IDX, _IDX)
+    # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
+    bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
+    # above it, a steep block overflows and _log_block sums it
+    with _QUIET if bound < _QUIET_RATIO else np.errstate(over="ignore", invalid="ignore"):
+        key = plan[1:]
+        first = _ROWS.get(key)
+        if first is None or len(first) < k:
+            first = _fill_rows(key, num, c, k, first)
+        if k == 1:
+            ratios = first[0] * x
             terms = np.multiply.accumulate(ratios)
             sum_0, max_0 = float(np.add.reduce(terms)), float(np.maximum.reduce(terms))
             state = _fold((0, 1.0, 1.0, 1.0), sum_0, max_0, terms.item(-1), ratios[None], 0)
-        scale, acc, top, term = state
-        if ratios.item(-1) < 1.0 and term <= _TERM_FLOOR * top:
-            return scale * _LN2 + math.log(acc)
-        i0, k = _BLOCK, 2
-    else:
-        i0, state = 0, (0, 1.0, 1.0, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a steep block overflows; _log_block sums it
+            scale, acc, top, term = state
+            if ratios.item(-1) < 1.0 and term <= _TERM_FLOOR * top:
+                return scale * _LN2 + math.log(acc)
+            i0, k = _BLOCK, 2
+        else:
+            i0, state = 0, (0, 1.0, 1.0, 1.0)
         while i0 < TERM_CAP:
             k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap
-            idx = i0 + _IDX_ROWS[:k]
-            ratios = _ratios(x, [p + idx for p in num], c + idx, idx)
+            if i0:
+                idx = i0 + _IDX_ROWS[:k]
+                ratios = _ratio_factors([p + idx for p in num], c + idx, 1.0 + idx)
+                ratios *= x
+            else:
+                ratios = first[:k] * x
             terms = np.multiply.accumulate(ratios, axis=1)
             rows = zip(
                 np.add.reduce(terms, axis=1).tolist(),
@@ -536,7 +588,8 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
             while i0 < TERM_CAP:
                 shifts[1] = i0 + _IDX
                 plus_i = (pairs @ shifts).reshape(params, len(live), _BLOCK)
-                ratios = _ratios(x, plus_i[:-1], plus_i[-1], shifts[1])
+                ratios = _ratio_factors(plus_i[:-1], plus_i[-1], 1.0 + shifts[1])
+                ratios *= x
                 terms = np.multiply.accumulate(ratios, axis=1)
                 sums = np.add.reduce(terms, axis=1)
                 maxes = np.maximum.reduce(terms, axis=1)

@@ -26,6 +26,20 @@ from bffkit.specfun import (
 )
 
 
+def _empty_rows(monkeypatch):
+    """Empty the one-value kernel's cache of ratio rows (specfun._ROWS)."""
+    monkeypatch.setattr(sf, "_ROWS", {})
+    monkeypatch.setattr(sf, "_rows_held", 0)
+
+
+@pytest.fixture(autouse=True)
+def _from_empty_rows(monkeypatch):
+    # every test starts from an empty cache, so the bit-for-bit tests run
+    # the fill of each first call; TestRowCache and the call-schedule tests
+    # fill and empty it themselves
+    _empty_rows(monkeypatch)
+
+
 class TestPsiFunctions:
     def test_trigamma_at_one(self):
         assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
@@ -333,6 +347,13 @@ def _count_log_blocks(monkeypatch):
     return calls
 
 
+def _count_ratio_factors(monkeypatch):
+    """The _ratio_factors calls, as a list that fills as it runs."""
+    calls, real = [], sf._ratio_factors
+    monkeypatch.setattr(sf, "_ratio_factors", lambda *args: (calls.append(1), real(*args))[1])
+    return calls
+
+
 class TestBatchKernel:
     """The planners plus the batched kernel against the one-value functions,
     row by row and bit for bit (exact ==, not approx)."""
@@ -549,6 +570,21 @@ def _one_value_or_nan(plan):
         return math.nan
 
 
+def _cache_states(monkeypatch, plans):
+    """_one_value_or_nan of every plan, three times: each plan from an empty
+    cache; all again, warm; and all again with the cache emptied halfway."""
+    cold = []
+    for plan in plans:
+        _empty_rows(monkeypatch)
+        cold.append(_one_value_or_nan(plan))
+    warm = [_one_value_or_nan(plan) for plan in plans]
+    half = len(plans) // 2
+    cleared = [_one_value_or_nan(plan) for plan in plans[:half]]
+    _empty_rows(monkeypatch)
+    cleared += [_one_value_or_nan(plan) for plan in plans[half:]]
+    return cold, warm, cleared
+
+
 def _doubling_calls(blocks):
     """The numpy calls of the doubling from a first block alone (1, 2, 4,
     ... blocks per call, up to _MAX_BLOCKS) on a series of blocks."""
@@ -569,8 +605,8 @@ class TestCallSchedule:
         for blocks in _FORCED_ESTIMATES:
             _force_estimate(monkeypatch, blocks)
             for group, sums in zip(groups, expected):
-                for plan, value in zip(group, sums):
-                    assert sf._log_series_sum(tuple(plan)) == value, (blocks, plan)
+                for values in _cache_states(monkeypatch, group):
+                    assert values == sums, blocks
 
     def test_any_grouping_raises_where_the_batched_kernel_is_nan(self, monkeypatch):
         # each cap, a call edge of some forced estimate, splits no value:
@@ -582,28 +618,39 @@ class TestCallSchedule:
             for blocks in _FORCED_ESTIMATES:
                 _force_estimate(monkeypatch, blocks)
                 for group, sums in zip(groups, expected):
-                    values = [_one_value_or_nan(plan) for plan in group]
-                    assert np.array_equal(values, sums, equal_nan=True), (cap, blocks)
+                    for values in _cache_states(monkeypatch, group):
+                        assert np.array_equal(values, sums, equal_nan=True), (cap, blocks)
 
     def test_calls_per_series(self, monkeypatch):
-        # a series the estimate covers takes one numpy call, a longer one
-        # _MAX_BLOCKS blocks per call, with at most one call more for an
-        # estimate one block short; a failed estimate falls back to the
-        # doubling from a first block alone, which takes 6 calls at 33 blocks
-        calls, real = [], sf._ratios
-        monkeypatch.setattr(sf, "_ratios", lambda *args: (calls.append(1), real(*args))[1])
-        for plans, blocks in _block_plans():
-            for plan, n in zip(plans.tolist(), blocks.tolist()):
+        # from an empty cache, a series the estimate covers takes one numpy
+        # call, a longer one _MAX_BLOCKS blocks per call, with at most one
+        # call more for an estimate one block short; a failed estimate falls
+        # back to the doubling from a first block alone, which takes 6 calls
+        # at 33 blocks.  Repeated, a series takes its first call's rows
+        # from the cache, with no call to _ratio_factors for that call.
+        calls = _count_ratio_factors(monkeypatch)
+
+        def cold_and_warm_calls(plan):
+            _empty_rows(monkeypatch)
+            counts = []
+            for _ in range(2):
                 calls.clear()
                 sf._log_series_sum(tuple(plan))
-                assert len(calls) <= -(-n // sf._MAX_BLOCKS) + 1, (plan, n, len(calls))
+                counts.append(len(calls))
+            return counts
+
+        for plans, blocks in _block_plans():
+            for plan, n in zip(plans.tolist(), blocks.tolist()):
+                cold, warm = cold_and_warm_calls(plan)
+                assert cold <= -(-n // sf._MAX_BLOCKS) + 1, (plan, n, cold)
+                assert warm == cold - 1, (plan, n, cold, warm)
         for failed in (math.nan, math.inf):
             _force_estimate(monkeypatch, failed)
             for plans, blocks in _block_plans():
                 for plan, n in zip(plans.tolist(), blocks.tolist()):
-                    calls.clear()
-                    sf._log_series_sum(tuple(plan))
-                    assert len(calls) == _doubling_calls(n), (failed, plan, n)
+                    cold, warm = cold_and_warm_calls(plan)
+                    assert cold == _doubling_calls(n), (failed, plan, n)
+                    assert warm == cold - 1, (failed, plan, n)
 
     @given(
         x=st.one_of(_TINY_X, st.floats(0.0, 1e7)),
@@ -629,6 +676,52 @@ class TestCallSchedule:
     def test_2f1_estimate_over_the_planners_domain(self, x, a, b, c):
         blocks = sf._blocks(x, [a, b], c)
         assert type(blocks) is int and 1 <= blocks <= sf._MAX_BLOCKS, (x, a, b, c, blocks)
+
+
+class TestRowCache:
+    """The one-value kernel's cache of statistic-free ratio rows
+    (specfun._ROWS): read-only rows, one entry per parameter tuple, and a
+    cap in blocks that changes no value."""
+
+    def test_rows_are_read_only(self):
+        for plans, _ in _block_plans():
+            for plan in plans.tolist():
+                sf._log_series_sum(tuple(plan))
+        assert len(sf._ROWS) == 2
+        for rows in sf._ROWS.values():
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+
+    def test_another_statistic_takes_the_cached_rows(self, monkeypatch):
+        calls = _count_ratio_factors(monkeypatch)
+        expected = sf._log_series_sums(np.array([(10.0, 1.5, 2.0)]))[0]
+        log_1f1(1.5, 2.0, 60.0)
+        calls.clear()
+        assert log_1f1(1.5, 2.0, 10.0) == expected
+        assert calls == [] and list(sf._ROWS) == [(1.5, 2.0)]
+
+    def test_symmetric_2f1_shares_one_entry(self):
+        assert log_2f1(2.5, 3.5, 1.5, 0.9) == log_2f1(3.5, 2.5, 1.5, 0.9)
+        assert list(sf._ROWS) == [(2.5, 3.5, 1.5)]
+        assert sf._rows_held == len(sf._ROWS[(2.5, 3.5, 1.5)])
+
+    def test_filling_past_the_cap(self, monkeypatch):
+        # 1F1 and 2F1 series of 1 to 100 blocks over 8 parameter tuples,
+        # twice over, under a cap of 40 blocks: every value is the batched
+        # kernel's, the entries never hold more than the cap, and the count
+        # of blocks held is exact
+        monkeypatch.setattr(sf, "_ROWS_CAP", 40)
+        one = [(x, a, 2.0) for a in (0.5, 1.5, 4.0, 7.0) for x in _X_1F1]
+        two = [(x, a, 3.5, 1.5) for a in (0.5, 2.5, 6.0, 9.0) for x in _X_2F1]
+        expected = sf._log_series_sums(np.array(one)).tolist() + sf._log_series_sums(np.array(two)).tolist()
+        keys = 0
+        for plan, value in list(zip(one + two, expected)) * 2:
+            assert sf._log_series_sum(plan) == value, plan
+            held = sum(len(rows) for rows in sf._ROWS.values())
+            assert held == sf._rows_held <= sf._ROWS_CAP, plan
+            keys = max(keys, len(sf._ROWS))
+        assert keys < 8
 
 
 class TestCapCheck:
