@@ -38,13 +38,22 @@ agree bit for bit; _log_series_sums, which advances each row one block at a
 time, is the reference the tests hold _log_series_sum to.
 
 P is free of the statistic: only x carries it, and the closed forms call
-the functions with many statistics at few (r, design) pairs.  So
-_log_series_sum keeps the P rows of each series' first numpy call in _ROWS,
-a module-level dict keyed by the plan's parameters (*num, c) (after
-_plan_2f1 puts a <= b), whose arrays are read-only and at most _ROWS_CAP
-blocks in all; a series whose first call finds its rows there takes them
-times x, in one multiply.  The product is the double x P_i that the series
+the functions with many statistics at few (r, design) pairs, as simulations
+do, and an MMAP curve evaluates the same nodes in r at every omega.  So both
+kernels keep statistic-free P rows in _ROWS, one module-level dict that
+_fill_rows alone fills, whose arrays are read-only, own their buffers, and
+are at most _ROWS_CAP rows of a block in all.  _log_series_sum keeps the P
+rows of each series' first numpy call, keyed by the plan's parameters (*num,
+c) (after _plan_2f1 puts a <= b); _log_series_sums keeps the first block of
+each chunk, one row per plan, keyed by the parameter count and the bytes of
+the chunk's parameter columns.  A call that finds its rows there takes them
+times x, in one multiply.  The product is the double x P_i that the kernel
 would form anyway, so no value depends on what the cache holds.
+
+At x = 0 every term after t_0 = 1 is 0, and both kernels return exactly 0.0
+for such a plan before they form any ratio: P can overflow where every x P_i
+is 0 (P_0 = a / c, with a near the largest double over a tiny c), and inf
+times 0 is NaN.
 """
 
 from __future__ import annotations
@@ -180,11 +189,8 @@ _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
 # 1 + i over the same rows (exact), so that a fill of _ROWS forms none
 _ONE_ROWS = 1.0 + _IDX_ROWS
-# The rows (1, i) of the first block of _log_series_sums, whose second row it
-# moves to each block's indices.
-_SHIFTS = np.array([np.ones(_BLOCK), _IDX])
 # Rows per chunk of the batched kernel: large enough to amortize numpy's
-# per-call overhead, small enough to keep its per-block arrays small.
+# per-call overhead, small enough to keep its work array small.
 _CHUNK = 128
 # Below this bound on every term ratio of a series, the products of each of
 # its blocks and their sum stay below the largest double (245^128 * 128 <
@@ -192,12 +198,19 @@ _CHUNK = 128
 # np.errstate, whose cost is a tenth of a one-block series.
 _QUIET_RATIO = 245.0
 _QUIET = contextlib.nullcontext()
-# The statistic-free ratio rows of _log_series_sum's first numpy call of a
-# series, by its parameters (*num, c), the plan without x: row j holds P_i
-# (_ratio_factors) for i in j * _BLOCK + _IDX, read-only.  They hold at most
-# _ROWS_CAP blocks of 1 KiB (4 MiB), counted in _rows_held; a fill that would
-# pass the cap clears them first.  The benchmark's sim_points series take
-# 3,342 blocks over 338 parameter tuples.
+# The statistic-free ratio rows P (_ratio_factors) of both kernels, each
+# array read-only and owning its buffer (a view would keep the array it was
+# cut from alive), filled by _fill_rows.  _log_series_sum's entries are the
+# first numpy call of a series, by its parameters (*num, c), the plan without
+# x: row j holds P_i for i in j * _BLOCK + _IDX.  _log_series_sums' entries
+# are the first block of a chunk, by (parameter count, bytes of the chunk's
+# parameter columns): row j holds P_i of the chunk's row j for i in _IDX.
+# They hold at most _ROWS_CAP rows of 1 KiB (4 MiB), counted in _rows_held;
+# a fill that would pass the cap clears them first.  The benchmark's
+# sim_points series take 3,342 rows over 338 parameter tuples.  A default-grid
+# stroop MMAP curve makes 1,075 chunks and fills 80 entries of 3,560 rows in
+# all: 5 chunks of the 14 nodes in r, each taken at all 200 omegas, and 75 of
+# fitted-r passes, which never repeat.
 _ROWS: dict = {}
 _ROWS_CAP = 4096
 _rows_held = 0
@@ -448,21 +461,24 @@ def _blocks(x: float, num: list, c: float) -> int:
     return int(blocks) if blocks < _MAX_BLOCKS else _MAX_BLOCKS
 
 
-def _fill_rows(key: tuple, num: list, c: float, k: int, old) -> np.ndarray:
-    """The new entry of _ROWS for key = (*num, c): the rows of P
-    (_ratio_factors) of the first k blocks, read-only.  It replaces old,
-    the key's shorter entry, or None."""
+def _fill_rows(key: tuple, num: list, c, k: int) -> np.ndarray:
+    """The new entry of _ROWS for key, read-only: the rows of P
+    (_ratio_factors) of the first k blocks of the plan (*num, c) of floats,
+    or, with num and c columns of shape (n, 1) and k = 1, the first block of
+    each of n plans, one row each.  It replaces the key's entry, if any.  An
+    entry of more rows than the cap is returned but not kept."""
     global _rows_held
-    if old is not None:
-        _rows_held -= len(old)
-    if _rows_held + k > _ROWS_CAP:
-        _ROWS.clear()
-        _rows_held = 0
     idx = _IDX_ROWS[:k]
     rows = _ratio_factors([p + idx for p in num], c + idx, _ONE_ROWS[:k])
     rows.setflags(write=False)
+    _rows_held -= len(_ROWS.pop(key, ()))
+    if len(rows) > _ROWS_CAP:
+        return rows
+    if _rows_held + len(rows) > _ROWS_CAP:
+        _ROWS.clear()
+        _rows_held = 0
     _ROWS[key] = rows
-    _rows_held += k
+    _rows_held += len(rows)
     return rows
 
 
@@ -503,6 +519,8 @@ def _log_series_sum(plan: tuple) -> float:
     of the largest, so underflow needs no log block.
     """
     x, *num, c = plan
+    if x == 0.0:  # see the module docstring
+        return 0.0
     k = _blocks(x, num, c)
     # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
     bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
@@ -511,7 +529,7 @@ def _log_series_sum(plan: tuple) -> float:
         key = plan[1:]
         first = _ROWS.get(key)
         if first is None or len(first) < k:
-            first = _fill_rows(key, num, c, k, first)
+            first = _fill_rows(key, num, c, k)
         if k == 1:
             ratios = first[0] * x
             terms = np.multiply.accumulate(ratios)
@@ -559,38 +577,45 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
     """_log_series_sum of each row of the array plans, one plan (x, *num, c)
     per row.  A plan still running at TERM_CAP comes back as NaN.
 
-    The rows go through in chunks of _CHUNK.  Each block advances every live row of a
-    chunk together, with exactly the block, fold, rescale and stopping rule
-    of _log_series_sum as column operations, and a row leaves the chunk
-    (and its columns) once it stops, so every row is bit for bit what
-    _log_series_sum returns for it.  The final log is taken per row with
-    math.log, as _log_series_sum takes it: numpy's log may differ from it
-    in the last bit.
+    A plan at x = 0 comes back as 0.0 (see the module docstring), and the
+    other rows go through in chunks of _CHUNK.  Each block advances every
+    live row of a chunk together, with exactly the block, fold, rescale and
+    stopping rule of _log_series_sum as column operations, and a row leaves
+    the chunk (and its columns) once it stops, so every row is bit for bit
+    what _log_series_sum returns for it.  A chunk's first block takes its P
+    rows from _ROWS, as _log_series_sum's first call does, and every later
+    block forms them as _fill_rows does, each parameter column plus the
+    block's indices.  The final log is taken per row with math.log, as
+    _log_series_sum takes it: numpy's log may differ from it in the last
+    bit.
     """
     out = np.full(len(plans), math.nan)
+    if not len(plans):
+        return out
+    out[plans[:, 0] == 0.0] = 0.0
+    todo = plans[:, 0].nonzero()[0]
+    # every block of the pass writes its parameters plus indices and its
+    # terms into this one array: allocated per block, arrays of this size
+    # took about 2,000 page faults per round of the benchmark's stroop_mmap
+    # workload, and this one about 8
+    work = np.empty((plans.shape[1], min(len(todo), _CHUNK), _BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):  # as in _log_series_sum
-        for lo in range(0, len(plans), _CHUNK):
-            chunk = plans[lo : lo + _CHUNK]
-            live = np.arange(lo, lo + len(chunk))
+        for lo in range(0, len(todo), _CHUNK):
+            live = todo[lo : lo + _CHUNK]
+            chunk = plans[live]
             x = chunk[:, :1]
-            # each parameter p of each row paired with 1: the product of a
-            # pair and (1, i) is p + i rounded once, as _log_series_sum
-            # forms it, since both of its terms are exact, and one matrix
-            # product over every pair costs a third of broadcasting each
-            # column over the indices
-            params = len(plans[0]) - 1
-            pairs = np.ones((params * len(chunk), 2))
-            pairs[:, 0] = chunk[:, 1:].T.ravel()
-            shifts = _SHIFTS.copy()
+            key = (chunk.shape[1] - 1, chunk[:, 1:].tobytes())
+            *num, c = (chunk[:, j : j + 1] for j in range(1, chunk.shape[1]))
+            first = _ROWS.get(key)
+            if first is None:
+                first = _fill_rows(key, num, c, 1)
+            *plus_i, terms = work[:, : len(live)]
+            ratios = np.multiply(first, x, out=plus_i[0])
             scale = np.zeros(len(live), dtype=int)
             acc, top, term = np.ones((3, len(live)))
             i0 = 0.0
-            while i0 < TERM_CAP:
-                shifts[1] = i0 + _IDX
-                plus_i = (pairs @ shifts).reshape(params, len(live), _BLOCK)
-                ratios = _ratio_factors(plus_i[:-1], plus_i[-1], 1.0 + shifts[1])
-                ratios *= x
-                terms = np.multiply.accumulate(ratios, axis=1)
+            while True:
+                np.multiply.accumulate(ratios, axis=1, out=terms)
                 sums = np.add.reduce(terms, axis=1)
                 maxes = np.maximum.reduce(terms, axis=1)
                 lasts = terms[:, -1]
@@ -619,9 +644,16 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
                     keep = ~done
                     if not keep.any():
                         break
-                    live, scale, acc, top, term = (v[keep] for v in (live, scale, acc, top, term))
-                    x = x[keep]
-                    pairs = pairs.reshape(params, -1, 2)[:, keep].reshape(-1, 2)
+                    live, scale, acc, top, term, x, c = (v[keep] for v in (live, scale, acc, top, term, x, c))
+                    num = [p[keep] for p in num]
+                    *plus_i, terms = work[:, : len(live)]
+                if i0 >= TERM_CAP:
+                    break
+                idx = i0 + _IDX
+                for p, p_i in zip((*num, c), plus_i):
+                    np.add(p, idx, out=p_i)
+                ratios = _ratio_factors(plus_i[:-1], plus_i[-1], 1.0 + idx)
+                ratios *= x
     return out
 
 

@@ -474,6 +474,9 @@ class TestBatch:
         items += [(z0, 1.0, 2.0), (z0, 0.0, 2.0)]  # y = 0; tau_sq = 0
         # a bracket that cancels below double precision (ArithmeticError)
         items.append((TestStatistic(StatFamily.Z, -8.0, one), 10.0, 2.0))
+        # x = 0 where the series' first ratio factor (k/2 + r)((k + m)/2) /
+        # (k/2) overflows: the series is 1 (log 0.0) on both routes
+        items.append((TestStatistic(StatFamily.F, 0.0, k=0.1, m=1e308), 1.0, 1.0))
         # finite degrees of freedom and r whose series parameter k/2 + r or
         # (k + m)/2 overflows to inf, at x = 0 (where _unclear's bound is
         # NaN) and x > 0: the planner's ValueError
@@ -486,6 +489,7 @@ class TestBatch:
         items = self._items()
         expected = [_scalar_or_error(*item) for item in items]
         assert any(isinstance(e, ArithmeticError) for e in expected)
+        assert expected[-5] == -(0.05 + 1.0) * math.log1p(1.0)
         assert [type(e) for e in expected[-4:]] == [ValueError] * 4
         _assert_same(_batch(items), expected)
 

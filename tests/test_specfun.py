@@ -92,6 +92,9 @@ class TestHalfRatio:
 class Test1F1:
     def test_at_zero(self):
         assert log_1f1(2.0, 3.0, 0.0) == 0.0
+        # P_0 = a / b overflows; at x = 0 no ratio is formed
+        assert log_1f1(6.6e245, 6.6e-172, 0.0) == 0.0
+        assert sf._log_series_sums(np.array([(0.0, 6.6e245, 6.6e-172)])).tolist() == [0.0]
 
     @pytest.mark.parametrize("x", [1.0, 50.0, 500.0, 5000.0])
     def test_exponential_identity(self, x):
@@ -147,6 +150,9 @@ class Test1F1:
 class Test2F1:
     def test_at_zero(self):
         assert log_2f1(1.0, 2.0, 3.0, 0.0) == 0.0
+        # P_0 = a b / c overflows; at x = 0 no ratio is formed
+        assert log_2f1(1e300, 1e300, 1e-10, 0.0) == 0.0
+        assert sf._log_series_sums(np.array([(0.0, 1e300, 1e300, 1e-10)])).tolist() == [0.0]
 
     def test_closed_form(self):
         # 2F1(1,1,2,x) = -ln(1-x)/x
@@ -627,7 +633,8 @@ class TestCallSchedule:
         # call more for an estimate one block short; a failed estimate falls
         # back to the doubling from a first block alone, which takes 6 calls
         # at 33 blocks.  Repeated, a series takes its first call's rows
-        # from the cache, with no call to _ratio_factors for that call.
+        # from the cache, with no call to _ratio_factors for that call.  A
+        # plan at x = 0 forms no ratio, cold or warm.
         calls = _count_ratio_factors(monkeypatch)
 
         def cold_and_warm_calls(plan):
@@ -639,18 +646,20 @@ class TestCallSchedule:
                 counts.append(len(calls))
             return counts
 
-        for plans, blocks in _block_plans():
-            for plan, n in zip(plans.tolist(), blocks.tolist()):
-                cold, warm = cold_and_warm_calls(plan)
-                assert cold <= -(-n // sf._MAX_BLOCKS) + 1, (plan, n, cold)
-                assert warm == cold - 1, (plan, n, cold, warm)
-        for failed in (math.nan, math.inf):
-            _force_estimate(monkeypatch, failed)
+        for failed in (None, math.nan, math.inf):
+            if failed is not None:
+                _force_estimate(monkeypatch, failed)
             for plans, blocks in _block_plans():
                 for plan, n in zip(plans.tolist(), blocks.tolist()):
                     cold, warm = cold_and_warm_calls(plan)
-                    assert cold == _doubling_calls(n), (failed, plan, n)
-                    assert warm == cold - 1, (failed, plan, n)
+                    if plan[0] == 0.0:
+                        assert cold == warm == 0, (failed, plan)
+                        continue
+                    if failed is None:
+                        assert cold <= -(-n // sf._MAX_BLOCKS) + 1, (plan, n, cold)
+                    else:
+                        assert cold == _doubling_calls(n), (failed, plan, n)
+                    assert warm == cold - 1, (failed, plan, n, cold, warm)
 
     @given(
         x=st.one_of(_TINY_X, st.floats(0.0, 1e7)),
@@ -678,18 +687,36 @@ class TestCallSchedule:
         assert type(blocks) is int and 1 <= blocks <= sf._MAX_BLOCKS, (x, a, b, c, blocks)
 
 
+def _chunk_groups():
+    """Plan arrays for the column cache: 1F1 and 2F1 rows of 1 to 100
+    blocks over two parameter tuples each, steep rows (but the z form of
+    16,000 blocks), and x = 0 rows (one whose P_0 overflows), each array one
+    full chunk and a partial one."""
+    groups = []
+    for xs, steep, params in ((_X_1F1, _STEEP_1F1, ((1.5, 2.0), (4.0, 0.5))),
+                              (_X_2F1, _STEEP_2F1, ((2.5, 3.5, 1.5), (0.5, 9.0, 3.0)))):
+        rows = [(x, *p) for p in params for x in (0.0, *xs)] + [plan for plan, _ in steep[::2]]
+        rows.append((0.0, *[1e300] * (len(params[0]) - 1), 1e-300))
+        rows = (rows * (sf._CHUNK // len(rows) + 2))[: sf._CHUNK + 37]
+        groups.append(np.array(rows))
+    return groups
+
+
 class TestRowCache:
-    """The one-value kernel's cache of statistic-free ratio rows
-    (specfun._ROWS): read-only rows, one entry per parameter tuple, and a
-    cap in blocks that changes no value."""
+    """The cache of statistic-free ratio rows (specfun._ROWS) that both
+    kernels share: read-only rows that own their buffers, one entry per
+    parameter tuple or chunk, and a cap in rows that changes no value."""
 
     def test_rows_are_read_only(self):
         for plans, _ in _block_plans():
             for plan in plans.tolist():
                 sf._log_series_sum(tuple(plan))
         assert len(sf._ROWS) == 2
+        for plans in _chunk_groups():
+            sf._log_series_sums(plans)
+        assert len(sf._ROWS) == 2 + 4
         for rows in sf._ROWS.values():
-            assert not rows.flags.writeable
+            assert not rows.flags.writeable and rows.base is None
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
 
@@ -699,7 +726,60 @@ class TestRowCache:
         log_1f1(1.5, 2.0, 60.0)
         calls.clear()
         assert log_1f1(1.5, 2.0, 10.0) == expected
-        assert calls == [] and list(sf._ROWS) == [(1.5, 2.0)]
+        assert calls == [] and (1.5, 2.0) in sf._ROWS
+
+    def test_chunks_give_one_value_cold_warm_and_cleared(self, monkeypatch):
+        # each row is _log_series_sum's value, whether its chunk's first
+        # block is filled, taken from the cache, or filled again after the
+        # cache is emptied between the two arrays
+        groups = _chunk_groups()
+        expected = [[_one_value_or_nan(plan) for plan in plans.tolist()] for plans in groups]
+        cold = []
+        for plans in groups:
+            _empty_rows(monkeypatch)
+            cold.append(sf._log_series_sums(plans).tolist())
+        sf._log_series_sums(groups[0])
+        fills, real = [], sf._fill_rows
+        monkeypatch.setattr(sf, "_fill_rows", lambda *args: (fills.append(1), real(*args))[1])
+        warm = [sf._log_series_sums(plans).tolist() for plans in groups]
+        assert fills == [] and len(sf._ROWS) == 4
+        cleared = [sf._log_series_sums(groups[0]).tolist()]
+        _empty_rows(monkeypatch)
+        cleared.append(sf._log_series_sums(groups[1]).tolist())
+        assert cold == warm == cleared == expected
+
+    def test_chunk_key_holds_the_parameter_count(self):
+        # a 1F1 chunk of 96 rows and a 2F1 chunk of 64 rows over the same
+        # 192 parameter doubles, so the same bytes: each gets its own rows
+        params = np.random.default_rng(5).uniform(0.5, 5.0, 192)
+        one = np.column_stack([np.full(96, 0.5), params.reshape(96, 2)])
+        two = np.column_stack([np.full(64, 0.5), params.reshape(64, 3)])
+        for plans in (one, two, one, two):
+            values = sf._log_series_sums(plans).tolist()
+            assert values == [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
+            assert len(sf._ROWS[(plans.shape[1] - 1, plans[:, 1:].tobytes())]) == len(plans)
+
+    def test_chunks_and_series_share_the_cap(self, monkeypatch):
+        # chunks of 3 to 29 rows between one-value series, twice over, under
+        # a cap of 40 rows: every value is the one-value kernel's from an
+        # empty cache, the entries never hold more than the cap, the count
+        # of rows held is exact, and the cap holds entries of both kernels
+        # together
+        plans = np.array([(x, a, 2.0) for a in (0.5, 1.5, 4.0, 7.0) for x in _X_1F1])
+        expected = [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
+        _empty_rows(monkeypatch)
+        monkeypatch.setattr(sf, "_ROWS_CAP", 40)
+        both = False
+        for j, plan in enumerate(plans.tolist() * 2):
+            j %= len(plans)
+            n = 3 + 13 * j % 27
+            assert sf._log_series_sums(plans[j : j + n]).tolist() == expected[j : j + n], j
+            assert sf._log_series_sum(tuple(plan)) == expected[j], j
+            held = sum(len(rows) for rows in sf._ROWS.values())
+            assert held == sf._rows_held <= sf._ROWS_CAP, j
+            kinds = {type(key[-1]) for key in sf._ROWS}
+            both |= kinds == {bytes, float}
+        assert both
 
     def test_symmetric_2f1_shares_one_entry(self):
         assert log_2f1(2.5, 3.5, 1.5, 0.9) == log_2f1(3.5, 2.5, 1.5, 0.9)
