@@ -33,12 +33,15 @@ The rest is computed by one of two routes, chosen by the shape of the call.
 A single value (log_bf10 and the six one-value forms, through _evaluate) is
 _item and _assemble on plain floats, calling log_1f1/log_2f1: the reference
 route, with the lowest overhead per call.  Many values at once
-(log_bf10_batch, over the columns of _study_columns, as evidence evaluates a
-study set over a pass of (omega, r)) are the same steps on numpy columns,
-with every transcendental still a per-element math call, and one batched
-kernel pass per function.  There, screens flag and _evaluate decides: the
-one-value route evaluates every item a column test flags, so the two routes
-agree bit for bit, errors included.
+(log_bf10_batch, over the columns of _study_columns) are the same steps on
+numpy columns, with every transcendental still a per-element math call, and
+one batched kernel pass per function.  They are two steps: a layout
+(_layout) of everything that does not depend on tau_sq, from the r-free
+plan rows of the study parts (_plan_rows), and the x step (_log_bf_items).
+evidence builds a layout once per pass of r over a study set, and keeps the
+one that repeats at every omega, with its ratio rows.  There, screens flag
+and _evaluate decides: the one-value route evaluates every item a column
+test flags, so the two routes agree bit for bit, errors included.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -57,6 +60,7 @@ import numpy as np
 from .priors import _check_shape
 from .specfun import (
     NonConvergenceError,
+    _Blocks,
     _log_series_sums,
     _map,
     _unclear,
@@ -333,11 +337,139 @@ def _study_columns(parts) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 5).T
 
 
+class _Series(NamedTuple):
+    """The plan rows of one function (1F1 or 2F1) over a sequence of study
+    parts, free of r: each row's part (owner), the first series of its
+    parts, then the second series of the signed ones, in the same order
+    (firsts is the count of the first); each row's shift of its upper
+    parameters (0, or 1/2 for a second series), its c (den), and, for a
+    2F1, its further upper parameter plus shift (other), else None."""
+
+    owner: np.ndarray
+    firsts: int
+    shift: np.ndarray
+    den: np.ndarray
+    other: np.ndarray | None
+
+
+def _plan_rows(parts: np.ndarray) -> tuple:
+    """The r-free plan rows of the study parts (the columns of
+    _study_columns): (is_2f1, signed, series), the masks of the parts whose
+    series is a 2F1 and that have a sign, and the _Series of each function
+    the parts use, 1F1 then 2F1."""
+    c, b, s, sign, log_ratio = parts
+    is_2f1 = b == b
+    signed = sign != 0.0
+    series = []
+    for kind in (~is_2f1, is_2f1):
+        items = kind.nonzero()[0]
+        if not len(items):
+            continue
+        pairs = items[signed[items]]
+        owner = np.concatenate([items, pairs])
+        second = np.arange(len(owner)) >= len(items)
+        shift = 0.5 * second
+        other = b[owner] + shift if kind is is_2f1 else None
+        series.append(_Series(owner, len(items), shift, np.where(second, 1.5, c[owner]), other))
+    return is_2f1, signed, tuple(series)
+
+
+def _tile(owner: np.ndarray, firsts: int, copies: int, size: int) -> tuple:
+    """Plan rows of owner (firsts first rows, then the second rows) over
+    copies of a sequence of size items, as (owner, index, firsts): every
+    copy's first rows, then every copy's second rows, each copy's items
+    after the last's, and index each row's row in owner."""
+    step = np.arange(0, copies * size, size)[:, None]
+    index = np.arange(len(owner))
+    return (
+        np.concatenate([(step + owner[:firsts]).ravel(), (step + owner[firsts:]).ravel()]),
+        np.concatenate([np.tile(index[:firsts], copies), np.tile(index[firsts:], copies)]),
+        firsts * copies,
+    )
+
+
+class _Plans(NamedTuple):
+    """One function's plan rows over the items of a _Layout: each row's
+    item (owner), the first rows, then the second (firsts counts the
+    first), their upper parameters num and c (den) as columns, and the
+    _Blocks of their ratio rows, or None."""
+
+    owner: np.ndarray
+    firsts: int
+    num: list
+    den: np.ndarray
+    blocks: _Blocks | None
+
+
+class _Layout(NamedTuple):
+    """The omega-free part of log_bf10_batch over m copies of n study parts,
+    copy i at the r of row i of an array r of shape (m, n): the parts'
+    columns; r; the items whose r is not finite and >= 1 (bad, of the
+    shape of r); the masks of the parts' 2F1 series and signs; a = c + r,
+    sign, log_ratio and log_gamma_half_ratio(r + 1/2) (where signed) per
+    item; and the _Plans of each function.  Every signed item has a
+    second-series row, whether or not its x makes it odd; _log_bf_items
+    keeps the rows each evaluation needs."""
+
+    parts: np.ndarray
+    r: np.ndarray
+    bad: np.ndarray
+    is_2f1: np.ndarray
+    signed: np.ndarray
+    a: np.ndarray
+    sign: np.ndarray
+    log_ratio: np.ndarray
+    log_ratio_r: np.ndarray
+    plans: tuple
+
+
+def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray, hold: bool = False) -> _Layout:
+    """The _Layout of the study parts parts (the columns of _study_columns),
+    whose _plan_rows are rows, at r, an array of m rows of len(parts[0]).
+    With hold, each function's plan rows hold their ratio rows
+    (specfun._Blocks) for every evaluation of the layout."""
+    c, b, s, sign, log_ratio = parts
+    is_2f1, signed, series = rows
+    m, n = r.shape
+    good = (r >= 1.0) & (r < math.inf)
+    with np.errstate(over="ignore"):  # c + r can pass the largest double (the planner rejects it)
+        a = (c + r).ravel()
+    if m > 1:
+        sign, log_ratio = np.tile(sign, m), np.tile(log_ratio, m)
+    log_ratio_r = np.zeros(m * n)
+    with_r = (signed & good).ravel().nonzero()[0]
+    if len(with_r):
+        r_signed = r.ravel()[with_r].tolist()
+        by_r = {v: log_gamma_half_ratio(v + 0.5) for v in dict.fromkeys(r_signed)}
+        log_ratio_r[with_r] = np.fromiter(map(by_r.__getitem__, r_signed), float, len(r_signed))
+    plans = []
+    for owner, f, shift, den, other in series:
+        if m > 1:
+            owner, index, f = _tile(owner, f, m, n)
+            shift, den = shift[index], den[index]
+            other = None if other is None else other[index]
+        num = [a[owner] + shift]
+        if other is not None:
+            num = [np.minimum(num[0], other), np.maximum(num[0], other)]
+        plans.append(_Plans(owner, f, num, den, _Blocks(num, den) if hold else None))
+    return _Layout(parts, r, ~good, is_2f1, signed, a, sign, log_ratio, log_ratio_r, tuple(plans))
+
+
 def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list:
     """log BF10 of every item j, the study part parts[:, j] (the columns of
     _study_columns) at (tau_sq[j], r[j]): log_bf10 bit for bit.  Where
     log_bf10 would raise for an item, its entry in the returned list is the
-    exception, of the same type and message, instead of a float.
+    exception, of the same type and message, instead of a float.  It is
+    _log_bf_items on a layout of its own, which it keeps nothing of."""
+    return _log_bf_items(_layout(parts, _plan_rows(parts), r[None]), tau_sq[None, None])
+
+
+def _log_bf_items(layout: _Layout, tau_sq: np.ndarray) -> list:
+    """log BF10 of the layout's items at each row of tau_sq, an array of
+    shape (k, m, n) for the layout's r of shape (m, n): the k lists of the
+    layout's entries as log_bf10_batch gives them, one after another.  The
+    x step of log_bf10_batch: everything that depends on tau_sq, from x to
+    the bracket.
 
     Screens flag, _evaluate decides.  The items are evaluated as columns:
     every step of _item and _assemble is a column operation, and every log,
@@ -346,77 +478,79 @@ def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list
     concerns (a bad hyperparameter, a 2F1 argument not below 1, a plan row
     _unclear flags, a NaN sum, a bracket not positive), and _evaluate then
     decides each flagged item on its study part rebuilt from its columns.
-    The other items' plan rows go to one _log_series_sums pass per function;
-    a one-sided item's two rows share its x, and log_gamma_half_ratio(r +
-    1/2) is computed once per distinct r.
+    The other items' plan rows go to one _log_series_sums pass per function,
+    with the layout's _Blocks where it holds them; a one-sided item's two
+    rows share its x.
     """
-    c, b, s, sign, log_ratio = parts
-    n = len(s)
-    out = np.zeros(n)  # log BF10 at tau_sq = 0; other entries are replaced
-    flagged = ~((tau_sq >= 0.0) & (tau_sq < math.inf) & (r >= 1.0) & (r < math.inf))
-    # s tau_sq, and c + r, can pass the largest double (the planner rejects
-    # an infinite a); x of a flagged item is never read
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    k, m, n = tau_sq.shape
+    s = layout.parts[2]
+    # s tau_sq can pass the largest double; x of a flagged item is never read
+    with np.errstate(over="ignore", invalid="ignore"):
         x = s * tau_sq / (1.0 + tau_sq)
-        a = c + r
-    is_2f1 = b == b
-    flagged |= is_2f1 & ~(x < 1.0)  # NaN too, as in _item
+    flagged = ~((tau_sq >= 0.0) & (tau_sq < math.inf)) | layout.bad
+    flagged |= layout.is_2f1 & ~(x < 1.0)  # NaN too, as in _item
     live = ~flagged & (tau_sq > 0.0)
-    positive = live & (x > 0.0)
-    odd = positive & (sign != 0.0)
-    log_coef = np.zeros(n)
-    if odd.any():
-        r_odd = r[odd].tolist()
-        by_r = {v: log_gamma_half_ratio(v + 0.5) for v in dict.fromkeys(r_odd)}
-        log_ratio_r = np.fromiter(map(by_r.__getitem__, r_odd), float, len(r_odd))
-        log_coef[odd] = _map(math.log, 2.0 * np.sqrt(x[odd])) + log_ratio[odd] + log_ratio_r
+    odd = live & (x > 0.0) & layout.signed
+    x, tau_sq, flagged, live, odd = x.ravel(), tau_sq.ravel(), flagged.ravel(), live.ravel(), odd.ravel()
+    a, sign, log_ratio, log_ratio_r = layout.a, layout.sign, layout.log_ratio, layout.log_ratio_r
+    if k > 1:  # per item of the layout, for each row of tau_sq
+        a, sign, log_ratio, log_ratio_r = (np.tile(v, k) for v in (a, sign, log_ratio, log_ratio_r))
+    out = np.zeros(len(x))  # log BF10 at tau_sq = 0; other entries are replaced
 
-    for two in (False, True):
-        items = (live & (is_2f1 == two)).nonzero()[0]
-        if not len(items):
-            continue
-        # the plan rows (x, *num, c): an item's first series, then the
-        # second series (upper parameters + 1/2, c = 3/2) of the items with one
-        pairs = items[odd[items]]
-        owner = np.concatenate([items, pairs])
-        is_second = np.arange(len(owner)) >= len(items)
-        shift = 0.5 * is_second
-        den = np.where(is_second, 1.5, c[owner])
-        num = [a[owner] + shift]
-        if two:
-            other = b[owner] + shift
-            num = [np.minimum(num[0], other), np.maximum(num[0], other)]
-        rows = np.array([x[owner], *num, den]).T
-        flagged[owner[_unclear(num, den, x[owner])]] = True
+    for owner, f, num, den, blocks in layout.plans:
+        index = None  # each row's row of the layout, where not all rows in order
+        if k > 1:
+            owner, index, f = _tile(owner, f, k, m * n)
+        use = live[owner]
+        use[f:] &= odd[owner[f:]]
+        if index is not None or not use.all():
+            f = int(np.count_nonzero(use[:f]))
+            index = use.nonzero()[0] if index is None else index[use]
+            owner = owner[use]
+            num, den = [p[index] for p in num], den[index]
+            if not len(owner):
+                continue
+        elif blocks is not None:
+            index = np.arange(len(owner))
+        xs = x[owner]
+        flagged[owner[_unclear(num, den, xs)]] = True
         keep = ~flagged[owner]
         if not keep.all():
-            rows, owner, is_second = rows[keep], owner[keep], is_second[keep]
-            if not len(rows):
+            f = int(np.count_nonzero(keep[:f]))
+            owner, xs, den = owner[keep], xs[keep], den[keep]
+            num = [p[keep] for p in num]
+            if index is not None:
+                index = index[keep]
+            if not len(owner):
                 continue
-        sums = _log_series_sums(rows)
+        sums = _log_series_sums(np.array([xs, *num, den]).T, *(() if blocks is None else (blocks, index)))
         flagged[owner[np.isnan(sums)]] = True  # still running at TERM_CAP
-        items, pairs = owner[~is_second], owner[is_second]
-        log_first = sums[: len(items)]
+        # the kept second rows are those of the kept odd items, in order
+        items, pairs = owner[:f], owner[f:]
+        log_first = sums[:f]
         log_prefactor = -a[items] * _map(math.log1p, tau_sq[items])
         out[items] = log_prefactor + log_first
         if not len(pairs):
             continue
         # the signed bracket of _assemble, where a NaN sum gives v = NaN
         with_odd = odd[items]
-        log_first = log_first[with_odd]
-        log_second = sums[len(items) :] + log_coef[pairs]
-        m = np.where(log_second > log_first, log_second, log_first)
-        v = _map(math.exp, log_first - m) + sign[pairs] * _map(math.exp, log_second - m)
+        log_first, log_prefactor = log_first[with_odd], log_prefactor[with_odd]
+        log_coef = _map(math.log, 2.0 * np.sqrt(x[pairs])) + log_ratio[pairs] + log_ratio_r[pairs]
+        log_second = sums[f:] + log_coef
+        larger = np.where(log_second > log_first, log_second, log_first)
+        v = _map(math.exp, log_first - larger) + sign[pairs] * _map(math.exp, log_second - larger)
         summed = v > 0.0
-        flagged[pairs[~summed]] = True
-        log_bracket = m[summed] + _map(math.log, v[summed])
-        out[pairs[summed]] = log_prefactor[with_odd][summed] + log_bracket
+        if not summed.all():
+            flagged[pairs[~summed]] = True
+            pairs, larger, v, log_prefactor = (w[summed] for w in (pairs, larger, v, log_prefactor))
+        out[pairs] = log_prefactor + (larger + _map(math.log, v))
     values = out.tolist()
+    r = layout.r.ravel()
     for j in flagged.nonzero()[0].tolist():
-        c_j, b_j, s_j, sign_j, log_ratio_j = parts[:, j].tolist()
+        c_j, b_j, s_j, sign_j, log_ratio_j = layout.parts[:, j % n].tolist()
         part = _StudyPart(c_j, () if b_j != b_j else (b_j,), s_j, int(sign_j), log_ratio_j)
         try:
-            values[j] = _evaluate(part, float(tau_sq[j]), float(r[j]))
+            values[j] = _evaluate(part, float(tau_sq[j]), float(r[j % (m * n)]))
         except (ValueError, ArithmeticError, NonConvergenceError) as exc:
             values[j] = exc
     return values

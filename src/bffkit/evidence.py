@@ -24,9 +24,11 @@ from numpy.polynomial.chebyshev import chebder, chebroots, chebval
 from .bayes_factors import (  # noqa: F401
     StatFamily,
     TestStatistic,
+    _layout,
+    _log_bf_items,
+    _plan_rows,
     _study_columns,
     log_bf10,
-    log_bf10_batch,
 )
 from .effect_map import DesignKind, _tau_sq_parts, tau_sq_for
 from .priors import _check_shape, jeffreys_log_prior_gamma, jeffreys_log_prior_nm
@@ -73,7 +75,7 @@ class Study:
     prior scale (effect_map's _tau_sq_parts).  With the study part its
     statistic holds, that is everything of its log BF10 that does not depend
     on (omega, r), so an evaluation at (omega, r) computes only tau_sq and
-    the item part (bayes_factors.log_bf10_batch)."""
+    the item part (bayes_factors._log_bf_items)."""
 
     stat: TestStatistic
     design: DesignKind
@@ -91,14 +93,19 @@ class StudySet:
     All studies must map to the same prior family (normal-moment for z/t,
     gamma for chi-square/F) so a single Jeffreys prior on r applies; gamma
     sets must additionally share the numerator df k, since the Jeffreys prior
-    depends on it.  A built set holds, in a private field, its studies'
-    parts and prior-scale constants as columns, which every evaluation
-    (_log_bf_rows) reads.
+    depends on it.  A built set holds, in private fields, its studies'
+    parts and prior-scale constants as columns and the r-free plan rows of
+    their series (bayes_factors._plan_rows), which every evaluation
+    (_log_bf_rows) reads, and, from its first mmap_r call on, mmap_r's node
+    pass for one r_max (_node_pass): the nodes in r, the Jeffreys log prior
+    at each, and the omega-free part of their column pass, with the ratio
+    rows its series have reached.  A call with another r_max replaces it.
     """
 
     studies: tuple[Study, ...]
     label: str = ""
     _columns: tuple = field(init=False, repr=False, compare=False)
+    _nodes: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.studies) == 0:
@@ -120,7 +127,8 @@ class StudySet:
         # as the rows of one array
         parts = _study_columns([s.stat._part for s in self.studies])
         scales = np.array([s._scale for s in self.studies], dtype=float).T
-        object.__setattr__(self, "_columns", (parts, scales))
+        object.__setattr__(self, "_columns", (parts, scales, _plan_rows(parts)))
+        object.__setattr__(self, "_nodes", None)  # (r_max, _Pass) once mmap_r runs
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[TestStatistic, DesignKind]], label: str = "") -> "StudySet":
@@ -145,28 +153,48 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega}")
 
 
+class _Pass(list):
+    """The omega-free part of a column pass over the items rs x studies of
+    a study set, as the list of its rs, checked, with: scale, the
+    denominator d (s + r - u) of each item's tau_sq; layout, that of
+    bayes_factors._layout, whose series hold their ratio rows with hold; and
+    log_priors, the Jeffreys log prior at each r where the pass holds them
+    (mmap_r's node pass), or None."""
+
+    def __init__(self, study_set: StudySet, rs: Sequence[float], hold: bool = False):
+        for r in rs:
+            _check_shape(r)
+        super().__init__(rs)
+        parts, (c, d, s, u), rows = study_set._columns
+        r = np.array(self, dtype=float)[:, None]
+        with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
+            self.scale = d * (s + r - u)
+        self.c = c
+        self.layout = _layout(parts, rows, np.repeat(r, len(c), axis=1), hold)
+        self.log_priors = None
+
+
 def _log_bf_rows(study_set: StudySet, omegas: Sequence[float], rs: Sequence[float]) -> list[list]:
     """Per-study log BF10 at every (omega, r) of omegas x rs, one list per
-    pair, omega-major, with all items evaluated by one log_bf10_batch pass.
-    Where the evaluation of a study raises, its entry is the exception.
+    pair, omega-major, with all items evaluated by one column pass.  Where
+    the evaluation of a study raises, its entry is the exception.
 
-    Each study was compiled when built, so the pass computes only the array
-    of tau_sq here and the rest in log_bf10_batch.  tau_sq is c w w / (d (s
-    + r - u)): tau_sq_for's operations in its order, so its value bit for
-    bit.  An omega that is not finite and > 0, then an r that is not finite
-    and >= 1, raises for the whole call; it concerns no study."""
+    rs is a sequence of r, or a _Pass that the caller holds for them, which
+    the call then reuses: each study was compiled when built, and the pass
+    holds everything that does not depend on omega, so the call computes
+    only the array of tau_sq here and the x step in
+    bayes_factors._log_bf_items.  tau_sq is c w w / (d (s + r - u)):
+    tau_sq_for's operations in its order, so its value bit for bit.  An
+    omega that is not finite and > 0, then an r that is not finite and >= 1,
+    raises for the whole call; it concerns no study."""
     for omega in omegas:
         _check_omega(omega)
-    for r in rs:
-        _check_shape(r)
-    parts, (c, d, s, u) = study_set._columns
+    held = rs if isinstance(rs, _Pass) else _Pass(study_set, rs)
     w = np.array(omegas, dtype=float)[:, None, None]
-    r = np.array(rs, dtype=float)[:, None]
-    with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
-        tau_sq = c * w * w / (d * (s + r - u))
-    n = len(s)
-    r = np.broadcast_to(r, tau_sq.shape).ravel()
-    values = log_bf10_batch(np.tile(parts, len(omegas) * len(rs)), tau_sq.ravel(), r)
+    with np.errstate(over="ignore"):
+        tau_sq = held.c * w * w / held.scale
+    n = len(held.c)
+    values = _log_bf_items(held.layout, tau_sq)
     return [values[i : i + n] for i in range(0, len(values), n)]
 
 
@@ -204,8 +232,9 @@ def combined_log_bf(study_set: StudySet, omega: float, r: float) -> float:
 
 def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[tuple]:
     """(objective, per-study values) at common effect omega and each r in
-    rs, where the MMAP objective is combined_log_bf + log Jeffreys prior,
-    all through one _log_bf_rows pass.
+    rs (a sequence, or a _Pass, as for _log_bf_rows), where the MMAP
+    objective is combined_log_bf + log Jeffreys prior, all through one
+    _log_bf_rows pass.  The prior is the pass's own where it holds one.
 
     One-sided brackets with the statistic strongly opposing the prior
     direction can fall below double-precision resolution at large r (the log
@@ -215,13 +244,33 @@ def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[
     propagates, tagged with its study, even where an ArithmeticError of an
     earlier study comes first, so the result does not depend on study order.
     """
+    priors = rs.log_priors if isinstance(rs, _Pass) else None
     out = []
-    for r, per_study in zip(rs, _log_bf_rows(study_set, (omega,), rs)):
+    for j, (r, per_study) in enumerate(zip(rs, _log_bf_rows(study_set, (omega,), rs))):
         if _raise_first_error(per_study, ArithmeticError):
             out.append((float("-inf"), per_study))
         else:
-            out.append((sum(per_study) + study_set.jeffreys_log_prior(r), per_study))
+            prior = study_set.jeffreys_log_prior(r) if priors is None else priors[j]
+            out.append((sum(per_study) + prior, per_study))
     return out
+
+
+def _node_pass(study_set: StudySet, r_max: float) -> _Pass:
+    """mmap_r's node pass over [1, r_max]: the _NODES Chebyshev-Lobatto
+    points of u = log r on [0, log r_max], whose ends are exactly r = 1 and
+    r_max, with the Jeffreys log prior at each node and their ratio rows
+    held.  The study set holds one, for one r_max: it is built on the first
+    call for r_max, and replaces the pass of any other r_max."""
+    held = study_set._nodes
+    if held is None or held[0] != r_max:
+        half = 0.5 * math.log(r_max)
+        rs = np.exp(half * (1.0 + np.cos(_THETA))).tolist()
+        rs[0], rs[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
+        nodes = _Pass(study_set, rs, hold=True)
+        nodes.log_priors = [study_set.jeffreys_log_prior(r) for r in rs]
+        held = (r_max, nodes)
+        object.__setattr__(study_set, "_nodes", held)
+    return held[1]
 
 
 @dataclass(frozen=True)
@@ -276,7 +325,12 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
     finite node, and the objective is unresolvable when no node is finite.
 
     Each pass is one column pass of _log_bf_rows over all its (r, study)
-    items, bit for bit combined_log_bf.
+    items, bit for bit combined_log_bf.  The node pass is the study set's
+    (_node_pass): built on the first call for r_max, with its layout, the
+    Jeffreys prior at each node and the ratio rows its series reach, so a
+    later call computes only tau_sq, x, the screens, the kernel and the
+    bracket.  The fitted point's pass is built for the call and keeps
+    nothing.
     """
     _check_shape(r_max, "r_max")
     if r_max == 1.0:
@@ -284,8 +338,7 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
         _raise_first_error(per_study)  # no other r to fall back on
         return MmapResult(1.0, obj, True, tuple(per_study))
     half = 0.5 * math.log(r_max)
-    rs = np.exp(half * (1.0 + np.cos(_THETA))).tolist()
-    rs[0], rs[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
+    rs = _node_pass(study_set, r_max)
     nodes = _objectives(study_set, omega, rs)
     values = np.array([value for value, _ in nodes])
     best = int(np.argmax(values))
@@ -384,9 +437,11 @@ def bff_curve(
     points = []
     if isinstance(r_policy, FixedR):
         # per_study_log_bf at each omega, _OMEGAS_PER_PASS omegas per pass
+        # over one pass of r, whose ratio rows last for the call
+        held = _Pass(study_set, (r_policy.r,), hold=True)
         for lo in range(0, len(grid.omegas), _OMEGAS_PER_PASS):
             omegas = grid.omegas[lo : lo + _OMEGAS_PER_PASS]
-            for omega, per_study in zip(omegas, _log_bf_rows(study_set, omegas, (r_policy.r,))):
+            for omega, per_study in zip(omegas, _log_bf_rows(study_set, omegas, held)):
                 _raise_first_error(per_study)
                 total = sum(per_study)
                 points.append(BffPoint(omega, r_policy.r, total, tuple(per_study), objective=total))

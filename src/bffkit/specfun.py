@@ -39,16 +39,21 @@ time, is the reference the tests hold _log_series_sum to.
 
 P is free of the statistic: only x carries it, and the closed forms call
 the functions with many statistics at few (r, design) pairs, as simulations
-do, and an MMAP curve evaluates the same nodes in r at every omega.  So both
-kernels keep statistic-free P rows in _ROWS, one module-level dict that
-_fill_rows alone fills, whose arrays are read-only, own their buffers, and
-are at most _ROWS_CAP rows of a block in all.  _log_series_sum keeps the P
-rows of each series' first numpy call, keyed by the plan's parameters (*num,
-c) (after _plan_2f1 puts a <= b); _log_series_sums keeps the first block of
-each chunk, one row per plan, keyed by the parameter count and the bytes of
-the chunk's parameter columns.  A call that finds its rows there takes them
-times x, in one multiply.  The product is the double x P_i that the kernel
-would form anyway, so no value depends on what the cache holds.
+do, and an MMAP curve evaluates the same nodes in r at every omega.  So P is
+kept where it repeats.  _log_series_sum keeps the P rows of each series'
+first numpy call in _ROWS, one module-level dict that _fill_rows alone
+fills, keyed by the plan's parameters (*num, c) (after _plan_2f1 puts a <=
+b), whose arrays are read-only, own their buffers, and are at most _ROWS_CAP
+rows of a block in all.  _log_series_sums keeps nothing itself: a caller
+that evaluates one set of plan rows at many x holds a _Blocks of their P,
+block by block, and passes it with each plan's row in it.  A kernel that
+finds its rows held takes them times x, in one multiply.  The product is the
+double x P_i that the kernel would form anyway, so no value depends on what
+is held.
+
+A plan whose products prod(num + i) or (c + i)(1 + i) could overflow within
+the cap (_wide) takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)), in both
+kernels and in _Blocks; every other plan takes it in the order above.
 
 At x = 0 every term after t_0 = 1 is 0, and both kernels return exactly 0.0
 for such a plan before they form any ratio: P can overflow where every x P_i
@@ -189,31 +194,50 @@ _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
 # 1 + i over the same rows (exact), so that a fill of _ROWS forms none
 _ONE_ROWS = 1.0 + _IDX_ROWS
-# Rows per chunk of the batched kernel: large enough to amortize numpy's
-# per-call overhead, small enough to keep its work array small.
-_CHUNK = 128
+
+
+def _indices(j: int) -> tuple:
+    """The term indices i of block j, and 1 + i, as _IDX_ROWS and
+    _ONE_ROWS hold them for the first _MAX_BLOCKS blocks."""
+    if j < _MAX_BLOCKS:
+        return _IDX_ROWS[j], _ONE_ROWS[j]
+    idx = j * _BLOCK + _IDX
+    return idx, 1.0 + idx
+
+
+# Rows per chunk of the batched kernel: large enough that a node pass of an
+# MMAP curve (14 nodes in r times a set's plan rows) is one chunk, small
+# enough to keep its work arrays at a few MiB.
+_CHUNK = 1024
 # Below this bound on every term ratio of a series, the products of each of
 # its blocks and their sum stay below the largest double (245^128 * 128 <
 # 2^1023), so _log_series_sum makes every numpy call of such a series without
-# np.errstate, whose cost is a tenth of a one-block series.
+# np.errstate, whose cost is a tenth of a one-block series.  P's own
+# factors stay finite there too: those of a narrow plan are below _WIDE, and
+# a wide plan's (a + i)/(c + i) and (b + i)/(1 + i) are at most max(a, c)/c
+# and max(b, 1), so at most the bound over x.  Only a P that overflows by
+# itself, at an x so small that the bound over x passes the largest double
+# (a / c or a b / c beyond it), is not covered.
 _QUIET_RATIO = 245.0
 _QUIET = contextlib.nullcontext()
-# The statistic-free ratio rows P (_ratio_factors) of both kernels, each
-# array read-only and owning its buffer (a view would keep the array it was
-# cut from alive), filled by _fill_rows.  _log_series_sum's entries are the
-# first numpy call of a series, by its parameters (*num, c), the plan without
-# x: row j holds P_i for i in j * _BLOCK + _IDX.  _log_series_sums' entries
-# are the first block of a chunk, by (parameter count, bytes of the chunk's
-# parameter columns): row j holds P_i of the chunk's row j for i in _IDX.
-# They hold at most _ROWS_CAP rows of 1 KiB (4 MiB), counted in _rows_held;
-# a fill that would pass the cap clears them first.  The benchmark's
-# sim_points series take 3,342 rows over 338 parameter tuples.  A default-grid
-# stroop MMAP curve makes 1,075 chunks and fills 80 entries of 3,560 rows in
-# all: 5 chunks of the 14 nodes in r, each taken at all 200 omegas, and 75 of
-# fitted-r passes, which never repeat.
+# The one-value kernel's P rows: the first numpy call of a series, by its
+# parameters (*num, c), the plan without x: row j holds P_i for i in j *
+# _BLOCK + _IDX.  Each array is read-only and owns its buffer (a view would
+# keep the array it was cut from alive).  They hold at most _ROWS_CAP rows of
+# 1 KiB (4 MiB), counted in _rows_held; a fill that would pass the cap clears
+# them first.  The benchmark's sim_points series take 3,342 rows over 338
+# parameter tuples.  The batched kernel keeps no entry here (see _Blocks).
 _ROWS: dict = {}
 _ROWS_CAP = 4096
 _rows_held = 0
+# Rows of blocks a _Blocks holds at most (1 KiB each, 4 MiB).
+_PASS_CAP = 4096
+# _wide's bound on a product of P's narrow form: 2^24 below the largest
+# double, far more than the rounding of the products that test it.  No plan
+# whose parameters are all below _NARROW is wide: for i below 2^30 (TERM_CAP
+# is 10^7), (a + i)(b + i) < 2^802 and (c + i)(1 + i) < 2^431.
+_WIDE = 2.0**1000
+_NARROW = 2.0**400
 
 
 def _nonconvergence(plan: tuple) -> NonConvergenceError:
@@ -343,20 +367,56 @@ def _plan_2f1(a: float, b: float, c: float, x: float) -> tuple:
     return _plan((a, b), c, x)
 
 
-def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray) -> np.ndarray:
+def _wide(num, c):
+    """Whether the plan (x, *num, c) is wide, of floats, or the mask of the
+    wide rows, of columns (num one or two entries; columns under np.errstate
+    with over ignored): whether one of the products of P's narrow form,
+    (a + i)(b + i) for a 2F1 or (c + i)(1 + i), could reach _WIDE at an index
+    i of a block that starts below TERM_CAP."""
+    i = TERM_CAP + _BLOCK
+    wide = (c + i) * (1.0 + i) >= _WIDE
+    if len(num) == 2:
+        wide = wide | ((num[0] + i) * (num[1] + i) >= _WIDE)
+    return wide
+
+
+def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray, wide=False) -> np.ndarray:
     """P_i = prod(num + i) / ((c + i)(1 + i)) for the indices i of a block
     (or of rows of blocks), from a plan's parameters plus the indices: num_i,
-    each p + i of num, c_i = c + i, which it overwrites, and one_i = 1 + i.
+    each p + i of num, c_i = c + i, which it may overwrite, and one_i = 1 +
+    i.  wide is _wide of the plan, or, for rows of plans, the mask of the
+    wide rows.  A wide plan takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)),
+    or (a + i)/(c + i)/(1 + i) for a 1F1, whose factors cannot overflow
+    where the products can; every other plan takes the form above, in its
+    order.  A mask's wide rows are formed both ways under the caller's
+    np.errstate, and keep the wide form.
 
     The term ratio t_{i+1}/t_i of the plan (x, *num, c) is x P_i, with x
     multiplied last by every caller: P is free of the statistic, which only
     x carries, so a ratio is the same double whether its P was formed for
-    this x or taken from _ROWS."""
+    this x or taken from _ROWS or a _Blocks."""
+    if wide is True:
+        return _wide_factors(num_i, c_i, one_i)
+    mask = wide is not False and wide.any()
+    if mask:
+        rows = _wide_factors([p_i[wide] for p_i in num_i], c_i[wide], one_i)
     inc = num_i[0]
     for p_i in num_i[1:]:
         inc *= p_i
     c_i *= one_i
     inc /= c_i
+    if mask:
+        inc[wide] = rows
+    return inc
+
+
+def _wide_factors(num_i, c_i, one_i):
+    """_ratio_factors' wide form, as a new array."""
+    inc = num_i[0] / c_i
+    if len(num_i) == 2:
+        inc *= num_i[1] / one_i
+    else:
+        inc /= one_i
     return inc
 
 
@@ -461,15 +521,14 @@ def _blocks(x: float, num: list, c: float) -> int:
     return int(blocks) if blocks < _MAX_BLOCKS else _MAX_BLOCKS
 
 
-def _fill_rows(key: tuple, num: list, c, k: int) -> np.ndarray:
+def _fill_rows(key: tuple, num: list, c: float, k: int) -> np.ndarray:
     """The new entry of _ROWS for key, read-only: the rows of P
-    (_ratio_factors) of the first k blocks of the plan (*num, c) of floats,
-    or, with num and c columns of shape (n, 1) and k = 1, the first block of
-    each of n plans, one row each.  It replaces the key's entry, if any.  An
-    entry of more rows than the cap is returned but not kept."""
+    (_ratio_factors) of the first k blocks of the plan (*num, c).  It
+    replaces the key's entry, if any.  An entry of more rows than the cap is
+    returned but not kept."""
     global _rows_held
     idx = _IDX_ROWS[:k]
-    rows = _ratio_factors([p + idx for p in num], c + idx, _ONE_ROWS[:k])
+    rows = _ratio_factors([p + idx for p in num], c + idx, _ONE_ROWS[:k], _wide(num, c))
     rows.setflags(write=False)
     _rows_held -= len(_ROWS.pop(key, ()))
     if len(rows) > _ROWS_CAP:
@@ -480,6 +539,48 @@ def _fill_rows(key: tuple, num: list, c, k: int) -> np.ndarray:
     _ROWS[key] = rows
     _rows_held += len(rows)
     return rows
+
+
+class _Blocks:
+    """The P rows (_ratio_factors) of a fixed set of plan rows (*num, c),
+    given as columns, that a caller evaluates at many x: the node pass of an
+    MMAP curve, or the one r of a fixed-r curve.
+
+    Block j holds P_i of every row for i in j * _BLOCK + _IDX.  It is
+    formed for all rows at once, the first time _log_series_sums takes
+    block j for any of them, exactly as the kernel forms a block, and is
+    read-only and owns its buffer.  The blocks hold at most _PASS_CAP rows
+    of a block in all (none for more rows than that); past that,
+    _log_series_sums forms a block for its live rows, as without blocks."""
+
+    def __init__(self, num: list, c: np.ndarray):
+        self.num = [p[:, None] for p in num]
+        self.c = c[:, None]
+        with np.errstate(over="ignore"):
+            self.wide = _wide(num, c)
+        self.limit = _PASS_CAP // len(c)
+        self.held = []
+
+    def block(self, j: int):
+        """Block j, formed with every block before it if need be, or None
+        past the cap."""
+        if j >= self.limit:
+            return None
+        held = self.held
+        while len(held) <= j:
+            idx, one = _indices(len(held))
+            rows = np.empty((len(self.c), _BLOCK))
+            # _BLOCK rows at a time, so that the parameters plus indices
+            # take a few small arrays, not a block's size each; a wide row's
+            # products of the narrow form, which it replaces, may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, len(rows), _BLOCK):
+                    part = slice(lo, lo + _BLOCK)
+                    num_i = [p[part] + idx for p in self.num]
+                    rows[part] = _ratio_factors(num_i, self.c[part] + idx, one, self.wide[part])
+            rows.setflags(write=False)
+            held.append(rows)
+        return held[j]
 
 
 def _log_series_sum(plan: tuple) -> float:
@@ -545,7 +646,7 @@ def _log_series_sum(plan: tuple) -> float:
             k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap
             if i0:
                 idx = i0 + _IDX_ROWS[:k]
-                ratios = _ratio_factors([p + idx for p in num], c + idx, 1.0 + idx)
+                ratios = _ratio_factors([p + idx for p in num], c + idx, 1.0 + idx, _wide(num, c))
                 ratios *= x
             else:
                 ratios = first[:k] * x
@@ -573,7 +674,7 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
-def _log_series_sums(plans: np.ndarray) -> np.ndarray:
+def _log_series_sums(plans: np.ndarray, blocks: _Blocks | None = None, rows=None) -> np.ndarray:
     """_log_series_sum of each row of the array plans, one plan (x, *num, c)
     per row.  A plan still running at TERM_CAP comes back as NaN.
 
@@ -582,47 +683,63 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
     live row of a chunk together, with exactly the block, fold, rescale and
     stopping rule of _log_series_sum as column operations, and a row leaves
     the chunk (and its columns) once it stops, so every row is bit for bit
-    what _log_series_sum returns for it.  A chunk's first block takes its P
-    rows from _ROWS, as _log_series_sum's first call does, and every later
-    block forms them as _fill_rows does, each parameter column plus the
-    block's indices.  The final log is taken per row with math.log, as
-    _log_series_sum takes it: numpy's log may differ from it in the last
-    bit.
+    what _log_series_sum returns for it.  With blocks, a _Blocks of the
+    caller's, plan j's parameters are those of row rows[j] of blocks, and a
+    block's P rows are gathered from blocks by row index (np.take) where
+    blocks holds that block; otherwise the block is formed as _Blocks forms
+    it, each parameter column of the live rows plus the block's indices.
+    The work arrays are allocated once per call: arrays of a block's size
+    allocated per block took about 2,000 page faults per round of the
+    benchmark's stroop_mmap workload.  The final log is taken per row with
+    math.log, as _log_series_sum takes it: numpy's log may differ from it in
+    the last bit.
     """
     out = np.full(len(plans), math.nan)
     if not len(plans):
         return out
     out[plans[:, 0] == 0.0] = 0.0
     todo = plans[:, 0].nonzero()[0]
-    # every block of the pass writes its parameters plus indices and its
-    # terms into this one array: allocated per block, arrays of this size
-    # took about 2,000 page faults per round of the benchmark's stroop_mmap
-    # workload, and this one about 8
-    work = np.empty((plans.shape[1], min(len(todo), _CHUNK), _BLOCK))
+    size = min(len(todo), _CHUNK)
+    # a block's terms, over its ratios where they are gathered: a steep row's
+    # ratios are then gathered again
+    work = np.empty((size, _BLOCK))
+    plus = None  # each parameter plus a block's indices, where formed
     with np.errstate(over="ignore", invalid="ignore"):  # as in _log_series_sum
         for lo in range(0, len(todo), _CHUNK):
             live = todo[lo : lo + _CHUNK]
-            chunk = plans[live]
-            x = chunk[:, :1]
-            key = (chunk.shape[1] - 1, chunk[:, 1:].tobytes())
-            *num, c = (chunk[:, j : j + 1] for j in range(1, chunk.shape[1]))
-            first = _ROWS.get(key)
-            if first is None:
-                first = _fill_rows(key, num, c, 1)
-            *plus_i, terms = work[:, : len(live)]
-            ratios = np.multiply(first, x, out=plus_i[0])
+            chunk = plans if len(live) == len(plans) else plans[live]
+            x, params = chunk[:, :1], chunk[:, 1:]
+            # _wide, on the rows that can be wide
+            wide = _wide(params[:, :-1].T, params[:, -1]) if params.max() >= _NARROW else False
+            index = None if blocks is None else rows if chunk is plans else rows[live]
             scale = np.zeros(len(live), dtype=int)
             acc, top, term = np.ones((3, len(live)))
-            i0 = 0.0
+            j = 0
             while True:
+                terms = work[: len(live)]
+                held = None if blocks is None else blocks.block(j)
+                if held is not None:
+                    ratios = np.take(held, index, axis=0, out=terms, mode="clip")
+                else:
+                    if plus is None:
+                        plus = np.empty((params.shape[1], size, _BLOCK))
+                    plus_i = plus[:, : len(live)]
+                    idx, one = _indices(j)
+                    for k, p_i in enumerate(plus_i):
+                        np.add(params[:, k : k + 1], idx, out=p_i)
+                    ratios = _ratio_factors(plus_i[:-1], plus_i[-1], one, wide)
+                ratios *= x
+                below = ratios[:, -1] < 1.0
                 np.multiply.accumulate(ratios, axis=1, out=terms)
                 sums = np.add.reduce(terms, axis=1)
                 maxes = np.maximum.reduce(terms, axis=1)
                 lasts = terms[:, -1]
                 new = acc + term * sums
-                steep = (~(new < math.inf)).nonzero()[0]
-                if len(steep):
-                    shift, steep_sums, maxes[steep], lasts[steep] = _log_block(ratios[steep])
+                finite = new < math.inf
+                if not finite.all():
+                    steep = (~finite).nonzero()[0]
+                    steep_ratios = ratios[steep] if held is None else held[index[steep]] * x[steep]
+                    shift, steep_sums, maxes[steep], lasts[steep] = _log_block(steep_ratios)
                     acc[steep] = np.ldexp(acc[steep], -shift)
                     top[steep] = np.ldexp(top[steep], -shift)
                     scale[steep] += shift
@@ -637,23 +754,23 @@ def _log_series_sums(plans: np.ndarray) -> np.ndarray:
                     top[big] = np.ldexp(top[big], -shift)
                     term[big] = np.ldexp(term[big], -shift)
                     scale[big] += shift
-                i0 += _BLOCK
-                done = (ratios[:, -1] < 1.0) & (term <= _TERM_FLOOR * top)
+                j += 1
+                done = below & (term <= _TERM_FLOOR * top)
                 if done.any():
+                    if done.all():
+                        out[live] = scale * _LN2 + _map(math.log, acc)
+                        break
                     out[live[done]] = scale[done] * _LN2 + _map(math.log, acc[done])
                     keep = ~done
-                    if not keep.any():
-                        break
-                    live, scale, acc, top, term, x, c = (v[keep] for v in (live, scale, acc, top, term, x, c))
-                    num = [p[keep] for p in num]
-                    *plus_i, terms = work[:, : len(live)]
-                if i0 >= TERM_CAP:
+                    live, scale, acc, top, term, x, params = (
+                        v[keep] for v in (live, scale, acc, top, term, x, params)
+                    )
+                    if wide is not False:
+                        wide = wide[keep]
+                    if index is not None:
+                        index = index[keep]
+                if j * _BLOCK >= TERM_CAP:
                     break
-                idx = i0 + _IDX
-                for p, p_i in zip((*num, c), plus_i):
-                    np.add(p, idx, out=p_i)
-                ratios = _ratio_factors(plus_i[:-1], plus_i[-1], 1.0 + idx)
-                ratios *= x
     return out
 
 

@@ -490,17 +490,18 @@ def _stroop():
 
 def _count_passes(monkeypatch) -> list:
     """Record the row count of every batched kernel pass, which must be all
-    2F1 rows, and fail on any one-value kernel call."""
+    2F1 rows, and fail on any one-value kernel call.  A pass's held ratio
+    rows and row index, if any, go on to the kernel."""
 
     def fail(*args):
         raise AssertionError("one-value kernel called")
 
     passes = []
 
-    def count(plans):
+    def count(plans, *held):
         assert all(len(plan) == 4 for plan in plans), "1F1 rows in a pass"
         passes.append(len(plans))
-        return real(plans)
+        return real(plans, *held)
 
     real = bf._log_series_sums
     monkeypatch.setattr(bf, "_log_series_sums", count)
@@ -796,14 +797,162 @@ class TestCompiledStudies:
         assert all(s.stat.sided is Sidedness.ONE_SIDED for s in studies.studies)
         mmap_r(studies, 0.5)
         assert rs_per_pass == [_NODES]  # r* = 1: the node pass only
+        assert calls["ratio"] == n + _NODES  # and the node pass is built
         mmap_r(studies, 0.885)
         assert rs_per_pass == [_NODES, _NODES, 1]  # r* interior: and the fitted point
         items = n * sum(rs_per_pass)
         assert calls["tau_sq"] == n
-        assert calls["ratio"] == n + sum(rs_per_pass)
+        # the node pass is held by the set, so only the fitted point adds one
+        assert calls["ratio"] == n + _NODES + 1
         # beyond the one-time study work, one ratio per r is one per n = 20
         # items; one per item would be items
         assert calls["ratio"] - n < items / 10
+
+
+def _held_rows(studies) -> int:
+    """The rows of ratio-row blocks (1 KiB each) that the set's node pass
+    holds."""
+    if studies._nodes is None:
+        return 0
+    return sum(len(block) for plans in studies._nodes[1].layout.plans for block in plans.blocks.held)
+
+
+def _kernel_cap(monkeypatch, cap) -> list:
+    """Run the batched kernel under TERM_CAP = cap, while the screens and
+    the one-value route keep the full cap, so that its rows of more blocks
+    come back still running (NaN).  Returns the count of such rows per
+    pass, as a list that fills as it runs."""
+    real, running = bf._log_series_sums, []
+
+    def capped(plans, *held):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(sf, "TERM_CAP", cap)
+            sums = real(plans, *held)
+        running.append(int(np.isnan(sums).sum()))
+        return sums
+
+    monkeypatch.setattr(bf, "_log_series_sums", capped)
+    return running
+
+
+def _edge_sets():
+    """_guard_sets with studies whose x is 0 at every omega added: a
+    one-sided z and a two-sided t of statistic 0, and chi-square and F
+    statistics of 0."""
+    nm, gamma = _guard_sets()
+    zero_nm = StudySet.build([z_study(0.0, 50), t_study(0.0, 30, Sidedness.TWO_SIDED)])
+    f_zero = TestStatistic(StatFamily.F, 0.0, k=3.0, m=40.0)
+    zero_gamma = StudySet.build([chisq_study(0.0, 3.0, 80), (f_zero, DesignKind(DesignTag.LINEAR_MODEL_F, n=44))])
+    return StudySet(nm.studies + zero_nm.studies), StudySet(gamma.studies + zero_gamma.studies)
+
+
+class TestHeldPass:
+    """mmap_r's node pass, held by the study set (evidence._node_pass): its
+    layout, node priors and ratio rows are built once per r_max, and no
+    value depends on them."""
+
+    def test_values_are_a_fresh_pass_cold_warm_and_past_the_cap(self, monkeypatch):
+        # per-study values and objectives at several omegas, through the
+        # held pass and through a fresh pass of the same rs that holds
+        # nothing: bit for bit, errors included, with the kernel capped so
+        # that some rows are still running, whether the held blocks are
+        # formed (the first omega), taken (the others), or past caps of no
+        # block and of one block of the largest series
+        running = _kernel_cap(monkeypatch, sf._BLOCK)
+        omegas = (1e-3, 0.11, 0.5, 0.87, 1.0)
+        kinds = set()
+        for studies in _edge_sets():
+            rows = len(studies.studies) * 2 * _NODES  # at most two series a study
+            for cap in (sf._PASS_CAP, 1, rows):
+                monkeypatch.setattr(sf, "_PASS_CAP", cap)
+                fresh = StudySet(studies.studies)
+                nodes = ev._node_pass(fresh, 200.0)
+                for omega in omegas:
+                    got = ev._log_bf_rows(fresh, (omega,), nodes)
+                    expected = ev._log_bf_rows(fresh, (omega,), list(nodes))
+                    for row, row_e in zip(got, expected):
+                        assert all(_same(g, e) for g, e in zip(row, row_e)), (cap, omega)
+                        kinds.update(type(e).__name__ for e in row_e)
+                    # the objectives, with the pass's priors, or the first error
+                    got = _value_or_error(ev._objectives, fresh, omega, nodes)
+                    expected = _value_or_error(ev._objectives, fresh, omega, list(nodes))
+                    assert _same(got, expected) if isinstance(expected, Exception) else repr(got) == repr(expected)
+                held = sum(len(b) for plans in nodes.layout.plans for b in plans.blocks.held)
+                assert (held > 0) == (cap != 1), cap
+        assert max(running) > 0  # some rows were still running at the kernel's cap
+        assert kinds == {"float", "ArithmeticError", "ValueError", "NonConvergenceError"}
+        # objectives, with the pass's priors, on sets whose objectives
+        # resolve: the gamma set but its last study (chi-square 1e308), and
+        # stroop
+        gamma = _guard_sets()[1]
+        for studies in (StudySet(gamma.studies[:-1]), _stroop()):
+            nodes = ev._node_pass(studies, 200.0)
+            for omega in omegas:
+                expected = ev._objectives(studies, omega, list(nodes))
+                assert repr(ev._objectives(studies, omega, nodes)) == repr(expected), omega
+
+    def test_two_r_max_never_share_a_pass(self):
+        studies = _stroop()
+        fresh = _stroop()
+        first = ev._node_pass(studies, 200.0)
+        assert ev._node_pass(studies, 200.0) is first
+        for r_max in (50.0, 200.0, 3.0):
+            res = mmap_r(studies, 0.885, r_max)
+            assert studies._nodes[0] == r_max and list(studies._nodes[1]) == _node_rs(fresh, 0.885, r_max)
+            assert studies._nodes[1] is not first
+            assert res == mmap_r(StudySet(studies.studies), 0.885, r_max), r_max
+
+    def test_fitted_pass_and_single_points_hold_nothing(self, monkeypatch):
+        built, real = [], bf._Blocks
+        monkeypatch.setattr(bf, "_Blocks", lambda *args: (built.append(1), real(*args))[1])
+        monkeypatch.setattr(sf, "_ROWS", {})
+        monkeypatch.setattr(sf, "_rows_held", 0)
+        studies = _stroop()  # one-sided t studies: one function, 2F1
+        per_study_log_bf(studies, 0.5, 2.0)
+        combined_log_bf(studies, 0.5, 2.0)
+        assert built == [] and studies._nodes is None
+        res = mmap_r(studies, 0.885)  # the node pass, then the fitted point
+        assert 1.0 < res.r_star < 200.0
+        assert built == [1]
+        held = _held_rows(studies)
+        ev._objectives(studies, 0.885, (res.r_star,))
+        per_study_log_bf(studies, 0.7, res.r_star)
+        assert built == [1] and _held_rows(studies) == held
+        assert sf._ROWS == {} and sf._rows_held == 0
+
+    def test_held_arrays_are_read_only_and_own_their_buffers(self):
+        studies = _stroop()
+        mmap_r(studies, 0.885)
+        blocks = [block for plans in studies._nodes[1].layout.plans for block in plans.blocks.held]
+        assert blocks
+        for block in blocks:
+            assert not block.flags.writeable and block.base is None
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+
+# Rows of ratio-row blocks (1 KiB each) that the default-grid stroop and
+# correlation MMAP curves and the fig1 fixed-r curve leave held, passes and
+# specfun._ROWS together: 1,960 (stroop's node pass holds 3 blocks of 560
+# rows, correlation's 1 block of 280, fig1's fixed-r pass lasts its call,
+# and no one-value series runs).  The column kernel's _ROWS entries held
+# 3,560 rows for the stroop curve alone, 3,000 of them fitted-r chunks that
+# never repeat.
+_HELD_BOUND = 2048
+
+
+class TestMemoryGuard:
+    def test_rows_held_after_the_default_curves(self, monkeypatch):
+        monkeypatch.setattr(sf, "_ROWS", {})
+        monkeypatch.setattr(sf, "_rows_held", 0)
+        grid = EffectGrid.default()
+        stroop, correlation, fig1 = _stroop(), _table("correlation"), _table("fig1")
+        bff_curve(stroop, grid, MmapR())
+        bff_curve(correlation, grid, MmapR())
+        bff_curve(fig1, grid, FixedR(1.0))
+        assert fig1._nodes is None
+        held = _held_rows(stroop) + _held_rows(correlation) + sf._rows_held
+        assert held <= _HELD_BOUND, held
 
 
 # Studies whose statistic is beyond double precision, each with a design

@@ -688,7 +688,7 @@ class TestCallSchedule:
 
 
 def _chunk_groups():
-    """Plan arrays for the column cache: 1F1 and 2F1 rows of 1 to 100
+    """Plan arrays for the batched kernel: 1F1 and 2F1 rows of 1 to 100
     blocks over two parameter tuples each, steep rows (but the z form of
     16,000 blocks), and x = 0 rows (one whose P_0 overflows), each array one
     full chunk and a partial one."""
@@ -702,10 +702,19 @@ def _chunk_groups():
     return groups
 
 
+def _held(plans):
+    """A _Blocks of the distinct parameter rows (*num, c) of plans, in
+    descending order, and each plan's row in it."""
+    params, rows = np.unique(plans[:, 1:], axis=0, return_inverse=True)
+    params = params[::-1]
+    return sf._Blocks(list(params[:, :-1].T), params[:, -1]), len(params) - 1 - rows.ravel()
+
+
 class TestRowCache:
-    """The cache of statistic-free ratio rows (specfun._ROWS) that both
-    kernels share: read-only rows that own their buffers, one entry per
-    parameter tuple or chunk, and a cap in rows that changes no value."""
+    """The one-value kernel's cache of statistic-free ratio rows
+    (specfun._ROWS): read-only rows that own their buffers, one entry per
+    parameter tuple, and a cap in rows that changes no value.  The batched
+    kernel keeps no entry there."""
 
     def test_rows_are_read_only(self):
         for plans, _ in _block_plans():
@@ -714,7 +723,7 @@ class TestRowCache:
         assert len(sf._ROWS) == 2
         for plans in _chunk_groups():
             sf._log_series_sums(plans)
-        assert len(sf._ROWS) == 2 + 4
+        assert len(sf._ROWS) == 2
         for rows in sf._ROWS.values():
             assert not rows.flags.writeable and rows.base is None
             with pytest.raises(ValueError):
@@ -728,48 +737,17 @@ class TestRowCache:
         assert log_1f1(1.5, 2.0, 10.0) == expected
         assert calls == [] and (1.5, 2.0) in sf._ROWS
 
-    def test_chunks_give_one_value_cold_warm_and_cleared(self, monkeypatch):
-        # each row is _log_series_sum's value, whether its chunk's first
-        # block is filled, taken from the cache, or filled again after the
-        # cache is emptied between the two arrays
-        groups = _chunk_groups()
-        expected = [[_one_value_or_nan(plan) for plan in plans.tolist()] for plans in groups]
-        cold = []
-        for plans in groups:
-            _empty_rows(monkeypatch)
-            cold.append(sf._log_series_sums(plans).tolist())
-        sf._log_series_sums(groups[0])
-        fills, real = [], sf._fill_rows
-        monkeypatch.setattr(sf, "_fill_rows", lambda *args: (fills.append(1), real(*args))[1])
-        warm = [sf._log_series_sums(plans).tolist() for plans in groups]
-        assert fills == [] and len(sf._ROWS) == 4
-        cleared = [sf._log_series_sums(groups[0]).tolist()]
-        _empty_rows(monkeypatch)
-        cleared.append(sf._log_series_sums(groups[1]).tolist())
-        assert cold == warm == cleared == expected
-
-    def test_chunk_key_holds_the_parameter_count(self):
-        # a 1F1 chunk of 96 rows and a 2F1 chunk of 64 rows over the same
-        # 192 parameter doubles, so the same bytes: each gets its own rows
-        params = np.random.default_rng(5).uniform(0.5, 5.0, 192)
-        one = np.column_stack([np.full(96, 0.5), params.reshape(96, 2)])
-        two = np.column_stack([np.full(64, 0.5), params.reshape(64, 3)])
-        for plans in (one, two, one, two):
-            values = sf._log_series_sums(plans).tolist()
-            assert values == [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
-            assert len(sf._ROWS[(plans.shape[1] - 1, plans[:, 1:].tobytes())]) == len(plans)
-
-    def test_chunks_and_series_share_the_cap(self, monkeypatch):
-        # chunks of 3 to 29 rows between one-value series, twice over, under
-        # a cap of 40 rows: every value is the one-value kernel's from an
-        # empty cache, the entries never hold more than the cap, the count
-        # of rows held is exact, and the cap holds entries of both kernels
-        # together
+    def test_column_passes_leave_the_cap_to_series(self, monkeypatch):
+        # batched passes of 3 to 29 rows between one-value series, twice
+        # over, under a cap of 40 rows: every value is the one-value
+        # kernel's from an empty cache, the entries never hold more than the
+        # cap, the count of rows held is exact, and every entry is a
+        # series' own, keyed by its parameters
         plans = np.array([(x, a, 2.0) for a in (0.5, 1.5, 4.0, 7.0) for x in _X_1F1])
         expected = [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
         _empty_rows(monkeypatch)
         monkeypatch.setattr(sf, "_ROWS_CAP", 40)
-        both = False
+        keys = {tuple(plan[1:]) for plan in plans.tolist()}
         for j, plan in enumerate(plans.tolist() * 2):
             j %= len(plans)
             n = 3 + 13 * j % 27
@@ -777,9 +755,7 @@ class TestRowCache:
             assert sf._log_series_sum(tuple(plan)) == expected[j], j
             held = sum(len(rows) for rows in sf._ROWS.values())
             assert held == sf._rows_held <= sf._ROWS_CAP, j
-            kinds = {type(key[-1]) for key in sf._ROWS}
-            both |= kinds == {bytes, float}
-        assert both
+            assert set(sf._ROWS) <= keys, j
 
     def test_symmetric_2f1_shares_one_entry(self):
         assert log_2f1(2.5, 3.5, 1.5, 0.9) == log_2f1(3.5, 2.5, 1.5, 0.9)
@@ -802,6 +778,102 @@ class TestRowCache:
             assert held == sf._rows_held <= sf._ROWS_CAP, plan
             keys = max(keys, len(sf._ROWS))
         assert keys < 8
+
+
+class TestHeldBlocks:
+    """The batched kernel with a caller's _Blocks: each block a pass
+    reaches is formed once for all the blocks' rows, read-only and owning
+    its buffer, up to _PASS_CAP rows of blocks, and no value depends on what
+    is held."""
+
+    def test_held_blocks_give_one_value_cold_warm_and_capped(self, monkeypatch):
+        # each row is _log_series_sum's value without blocks, with blocks
+        # filled (cold), with blocks held (warm: no ratio formed), and past
+        # caps of no block, one block and three blocks, where the kernel
+        # forms the later blocks for its live rows
+        calls = _count_ratio_factors(monkeypatch)
+        cap = sf._PASS_CAP
+        for plans in _chunk_groups():
+            expected = [_one_value_or_nan(plan) for plan in plans.tolist()]
+            assert sf._log_series_sums(plans).tolist() == expected
+            blocks, rows = _held(plans)
+            assert sf._log_series_sums(plans, blocks, rows).tolist() == expected
+            reached = len(blocks.held)
+            assert 100 <= reached < blocks.limit  # the longest row's blocks, all held
+            calls.clear()
+            assert sf._log_series_sums(plans, blocks, rows).tolist() == expected
+            assert calls == [] and len(blocks.held) == reached
+            for limit in (0, 1, 3):
+                monkeypatch.setattr(sf, "_PASS_CAP", limit * len(blocks.c))
+                capped, rows = _held(plans)
+                assert capped.limit == limit
+                assert sf._log_series_sums(plans, capped, rows).tolist() == expected, limit
+                assert len(capped.held) == limit
+            monkeypatch.setattr(sf, "_PASS_CAP", cap)
+
+    def test_blocks_are_read_only_and_own_their_buffers(self):
+        for plans in _chunk_groups():
+            blocks, rows = _held(plans)
+            sf._log_series_sums(plans, blocks, rows)
+            assert blocks.held
+            for block in blocks.held:
+                assert block.shape == (len(blocks.c), sf._BLOCK)
+                assert not block.flags.writeable and block.base is None
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+
+    def test_a_pass_too_large_holds_nothing(self, monkeypatch):
+        monkeypatch.setattr(sf, "_PASS_CAP", 4)
+        plans = np.array([(0.5, 1.5, 2.0)] * 5)
+        blocks = sf._Blocks([plans[:, 1]], plans[:, 2])
+        assert blocks.limit == 0 and blocks.block(0) is None
+        assert sf._log_series_sums(plans, blocks, np.arange(5)).tolist() == [log_1f1(1.5, 2.0, 0.5)] * 5
+        assert blocks.held == []
+
+
+# Plans whose narrow products prod(num + i) or (c + i)(1 + i) overflow:
+# 2F1(a, b; a; x) = (1 - x)^-b and 1F1(a; a; x) = e^x, as (plan, log value).
+# The first two raised OverflowError while P was formed narrow; the third
+# overflowed without np.errstate, its bound being below _QUIET_RATIO; the
+# last is wide by c alone.
+_WIDE_PLANS = (
+    ((1e-20, 1e10, 1e300, 1e300), 1e-10),
+    ((1e-150, 1e200, 1e200, 1e300), 1e-50),
+    ((1e-300, 1e10, 1e300, 1e300), 1e-290),
+    ((1.0, 1e305, 1e305), 1.0),
+)
+
+
+class TestWidePlans:
+    """Plans whose products of P's narrow form could overflow take P as
+    ((a + i)/(c + i))((b + i)/(1 + i)), by one rule (specfun._wide) in both
+    kernels and in _Blocks; every other plan keeps the narrow form."""
+
+    def test_values(self):
+        assert log_2f1(1e300, 1e10, 1e300, 1e-20) == log_2f1(1e10, 1e300, 1e300, 1e-20)
+        for (x, *num, c), value in _WIDE_PLANS:
+            assert sf._wide(num, c)
+            got = (log_2f1 if len(num) == 2 else log_1f1)(*num, c, x)
+            assert abs(got - value) <= 1e-16 * max(1.0, value), (num, c, x, got)
+
+    def test_both_kernels_and_blocks_agree(self):
+        # wide plans among narrow ones of the same arity, in one chunk
+        for arity, narrow in ((1, (0.3, 1.5, 2.0)), (2, (0.3, 2.5, 3.5, 1.5))):
+            plans = [plan for plan, _ in _WIDE_PLANS if len(plan) == 2 + arity]
+            plans = np.array([narrow, *plans, narrow, *plans])
+            expected = [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
+            assert sf._log_series_sums(plans).tolist() == expected
+            blocks, rows = _held(plans)
+            assert sf._log_series_sums(plans, blocks, rows).tolist() == expected
+            # the distinct parameters in descending order: the narrow row last
+            assert blocks.wide.tolist() == [True] * (len(blocks.c) - 1) + [False]
+
+    def test_narrow_below_the_bound(self):
+        # no plan whose parameters are all below _NARROW is wide, at the
+        # largest index of a block that starts below TERM_CAP
+        p = math.nextafter(sf._NARROW, 0.0)
+        assert not sf._wide([p, p], p) and not sf._wide([p], p)
+        assert sf._wide([1e301, 1e10], 1.0) and sf._wide([1.0], 1e301)
 
 
 class TestCapCheck:
