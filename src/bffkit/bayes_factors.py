@@ -37,11 +37,12 @@ route, with the lowest overhead per call.  Many values at once
 numpy columns, with every transcendental still a per-element math call, and
 one batched kernel pass per function.  They are two steps: a layout
 (_layout) of everything that does not depend on tau_sq, from the r-free
-plan rows of the study parts (_plan_rows), and the x step (_log_bf_items).
-evidence builds a layout once per pass of r over a study set, and keeps the
-one that repeats at every omega, with its ratio rows.  There, screens flag
-and _evaluate decides: the one-value route evaluates every item a column
-test flags, so the two routes agree bit for bit, errors included.
+plan rows of the study parts (_plan_rows), with each function's
+specfun._Blocks, and the x step (_log_bf_items).  evidence builds a layout
+once per pass of r over a study set, and keeps the one that repeats at
+every omega, whose ratio rows _Blocks' reuse rule holds.  There, screens
+flag and _evaluate decides: the one-value route evaluates every item a
+column test flags, so the two routes agree bit for bit, errors included.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -391,14 +392,12 @@ def _tile(owner: np.ndarray, firsts: int, copies: int, size: int) -> tuple:
 class _Plans(NamedTuple):
     """One function's plan rows over the items of a _Layout: each row's
     item (owner), the first rows, then the second (firsts counts the
-    first), their upper parameters num and c (den) as columns, and the
-    _Blocks of their ratio rows, or None."""
+    first), and the specfun._Blocks of their upper parameters num and c,
+    row for row, which is the kernel's source of their ratio rows."""
 
     owner: np.ndarray
     firsts: int
-    num: list
-    den: np.ndarray
-    blocks: _Blocks | None
+    blocks: _Blocks
 
 
 class _Layout(NamedTuple):
@@ -407,9 +406,10 @@ class _Layout(NamedTuple):
     columns; r; the items whose r is not finite and >= 1 (bad, of the
     shape of r); the masks of the parts' 2F1 series and signs; a = c + r,
     sign, log_ratio and log_gamma_half_ratio(r + 1/2) (where signed) per
-    item; and the _Plans of each function.  Every signed item has a
-    second-series row, whether or not its x makes it odd; _log_bf_items
-    keeps the rows each evaluation needs."""
+    item; and the _Plans of each function, whose _Blocks every evaluation
+    of the layout reads.  Every signed item has a second-series row, whether
+    or not its x makes it odd; _log_bf_items keeps the rows each evaluation
+    needs."""
 
     parts: np.ndarray
     r: np.ndarray
@@ -423,11 +423,11 @@ class _Layout(NamedTuple):
     plans: tuple
 
 
-def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray, hold: bool = False) -> _Layout:
+def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray) -> _Layout:
     """The _Layout of the study parts parts (the columns of _study_columns),
     whose _plan_rows are rows, at r, an array of m rows of len(parts[0]).
-    With hold, each function's plan rows hold their ratio rows
-    (specfun._Blocks) for every evaluation of the layout."""
+    Each function's _Blocks lasts as long as the layout (see its reuse
+    rule)."""
     c, b, s, sign, log_ratio = parts
     is_2f1, signed, series = rows
     m, n = r.shape
@@ -451,7 +451,7 @@ def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray, hold: bool = False) -
         num = [a[owner] + shift]
         if other is not None:
             num = [np.minimum(num[0], other), np.maximum(num[0], other)]
-        plans.append(_Plans(owner, f, num, den, _Blocks(num, den) if hold else None))
+        plans.append(_Plans(owner, f, _Blocks(num, den)))
     return _Layout(parts, r, ~good, is_2f1, signed, a, sign, log_ratio, log_ratio_r, tuple(plans))
 
 
@@ -479,8 +479,8 @@ def _log_bf_items(layout: _Layout, tau_sq: np.ndarray) -> list:
     _unclear flags, a NaN sum, a bracket not positive), and _evaluate then
     decides each flagged item on its study part rebuilt from its columns.
     The other items' plan rows go to one _log_series_sums pass per function,
-    with the layout's _Blocks where it holds them; a one-sided item's two
-    rows share its x.
+    as x over the rows of the layout's _Blocks; a one-sided item's two rows
+    share its x.
     """
     k, m, n = tau_sq.shape
     s = layout.parts[2]
@@ -497,33 +497,28 @@ def _log_bf_items(layout: _Layout, tau_sq: np.ndarray) -> list:
         a, sign, log_ratio, log_ratio_r = (np.tile(v, k) for v in (a, sign, log_ratio, log_ratio_r))
     out = np.zeros(len(x))  # log BF10 at tau_sq = 0; other entries are replaced
 
-    for owner, f, num, den, blocks in layout.plans:
-        index = None  # each row's row of the layout, where not all rows in order
+    for owner, f, blocks in layout.plans:
+        num, den = blocks.num, blocks.c
+        index = np.arange(len(owner))  # each row's row of blocks
         if k > 1:
             owner, index, f = _tile(owner, f, k, m * n)
         use = live[owner]
         use[f:] &= odd[owner[f:]]
-        if index is not None or not use.all():
+        if k > 1 or not use.all():
             f = int(np.count_nonzero(use[:f]))
-            index = use.nonzero()[0] if index is None else index[use]
-            owner = owner[use]
+            owner, index = owner[use], index[use]
             num, den = [p[index] for p in num], den[index]
             if not len(owner):
                 continue
-        elif blocks is not None:
-            index = np.arange(len(owner))
         xs = x[owner]
         flagged[owner[_unclear(num, den, xs)]] = True
         keep = ~flagged[owner]
         if not keep.all():
             f = int(np.count_nonzero(keep[:f]))
-            owner, xs, den = owner[keep], xs[keep], den[keep]
-            num = [p[keep] for p in num]
-            if index is not None:
-                index = index[keep]
+            owner, xs, index = owner[keep], xs[keep], index[keep]
             if not len(owner):
                 continue
-        sums = _log_series_sums(np.array([xs, *num, den]).T, *(() if blocks is None else (blocks, index)))
+        sums = _log_series_sums(xs, blocks, index)
         flagged[owner[np.isnan(sums)]] = True  # still running at TERM_CAP
         # the kept second rows are those of the kept odd items, in order
         items, pairs = owner[:f], owner[f:]

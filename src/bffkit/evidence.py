@@ -99,7 +99,8 @@ class StudySet:
     (_log_bf_rows) reads, and, from its first mmap_r call on, mmap_r's node
     pass for one r_max (_node_pass): the nodes in r, the Jeffreys log prior
     at each, and the omega-free part of their column pass, with the ratio
-    rows its series have reached.  A call with another r_max replaces it.
+    rows that specfun._Blocks' reuse rule holds.  A call with another r_max
+    replaces it.
     """
 
     studies: tuple[Study, ...]
@@ -157,11 +158,12 @@ class _Pass(list):
     """The omega-free part of a column pass over the items rs x studies of
     a study set, as the list of its rs, checked, with: scale, the
     denominator d (s + r - u) of each item's tau_sq; layout, that of
-    bayes_factors._layout, whose series hold their ratio rows with hold; and
-    log_priors, the Jeffreys log prior at each r where the pass holds them
-    (mmap_r's node pass), or None."""
+    bayes_factors._layout, whose ratio rows specfun._Blocks' reuse rule
+    holds across the pass's evaluations; and log_priors, the Jeffreys log
+    prior at each r where the pass holds them (mmap_r's node pass), or
+    None."""
 
-    def __init__(self, study_set: StudySet, rs: Sequence[float], hold: bool = False):
+    def __init__(self, study_set: StudySet, rs: Sequence[float]):
         for r in rs:
             _check_shape(r)
         super().__init__(rs)
@@ -170,7 +172,7 @@ class _Pass(list):
         with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
             self.scale = d * (s + r - u)
         self.c = c
-        self.layout = _layout(parts, rows, np.repeat(r, len(c), axis=1), hold)
+        self.layout = _layout(parts, rows, np.repeat(r, len(c), axis=1))
         self.log_priors = None
 
 
@@ -258,15 +260,16 @@ def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[
 def _node_pass(study_set: StudySet, r_max: float) -> _Pass:
     """mmap_r's node pass over [1, r_max]: the _NODES Chebyshev-Lobatto
     points of u = log r on [0, log r_max], whose ends are exactly r = 1 and
-    r_max, with the Jeffreys log prior at each node and their ratio rows
-    held.  The study set holds one, for one r_max: it is built on the first
-    call for r_max, and replaces the pass of any other r_max."""
+    r_max, with the Jeffreys log prior at each node.  The study set holds
+    one, for one r_max: it is built on the first call for r_max, and
+    replaces the pass of any other r_max.  It repeats at every omega, so
+    specfun._Blocks' reuse rule holds its ratio rows."""
     held = study_set._nodes
     if held is None or held[0] != r_max:
         half = 0.5 * math.log(r_max)
         rs = np.exp(half * (1.0 + np.cos(_THETA))).tolist()
         rs[0], rs[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
-        nodes = _Pass(study_set, rs, hold=True)
+        nodes = _Pass(study_set, rs)
         nodes.log_priors = [study_set.jeffreys_log_prior(r) for r in rs]
         held = (r_max, nodes)
         object.__setattr__(study_set, "_nodes", held)
@@ -327,10 +330,10 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
     Each pass is one column pass of _log_bf_rows over all its (r, study)
     items, bit for bit combined_log_bf.  The node pass is the study set's
     (_node_pass): built on the first call for r_max, with its layout, the
-    Jeffreys prior at each node and the ratio rows its series reach, so a
-    later call computes only tau_sq, x, the screens, the kernel and the
-    bracket.  The fitted point's pass is built for the call and keeps
-    nothing.
+    Jeffreys prior at each node and the ratio rows that specfun._Blocks'
+    reuse rule holds, so a later call computes only tau_sq, x, the screens,
+    the kernel and the bracket.  The fitted point's pass is built for the
+    call, evaluated once, and holds nothing.
     """
     _check_shape(r_max, "r_max")
     if r_max == 1.0:
@@ -437,8 +440,9 @@ def bff_curve(
     points = []
     if isinstance(r_policy, FixedR):
         # per_study_log_bf at each omega, _OMEGAS_PER_PASS omegas per pass
-        # over one pass of r, whose ratio rows last for the call
-        held = _Pass(study_set, (r_policy.r,), hold=True)
+        # over one pass of r, whose ratio rows specfun._Blocks' reuse rule
+        # holds for the call
+        held = _Pass(study_set, (r_policy.r,))
         for lo in range(0, len(grid.omegas), _OMEGAS_PER_PASS):
             omegas = grid.omegas[lo : lo + _OMEGAS_PER_PASS]
             for omega, per_study in zip(omegas, _log_bf_rows(study_set, omegas, held)):

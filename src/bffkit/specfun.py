@@ -14,12 +14,13 @@ the plan, the row (x, *num, c) of the series sum t_i with t_0 = 1 and
 t_{i+1}/t_i = x prod(num + i) / ((c + i)(1 + i)); one body, _plan, builds
 every row and rejects a series that cannot stop within TERM_CAP terms.  A
 block kernel then sums the plan: _log_series_sum one plan, as log_1f1 and
-log_2f1 do, or _log_series_sums an array of plans of one length at once, as
-bayes_factors.log_bf10_batch does (direct summation, as in Pearson, Olver &
-Porter, arXiv:1407.7786, run over a batch axis).  A caller that builds its
-plan rows as columns screens them with _unclear, which tests _plan's
-one-ratio bound on every row at once, and leaves the rows it flags to the
-one-value route, whose planners decide them.  The batched kernel takes its rows in chunks, and each block
+log_2f1 do, or _log_series_sums many plans of one length at once, each an x
+over a plan row of a _Blocks, as bayes_factors.log_bf10_batch does (direct
+summation, as in Pearson, Olver & Porter, arXiv:1407.7786, run over a batch
+axis).  A caller that builds its plan rows as columns screens them with
+_unclear, which tests _plan's one-ratio bound on every row at once, and
+leaves the rows it flags to the one-value route, whose planners decide
+them.  The batched kernel takes its rows in chunks, and each block
 advances every live row of a chunk together.  The one-plan kernel estimates
 from the plan alone how many blocks its series needs (_blocks: the terms'
 closed-form peak and decay length) and sums them as the rows of one array,
@@ -44,16 +45,16 @@ kept where it repeats.  _log_series_sum keeps the P rows of each series'
 first numpy call in _ROWS, one module-level dict that _fill_rows alone
 fills, keyed by the plan's parameters (*num, c) (after _plan_2f1 puts a <=
 b), whose arrays are read-only, own their buffers, and are at most _ROWS_CAP
-rows of a block in all.  _log_series_sums keeps nothing itself: a caller
-that evaluates one set of plan rows at many x holds a _Blocks of their P,
-block by block, and passes it with each plan's row in it.  A kernel that
-finds its rows held takes them times x, in one multiply.  The product is the
-double x P_i that the kernel would form anyway, so no value depends on what
-is held.
+rows of a block in all.  _log_series_sums takes every P from a _Blocks of
+its plan rows' parameters, which a caller that evaluates one set of plan
+rows at many x keeps across its calls, and which alone decides, by its
+reuse rule, what it holds.  Either kernel takes a block's ratios as its P
+times x, in one multiply: the double x P_i that it would form anyway, so no
+value depends on what is held.  One function, _ratio_rows, forms every P.
 
 A plan whose products prod(num + i) or (c + i)(1 + i) could overflow within
-the cap (_wide) takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)), in both
-kernels and in _Blocks; every other plan takes it in the order above.
+the cap (_wide) takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)); every other
+plan takes it in the order above.
 
 At x = 0 every term after t_0 = 1 is 0, and both kernels return exactly 0.0
 for such a plan before they form any ratio: P can overflow where every x P_i
@@ -192,17 +193,9 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 # index once.
 _MAX_BLOCKS = 32
 _IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
-# 1 + i over the same rows (exact), so that a fill of _ROWS forms none
+# 1 + i over the same rows (exact), so that a fill of _ROWS, or of a
+# _Blocks' first _MAX_BLOCKS blocks, forms none
 _ONE_ROWS = 1.0 + _IDX_ROWS
-
-
-def _indices(j: int) -> tuple:
-    """The term indices i of block j, and 1 + i, as _IDX_ROWS and
-    _ONE_ROWS hold them for the first _MAX_BLOCKS blocks."""
-    if j < _MAX_BLOCKS:
-        return _IDX_ROWS[j], _ONE_ROWS[j]
-    idx = j * _BLOCK + _IDX
-    return idx, 1.0 + idx
 
 
 # Rows per chunk of the batched kernel: large enough that a node pass of an
@@ -232,12 +225,15 @@ _ROWS_CAP = 4096
 _rows_held = 0
 # Rows of blocks a _Blocks holds at most (1 KiB each, 4 MiB).
 _PASS_CAP = 4096
+# Rows a _Blocks forms P for at a time: its parameters plus a block's
+# indices then take arrays of 64 KiB, below the size from which each new
+# array costs page faults of its own.
+_PIECE = 64
 # _wide's bound on a product of P's narrow form: 2^24 below the largest
-# double, far more than the rounding of the products that test it.  No plan
-# whose parameters are all below _NARROW is wide: for i below 2^30 (TERM_CAP
-# is 10^7), (a + i)(b + i) < 2^802 and (c + i)(1 + i) < 2^431.
+# double, far more than the rounding of the products that test it.  For i
+# below 2^30 (TERM_CAP is 10^7), (a + i)(b + i) < 2^802 and (c + i)(1 + i) <
+# 2^431 where every parameter is below 2^400, so no such plan is wide.
 _WIDE = 2.0**1000
-_NARROW = 2.0**400
 
 
 def _nonconvergence(plan: tuple) -> NonConvergenceError:
@@ -380,19 +376,19 @@ def _wide(num, c):
     return wide
 
 
-def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray, wide=False) -> np.ndarray:
+def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray, wide) -> np.ndarray:
     """P_i = prod(num + i) / ((c + i)(1 + i)) for the indices i of a block
     (or of rows of blocks), from a plan's parameters plus the indices: num_i,
     each p + i of num, c_i = c + i, which it may overwrite, and one_i = 1 +
     i.  wide is _wide of the plan, or, for rows of plans, the mask of the
-    wide rows.  A wide plan takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)),
-    or (a + i)/(c + i)/(1 + i) for a 1F1, whose factors cannot overflow
-    where the products can; every other plan takes the form above, in its
-    order.  A mask's wide rows are formed both ways under the caller's
-    np.errstate, and keep the wide form.
+    wide rows or False for none.  A wide plan takes P_i as ((a + i)/(c +
+    i))((b + i)/(1 + i)), or (a + i)/(c + i)/(1 + i) for a 1F1, whose
+    factors cannot overflow where the products can; every other plan takes
+    the form above, in its order.  A mask's wide rows are formed both ways
+    under the caller's np.errstate, and keep the wide form.
 
     The term ratio t_{i+1}/t_i of the plan (x, *num, c) is x P_i, with x
-    multiplied last by every caller: P is free of the statistic, which only
+    multiplied last by either kernel: P is free of the statistic, which only
     x carries, so a ratio is the same double whether its P was formed for
     this x or taken from _ROWS or a _Blocks."""
     if wide is True:
@@ -418,6 +414,15 @@ def _wide_factors(num_i, c_i, one_i):
     else:
         inc /= one_i
     return inc
+
+
+def _ratio_rows(num, c, wide, idx, one) -> np.ndarray:
+    """P (_ratio_factors) at the indices idx, with one = 1 + idx, as a new
+    array: of the plan (x, *num, c) of floats, whose _wide is wide, over
+    rows of blocks, or of the plan rows of the columns num and c, of shape
+    (n, 1), whose mask of wide rows is wide, over a block.  Every P either
+    kernel takes is formed here."""
+    return _ratio_factors([p + idx for p in num], c + idx, one, wide)
 
 
 def _log_block(ratios: np.ndarray) -> tuple:
@@ -522,13 +527,11 @@ def _blocks(x: float, num: list, c: float) -> int:
 
 
 def _fill_rows(key: tuple, num: list, c: float, k: int) -> np.ndarray:
-    """The new entry of _ROWS for key, read-only: the rows of P
-    (_ratio_factors) of the first k blocks of the plan (*num, c).  It
-    replaces the key's entry, if any.  An entry of more rows than the cap is
-    returned but not kept."""
+    """The new entry of _ROWS for key, read-only: the P rows of the first k
+    blocks of the plan (*num, c).  It replaces the key's entry, if any.  An
+    entry of more rows than the cap is returned but not kept."""
     global _rows_held
-    idx = _IDX_ROWS[:k]
-    rows = _ratio_factors([p + idx for p in num], c + idx, _ONE_ROWS[:k], _wide(num, c))
+    rows = _ratio_rows(num, c, _wide(num, c), _IDX_ROWS[:k], _ONE_ROWS[:k])
     rows.setflags(write=False)
     _rows_held -= len(_ROWS.pop(key, ()))
     if len(rows) > _ROWS_CAP:
@@ -542,45 +545,58 @@ def _fill_rows(key: tuple, num: list, c: float, k: int) -> np.ndarray:
 
 
 class _Blocks:
-    """The P rows (_ratio_factors) of a fixed set of plan rows (*num, c),
-    given as columns, that a caller evaluates at many x: the node pass of an
-    MMAP curve, or the one r of a fixed-r curve.
+    """The P rows of the plan rows (*num, c) of the columns num and c: the
+    batched kernel's one source of P.  A caller that evaluates the rows at
+    many x (an MMAP curve's node pass, a fixed-r curve's pass) keeps one
+    _Blocks for them across its _log_series_sums calls.
 
-    Block j holds P_i of every row for i in j * _BLOCK + _IDX.  It is
-    formed for all rows at once, the first time _log_series_sums takes
-    block j for any of them, exactly as the kernel forms a block, and is
-    read-only and owns its buffer.  The blocks hold at most _PASS_CAP rows
-    of a block in all (none for more rows than that); past that,
-    _log_series_sums forms a block for its live rows, as without blocks."""
+    The reuse rule: in the kernel's first call on a _Blocks (the kernel
+    counts its calls in calls), P of block j, P_i for i in j * _BLOCK +
+    _IDX, is formed for the rows asked for only, as rows evaluated once gain
+    nothing from a block of all rows.  From the second call on, block j is
+    formed once for every row, held read-only, owning its buffer, and
+    gathered from, while the held blocks stay within _PASS_CAP rows; a block
+    past the cap is formed for the rows asked for.  Both ways form P by
+    _ratio_rows, _PIECE rows at a time, so no value depends on what is
+    held."""
 
     def __init__(self, num: list, c: np.ndarray):
-        self.num = [p[:, None] for p in num]
-        self.c = c[:, None]
-        with np.errstate(over="ignore"):
-            self.wide = _wide(num, c)
-        self.limit = _PASS_CAP // len(c)
+        self.num = num
+        self.c = c
+        self.wide = None  # _wide's mask, or False for no wide row, once formed
+        self.calls = 0
         self.held = []
 
-    def block(self, j: int):
-        """Block j, formed with every block before it if need be, or None
-        past the cap."""
-        if j >= self.limit:
-            return None
+    def take(self, j: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """P of block j for each row rows[i], written to row i of out and
+        returned, under the kernel's np.errstate (a wide row's products of
+        the narrow form, which it replaces, may overflow)."""
         held = self.held
-        while len(held) <= j:
-            idx, one = _indices(len(held))
-            rows = np.empty((len(self.c), _BLOCK))
-            # _BLOCK rows at a time, so that the parameters plus indices
-            # take a few small arrays, not a block's size each; a wide row's
-            # products of the narrow form, which it replaces, may overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                for lo in range(0, len(rows), _BLOCK):
-                    part = slice(lo, lo + _BLOCK)
-                    num_i = [p[part] + idx for p in self.num]
-                    rows[part] = _ratio_factors(num_i, self.c[part] + idx, one, self.wide[part])
-            rows.setflags(write=False)
-            held.append(rows)
-        return held[j]
+        if self.calls > 1 and (j + 1) * len(self.c) <= _PASS_CAP:
+            every = np.arange(len(self.c))
+            while len(held) <= j:
+                block = self._form(len(held), every, np.empty((len(every), _BLOCK)))
+                block.setflags(write=False)
+                held.append(block)
+            return np.take(held[j], rows, axis=0, out=out, mode="clip")
+        return self._form(j, rows, out)
+
+    def _form(self, j: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if j < _MAX_BLOCKS:  # the term indices i of block j, and 1 + i
+            idx, one = _IDX_ROWS[j], _ONE_ROWS[j]
+        else:
+            idx = j * _BLOCK + _IDX
+            one = 1.0 + idx
+        wide = self.wide
+        if wide is None:
+            wide = _wide(self.num, self.c)
+            wide = self.wide = wide if wide.any() else False
+        for lo in range(0, len(rows), _PIECE):
+            part = rows[lo : lo + _PIECE]
+            num = [p[part, None] for p in self.num]
+            part_wide = wide if wide is False else wide[part]
+            out[lo : lo + _PIECE] = _ratio_rows(num, self.c[part, None], part_wide, idx, one)
+        return out
 
 
 def _log_series_sum(plan: tuple) -> float:
@@ -642,11 +658,14 @@ def _log_series_sum(plan: tuple) -> float:
             i0, k = _BLOCK, 2
         else:
             i0, state = 0, (0, 1.0, 1.0, 1.0)
+        wide = None  # _wide of the plan, once a later call needs it
         while i0 < TERM_CAP:
             k = min(k, -(-(TERM_CAP - i0) // _BLOCK))  # only blocks starting below the cap
             if i0:
+                if wide is None:
+                    wide = _wide(num, c)
                 idx = i0 + _IDX_ROWS[:k]
-                ratios = _ratio_factors([p + idx for p in num], c + idx, 1.0 + idx, _wide(num, c))
+                ratios = _ratio_rows(num, c, wide, idx, 1.0 + idx)
                 ratios *= x
             else:
                 ratios = first[:k] * x
@@ -674,71 +693,52 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
-def _log_series_sums(plans: np.ndarray, blocks: _Blocks | None = None, rows=None) -> np.ndarray:
-    """_log_series_sum of each row of the array plans, one plan (x, *num, c)
-    per row.  A plan still running at TERM_CAP comes back as NaN.
+def _log_series_sums(x: np.ndarray, blocks: _Blocks, rows: np.ndarray) -> np.ndarray:
+    """_log_series_sum of each plan (x[j], *num, c) whose parameters (*num,
+    c) are row rows[j] of blocks.  A plan still running at TERM_CAP comes
+    back as NaN.
 
     A plan at x = 0 comes back as 0.0 (see the module docstring), and the
     other rows go through in chunks of _CHUNK.  Each block advances every
     live row of a chunk together, with exactly the block, fold, rescale and
     stopping rule of _log_series_sum as column operations, and a row leaves
     the chunk (and its columns) once it stops, so every row is bit for bit
-    what _log_series_sum returns for it.  With blocks, a _Blocks of the
-    caller's, plan j's parameters are those of row rows[j] of blocks, and a
-    block's P rows are gathered from blocks by row index (np.take) where
-    blocks holds that block; otherwise the block is formed as _Blocks forms
-    it, each parameter column of the live rows plus the block's indices.
-    The work arrays are allocated once per call: arrays of a block's size
-    allocated per block took about 2,000 page faults per round of the
-    benchmark's stroop_mmap workload.  The final log is taken per row with
-    math.log, as _log_series_sum takes it: numpy's log may differ from it in
-    the last bit.
+    what _log_series_sum returns for it.  A block's ratios are its P rows
+    from blocks (_Blocks.take, whose reuse rule counts this call as one)
+    times x.  The work array is allocated once per call: arrays of a
+    block's size allocated per block took about 2,000 page faults per round
+    of the benchmark's stroop_mmap workload.  The final log is taken per row
+    with math.log, as _log_series_sum takes it: numpy's log may differ from
+    it in the last bit.
     """
-    out = np.full(len(plans), math.nan)
-    if not len(plans):
-        return out
-    out[plans[:, 0] == 0.0] = 0.0
-    todo = plans[:, 0].nonzero()[0]
-    size = min(len(todo), _CHUNK)
-    # a block's terms, over its ratios where they are gathered: a steep row's
-    # ratios are then gathered again
-    work = np.empty((size, _BLOCK))
-    plus = None  # each parameter plus a block's indices, where formed
+    blocks.calls += 1
+    out = np.full(len(x), math.nan)
+    out[x == 0.0] = 0.0
+    todo = x.nonzero()[0]
+    # a block's ratios, then its terms
+    work = np.empty((min(len(todo), _CHUNK), _BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):  # as in _log_series_sum
         for lo in range(0, len(todo), _CHUNK):
             live = todo[lo : lo + _CHUNK]
-            chunk = plans if len(live) == len(plans) else plans[live]
-            x, params = chunk[:, :1], chunk[:, 1:]
-            # _wide, on the rows that can be wide
-            wide = _wide(params[:, :-1].T, params[:, -1]) if params.max() >= _NARROW else False
-            index = None if blocks is None else rows if chunk is plans else rows[live]
+            x_live, index = (x[:, None], rows) if len(live) == len(x) else (x[live, None], rows[live])
             scale = np.zeros(len(live), dtype=int)
             acc, top, term = np.ones((3, len(live)))
             j = 0
             while True:
-                terms = work[: len(live)]
-                held = None if blocks is None else blocks.block(j)
-                if held is not None:
-                    ratios = np.take(held, index, axis=0, out=terms, mode="clip")
-                else:
-                    if plus is None:
-                        plus = np.empty((params.shape[1], size, _BLOCK))
-                    plus_i = plus[:, : len(live)]
-                    idx, one = _indices(j)
-                    for k, p_i in enumerate(plus_i):
-                        np.add(params[:, k : k + 1], idx, out=p_i)
-                    ratios = _ratio_factors(plus_i[:-1], plus_i[-1], one, wide)
-                ratios *= x
+                ratios = blocks.take(j, index, work[: len(live)])
+                ratios *= x_live
                 below = ratios[:, -1] < 1.0
-                np.multiply.accumulate(ratios, axis=1, out=terms)
+                terms = np.multiply.accumulate(ratios, axis=1, out=ratios)
                 sums = np.add.reduce(terms, axis=1)
                 maxes = np.maximum.reduce(terms, axis=1)
                 lasts = terms[:, -1]
                 new = acc + term * sums
                 finite = new < math.inf
                 if not finite.all():
+                    # the steep rows' ratios again, as the terms replaced them
                     steep = (~finite).nonzero()[0]
-                    steep_ratios = ratios[steep] if held is None else held[index[steep]] * x[steep]
+                    steep_ratios = blocks.take(j, index[steep], np.empty((len(steep), _BLOCK)))
+                    steep_ratios *= x_live[steep]
                     shift, steep_sums, maxes[steep], lasts[steep] = _log_block(steep_ratios)
                     acc[steep] = np.ldexp(acc[steep], -shift)
                     top[steep] = np.ldexp(top[steep], -shift)
@@ -762,13 +762,9 @@ def _log_series_sums(plans: np.ndarray, blocks: _Blocks | None = None, rows=None
                         break
                     out[live[done]] = scale[done] * _LN2 + _map(math.log, acc[done])
                     keep = ~done
-                    live, scale, acc, top, term, x, params = (
-                        v[keep] for v in (live, scale, acc, top, term, x, params)
+                    live, scale, acc, top, term, x_live, index = (
+                        v[keep] for v in (live, scale, acc, top, term, x_live, index)
                     )
-                    if wide is not False:
-                        wide = wide[keep]
-                    if index is not None:
-                        index = index[keep]
                 if j * _BLOCK >= TERM_CAP:
                     break
     return out

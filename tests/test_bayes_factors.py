@@ -531,19 +531,19 @@ class TestBatch:
         # (here, made so: every series with x > 2) makes its item a
         # NonConvergenceError naming the item's first such series, as
         # log_bf10 raises it, and never the ArithmeticError of a NaN bracket
-        def running(plan):
-            return plan[0] > 2.0
+        def running(x):
+            return x > 2.0
 
         one_plan, many_plans = sf._log_series_sum, bf._log_series_sums
 
         def one(plan):
-            if running(plan):
+            if running(plan[0]):
                 raise sf._nonconvergence(plan)
             return one_plan(plan)
 
-        def many(plans):
-            sums = many_plans(plans)
-            sums[np.array([running(plan) for plan in plans], dtype=bool)] = math.nan
+        def many(x, blocks, rows):
+            sums = many_plans(x, blocks, rows)
+            sums[running(x)] = math.nan
             return sums
 
         monkeypatch.setattr(sf, "_log_series_sum", one)
@@ -560,7 +560,7 @@ class TestBatch:
         monkeypatch.setattr(
             bf,
             "_log_series_sums",
-            lambda plans: (calls.append({len(p) - 2 for p in plans}), real(plans))[1],
+            lambda x, blocks, rows: (calls.append({len(blocks.num)}), real(x, blocks, rows))[1],
         )
         _batch(self._items())
         assert sorted(calls, key=min) == [{1}, {2}]

@@ -490,18 +490,17 @@ def _stroop():
 
 def _count_passes(monkeypatch) -> list:
     """Record the row count of every batched kernel pass, which must be all
-    2F1 rows, and fail on any one-value kernel call.  A pass's held ratio
-    rows and row index, if any, go on to the kernel."""
+    2F1 rows, and fail on any one-value kernel call."""
 
     def fail(*args):
         raise AssertionError("one-value kernel called")
 
     passes = []
 
-    def count(plans, *held):
-        assert all(len(plan) == 4 for plan in plans), "1F1 rows in a pass"
-        passes.append(len(plans))
-        return real(plans, *held)
+    def count(x, blocks, rows):
+        assert len(blocks.num) == 2, "1F1 rows in a pass"
+        passes.append(len(x))
+        return real(x, blocks, rows)
 
     real = bf._log_series_sums
     monkeypatch.setattr(bf, "_log_series_sums", count)
@@ -824,10 +823,10 @@ def _kernel_cap(monkeypatch, cap) -> list:
     pass, as a list that fills as it runs."""
     real, running = bf._log_series_sums, []
 
-    def capped(plans, *held):
+    def capped(x, blocks, rows):
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(sf, "TERM_CAP", cap)
-            sums = real(plans, *held)
+            sums = real(x, blocks, rows)
         running.append(int(np.isnan(sums).sum()))
         return sums
 
@@ -903,26 +902,35 @@ class TestHeldPass:
             assert res == mmap_r(StudySet(studies.studies), 0.885, r_max), r_max
 
     def test_fitted_pass_and_single_points_hold_nothing(self, monkeypatch):
+        # every pass but the node pass is evaluated once, and its _Blocks
+        # holds no block after the call; the node pass holds from its
+        # second evaluation on
         built, real = [], bf._Blocks
-        monkeypatch.setattr(bf, "_Blocks", lambda *args: (built.append(1), real(*args))[1])
+        monkeypatch.setattr(bf, "_Blocks", lambda *args: (built.append(real(*args)), built[-1])[1])
         monkeypatch.setattr(sf, "_ROWS", {})
         monkeypatch.setattr(sf, "_rows_held", 0)
         studies = _stroop()  # one-sided t studies: one function, 2F1
         per_study_log_bf(studies, 0.5, 2.0)
         combined_log_bf(studies, 0.5, 2.0)
-        assert built == [] and studies._nodes is None
+        assert len(built) == 2 and studies._nodes is None
         res = mmap_r(studies, 0.885)  # the node pass, then the fitted point
         assert 1.0 < res.r_star < 200.0
-        assert built == [1]
+        (nodes,) = [plans.blocks for plans in studies._nodes[1].layout.plans]
+        assert len(built) == 4 and built[2] is nodes and _held_rows(studies) == 0
+        assert mmap_r(studies, 0.885) == res
+        assert len(built) == 5
         held = _held_rows(studies)
+        assert held > 0
         ev._objectives(studies, 0.885, (res.r_star,))
         per_study_log_bf(studies, 0.7, res.r_star)
-        assert built == [1] and _held_rows(studies) == held
+        assert len(built) == 7 and _held_rows(studies) == held
+        assert all(blocks.held == [] for blocks in built if blocks is not nodes)
         assert sf._ROWS == {} and sf._rows_held == 0
 
     def test_held_arrays_are_read_only_and_own_their_buffers(self):
         studies = _stroop()
-        mmap_r(studies, 0.885)
+        mmap_r(studies, 0.5)
+        mmap_r(studies, 0.885)  # the node pass's second evaluation holds
         blocks = [block for plans in studies._nodes[1].layout.plans for block in plans.blocks.held]
         assert blocks
         for block in blocks:

@@ -94,7 +94,7 @@ class Test1F1:
         assert log_1f1(2.0, 3.0, 0.0) == 0.0
         # P_0 = a / b overflows; at x = 0 no ratio is formed
         assert log_1f1(6.6e245, 6.6e-172, 0.0) == 0.0
-        assert sf._log_series_sums(np.array([(0.0, 6.6e245, 6.6e-172)])).tolist() == [0.0]
+        assert _sums(np.array([(0.0, 6.6e245, 6.6e-172)])).tolist() == [0.0]
 
     @pytest.mark.parametrize("x", [1.0, 50.0, 500.0, 5000.0])
     def test_exponential_identity(self, x):
@@ -152,7 +152,7 @@ class Test2F1:
         assert log_2f1(1.0, 2.0, 3.0, 0.0) == 0.0
         # P_0 = a b / c overflows; at x = 0 no ratio is formed
         assert log_2f1(1e300, 1e300, 1e-10, 0.0) == 0.0
-        assert sf._log_series_sums(np.array([(0.0, 1e300, 1e300, 1e-10)])).tolist() == [0.0]
+        assert _sums(np.array([(0.0, 1e300, 1e300, 1e-10)])).tolist() == [0.0]
 
     def test_closed_form(self):
         # 2F1(1,1,2,x) = -ln(1-x)/x
@@ -264,6 +264,13 @@ def _scalar_or_error(fn, *args):
         return exc
 
 
+def _sums(plans) -> np.ndarray:
+    """The batched kernel on the plans (x, *num, c), the rows of the array
+    plans: their x over a new _Blocks of their parameters, row for row."""
+    blocks = sf._Blocks(list(plans[:, 1:-1].T), plans[:, -1])
+    return sf._log_series_sums(plans[:, 0], blocks, np.arange(len(plans)))
+
+
 def _batch(planner, columns):
     """The planners and the batched kernel: plan every row, sum the planned
     rows in one _log_series_sums pass, and turn a NaN row into its
@@ -278,7 +285,7 @@ def _batch(planner, columns):
             continue
         if plan is not None:
             planned.append((j, plan))
-    sums = sf._log_series_sums(np.array([plan for _, plan in planned], dtype=float))
+    sums = _sums(np.array([plan for _, plan in planned], dtype=float).reshape(-1, len(columns)))
     for (j, plan), value in zip(planned, sums):
         values[j] = value
         if math.isnan(value):
@@ -404,21 +411,21 @@ class TestBatchKernel:
         x[long_rows] = 600.0
         x[-1] = 900.0
         plans = np.column_stack([x, a, b])
-        out = sf._log_series_sums(plans)
+        out = _sums(plans)
         for j in range(n):
             assert out[j] == sf._log_series_sum(tuple(plans[j].tolist()))
         for plans_k, _ in _block_plans():
-            out_k = sf._log_series_sums(plans_k)
+            out_k = _sums(plans_k)
             for plan, value in zip(plans_k.tolist(), out_k.tolist()):
                 assert sf._log_series_sum(tuple(plan)) == value
         # the plans of _block_plans need exactly their blocks
         for plans_k, blocks in _block_plans():
             for cap in _BLOCKS:
                 monkeypatch.setattr(sf, "TERM_CAP", cap * sf._BLOCK)
-                assert np.array_equal(np.isnan(sf._log_series_sums(plans_k)), blocks > cap)
+                assert np.array_equal(np.isnan(_sums(plans_k)), blocks > cap)
         # with a one-block cap, exactly the long rows fail to converge
         monkeypatch.setattr(sf, "TERM_CAP", sf._BLOCK)
-        capped = sf._log_series_sums(plans)
+        capped = _sums(plans)
         assert set(np.flatnonzero(np.isnan(capped))) == {*long_rows.tolist(), n - 1}
 
     def test_domain_errors_per_row(self):
@@ -447,7 +454,7 @@ class TestBatchKernel:
         for cap in (300, 5 * sf._BLOCK + 5, 3 * sf._BLOCK, 7 * sf._BLOCK):
             monkeypatch.setattr(sf, "TERM_CAP", cap)
             for plans, blocks in _block_plans():
-                sums = sf._log_series_sums(plans)
+                sums = _sums(plans)
                 assert np.array_equal(np.isnan(sums), blocks > -(-cap // sf._BLOCK))
                 for plan, value in zip(plans.tolist(), sums.tolist()):
                     if math.isnan(value):
@@ -465,7 +472,7 @@ class TestBatchKernel:
                 rows = [(x, *params) for x in (0.3, 0.5, 0.8, 0.05)]
                 rows.insert(2, plan)
                 calls.clear()
-                sums = sf._log_series_sums(np.array(rows))
+                sums = _sums(np.array(rows))
                 assert calls and max(calls) == 1  # the steep row alone
                 calls.clear()
                 assert sf._log_series_sum(plan) == sums[2] and calls
@@ -480,13 +487,13 @@ class TestBatchKernel:
         calls = _count_log_blocks(monkeypatch)
         plan, reference = _STEEP_1F1[0]
         rows = np.array([(x, 1.5, 2.0) for x in (0.0, 1e-300, 3.0, 600.0, 11740.0)] + [plan])
-        sums = sf._log_series_sums(rows)
+        sums = _sums(rows)
         assert calls == [1]
         assert _agrees(sums[-1], reference)
         for row, value in zip(rows.tolist(), sums.tolist()):
             assert sf._log_series_sum(tuple(row)) == value
         monkeypatch.setattr(sf, "TERM_CAP", 165 * sf._BLOCK)
-        assert np.isnan(sf._log_series_sums(rows)).tolist() == [False] * 5 + [True]
+        assert np.isnan(_sums(rows)).tolist() == [False] * 5 + [True]
 
     def test_zero_and_tiny_x(self):
         # at x = 0 every term after the first is 0; at tiny x the products
@@ -497,7 +504,7 @@ class TestBatchKernel:
         for params in ((1.5, 2.0), (2.5, 3.5, 1.5)):
             *num, c = params
             rows = np.array([(x, *params) for x in xs] + [(0.5, *params)])
-            sums = sf._log_series_sums(rows)
+            sums = _sums(rows)
             for row, value in zip(rows.tolist(), sums.tolist()):
                 assert sf._log_series_sum(tuple(row)) == value
             for x, value in zip(xs, sums.tolist()):
@@ -531,7 +538,7 @@ class TestBatchKernel:
             plans = [(x, a, b) for x, a, b, _ in rows]
         else:
             plans = [(0.9 * x / (1.0 + x), a, b, c) for x, a, b, c in rows]
-        sums = sf._log_series_sums(np.array(plans))
+        sums = _sums(np.array(plans))
         for plan, value in zip(plans, sums.tolist()):
             assert sf._log_series_sum(plan) == value
             x, *num, c = plan
@@ -541,7 +548,7 @@ class TestBatchKernel:
             assert _agrees(value, reference), (plan, value, reference)
 
     def test_empty_batch(self):
-        assert sf._log_series_sums(np.empty((0, 3))).shape == (0,)
+        assert _sums(np.empty((0, 3))).shape == (0,)
         values, errors = _batch(sf._plan_1f1, ([], [], []))
         assert len(values) == 0 and errors == {}
 
@@ -607,7 +614,7 @@ class TestCallSchedule:
     def test_any_grouping_gives_the_batched_values(self, monkeypatch):
         groups = [plans.tolist() for plans, _ in _block_plans()]
         groups += [[plan for plan, _ in steep] for steep in (_STEEP_1F1, _STEEP_2F1)]
-        expected = [sf._log_series_sums(np.array(group)).tolist() for group in groups]
+        expected = [_sums(np.array(group)).tolist() for group in groups]
         for blocks in _FORCED_ESTIMATES:
             _force_estimate(monkeypatch, blocks)
             for group, sums in zip(groups, expected):
@@ -620,7 +627,7 @@ class TestCallSchedule:
         groups = [plans.tolist() for plans, _ in _block_plans()] + [[(0.999999, 5.0, 5.0, 0.5)]]
         for cap in _CAPS:
             monkeypatch.setattr(sf, "TERM_CAP", cap)
-            expected = [sf._log_series_sums(np.array(group)).tolist() for group in groups]
+            expected = [_sums(np.array(group)).tolist() for group in groups]
             for blocks in _FORCED_ESTIMATES:
                 _force_estimate(monkeypatch, blocks)
                 for group, sums in zip(groups, expected):
@@ -690,14 +697,14 @@ class TestCallSchedule:
 def _chunk_groups():
     """Plan arrays for the batched kernel: 1F1 and 2F1 rows of 1 to 100
     blocks over two parameter tuples each, steep rows (but the z form of
-    16,000 blocks), and x = 0 rows (one whose P_0 overflows), each array one
-    full chunk and a partial one."""
+    16,000 blocks), and x = 0 rows (one whose P_0 overflows), each array's
+    rows at x > 0 one full chunk of the kernel and a partial one."""
     groups = []
     for xs, steep, params in ((_X_1F1, _STEEP_1F1, ((1.5, 2.0), (4.0, 0.5))),
                               (_X_2F1, _STEEP_2F1, ((2.5, 3.5, 1.5), (0.5, 9.0, 3.0)))):
         rows = [(x, *p) for p in params for x in (0.0, *xs)] + [plan for plan, _ in steep[::2]]
         rows.append((0.0, *[1e300] * (len(params[0]) - 1), 1e-300))
-        rows = (rows * (sf._CHUNK // len(rows) + 2))[: sf._CHUNK + 37]
+        rows = (rows * (sf._CHUNK // len(rows) + 8))[: sf._CHUNK + 256]
         groups.append(np.array(rows))
     return groups
 
@@ -722,7 +729,7 @@ class TestRowCache:
                 sf._log_series_sum(tuple(plan))
         assert len(sf._ROWS) == 2
         for plans in _chunk_groups():
-            sf._log_series_sums(plans)
+            _sums(plans)
         assert len(sf._ROWS) == 2
         for rows in sf._ROWS.values():
             assert not rows.flags.writeable and rows.base is None
@@ -731,7 +738,7 @@ class TestRowCache:
 
     def test_another_statistic_takes_the_cached_rows(self, monkeypatch):
         calls = _count_ratio_factors(monkeypatch)
-        expected = sf._log_series_sums(np.array([(10.0, 1.5, 2.0)]))[0]
+        expected = _sums(np.array([(10.0, 1.5, 2.0)]))[0]
         log_1f1(1.5, 2.0, 60.0)
         calls.clear()
         assert log_1f1(1.5, 2.0, 10.0) == expected
@@ -751,7 +758,7 @@ class TestRowCache:
         for j, plan in enumerate(plans.tolist() * 2):
             j %= len(plans)
             n = 3 + 13 * j % 27
-            assert sf._log_series_sums(plans[j : j + n]).tolist() == expected[j : j + n], j
+            assert _sums(plans[j : j + n]).tolist() == expected[j : j + n], j
             assert sf._log_series_sum(tuple(plan)) == expected[j], j
             held = sum(len(rows) for rows in sf._ROWS.values())
             assert held == sf._rows_held <= sf._ROWS_CAP, j
@@ -770,7 +777,7 @@ class TestRowCache:
         monkeypatch.setattr(sf, "_ROWS_CAP", 40)
         one = [(x, a, 2.0) for a in (0.5, 1.5, 4.0, 7.0) for x in _X_1F1]
         two = [(x, a, 3.5, 1.5) for a in (0.5, 2.5, 6.0, 9.0) for x in _X_2F1]
-        expected = sf._log_series_sums(np.array(one)).tolist() + sf._log_series_sums(np.array(two)).tolist()
+        expected = _sums(np.array(one)).tolist() + _sums(np.array(two)).tolist()
         keys = 0
         for plan, value in list(zip(one + two, expected)) * 2:
             assert sf._log_series_sum(plan) == value, plan
@@ -781,40 +788,61 @@ class TestRowCache:
 
 
 class TestHeldBlocks:
-    """The batched kernel with a caller's _Blocks: each block a pass
+    """The batched kernel with a caller's _Blocks, by its reuse rule: the
+    first call holds nothing; from the second call on, each block a call
     reaches is formed once for all the blocks' rows, read-only and owning
-    its buffer, up to _PASS_CAP rows of blocks, and no value depends on what
+    its buffer, up to _PASS_CAP rows of blocks; and no value depends on what
     is held."""
 
     def test_held_blocks_give_one_value_cold_warm_and_capped(self, monkeypatch):
-        # each row is _log_series_sum's value without blocks, with blocks
-        # filled (cold), with blocks held (warm: no ratio formed), and past
-        # caps of no block, one block and three blocks, where the kernel
-        # forms the later blocks for its live rows
+        # each row is _log_series_sum's value with a new _Blocks, in the
+        # first call on a kept _Blocks (nothing held), its second (blocks
+        # filled), its third (blocks held: no ratio formed), and past caps
+        # of no block, one block and three blocks, where the kernel forms
+        # the later blocks for its live rows
         calls = _count_ratio_factors(monkeypatch)
         cap = sf._PASS_CAP
         for plans in _chunk_groups():
             expected = [_one_value_or_nan(plan) for plan in plans.tolist()]
-            assert sf._log_series_sums(plans).tolist() == expected
+            assert _sums(plans).tolist() == expected
             blocks, rows = _held(plans)
-            assert sf._log_series_sums(plans, blocks, rows).tolist() == expected
+            for _ in range(2):
+                assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
             reached = len(blocks.held)
-            assert 100 <= reached < blocks.limit  # the longest row's blocks, all held
+            # the longest row's blocks, all held
+            assert 100 <= reached and (reached + 1) * len(blocks.c) <= cap
             calls.clear()
-            assert sf._log_series_sums(plans, blocks, rows).tolist() == expected
+            assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
             assert calls == [] and len(blocks.held) == reached
             for limit in (0, 1, 3):
                 monkeypatch.setattr(sf, "_PASS_CAP", limit * len(blocks.c))
                 capped, rows = _held(plans)
-                assert capped.limit == limit
-                assert sf._log_series_sums(plans, capped, rows).tolist() == expected, limit
+                for _ in range(2):
+                    assert sf._log_series_sums(plans[:, 0], capped, rows).tolist() == expected, limit
                 assert len(capped.held) == limit
             monkeypatch.setattr(sf, "_PASS_CAP", cap)
+
+    def test_the_first_call_holds_nothing(self, monkeypatch):
+        # a first call of more than _CHUNK rows, whose second chunk starts
+        # at block 0 again, and whose steep rows take their first block
+        # again for _log_block, is still one call: it holds nothing, and
+        # the second call holds; every value is _log_series_sum's
+        log_blocks = _count_log_blocks(monkeypatch)
+        for plans in _chunk_groups():
+            assert np.count_nonzero(plans[:, 0]) > sf._CHUNK
+            expected = [_one_value_or_nan(plan) for plan in plans.tolist()]
+            blocks, rows = _held(plans)
+            log_blocks.clear()
+            assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
+            assert log_blocks and blocks.calls == 1 and blocks.held == []
+            assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
+            assert blocks.calls == 2 and blocks.held
 
     def test_blocks_are_read_only_and_own_their_buffers(self):
         for plans in _chunk_groups():
             blocks, rows = _held(plans)
-            sf._log_series_sums(plans, blocks, rows)
+            for _ in range(2):
+                sf._log_series_sums(plans[:, 0], blocks, rows)
             assert blocks.held
             for block in blocks.held:
                 assert block.shape == (len(blocks.c), sf._BLOCK)
@@ -826,9 +854,10 @@ class TestHeldBlocks:
         monkeypatch.setattr(sf, "_PASS_CAP", 4)
         plans = np.array([(0.5, 1.5, 2.0)] * 5)
         blocks = sf._Blocks([plans[:, 1]], plans[:, 2])
-        assert blocks.limit == 0 and blocks.block(0) is None
-        assert sf._log_series_sums(plans, blocks, np.arange(5)).tolist() == [log_1f1(1.5, 2.0, 0.5)] * 5
-        assert blocks.held == []
+        for _ in range(3):
+            sums = sf._log_series_sums(plans[:, 0], blocks, np.arange(5))
+            assert sums.tolist() == [log_1f1(1.5, 2.0, 0.5)] * 5
+        assert blocks.calls == 3 and blocks.held == []
 
 
 # Plans whose narrow products prod(num + i) or (c + i)(1 + i) overflow:
@@ -862,16 +891,18 @@ class TestWidePlans:
             plans = [plan for plan, _ in _WIDE_PLANS if len(plan) == 2 + arity]
             plans = np.array([narrow, *plans, narrow, *plans])
             expected = [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
-            assert sf._log_series_sums(plans).tolist() == expected
+            assert _sums(plans).tolist() == expected
             blocks, rows = _held(plans)
-            assert sf._log_series_sums(plans, blocks, rows).tolist() == expected
+            for _ in range(2):  # P formed for the rows, then held
+                assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
+            assert blocks.held
             # the distinct parameters in descending order: the narrow row last
             assert blocks.wide.tolist() == [True] * (len(blocks.c) - 1) + [False]
 
     def test_narrow_below_the_bound(self):
-        # no plan whose parameters are all below _NARROW is wide, at the
+        # no plan whose parameters are all below 2^400 is wide, at the
         # largest index of a block that starts below TERM_CAP
-        p = math.nextafter(sf._NARROW, 0.0)
+        p = math.nextafter(2.0**400, 0.0)
         assert not sf._wide([p, p], p) and not sf._wide([p], p)
         assert sf._wide([1e301, 1e10], 1.0) and sf._wide([1.0], 1e301)
 
@@ -892,7 +923,7 @@ class TestCapCheck:
         summed = [
             not math.isnan(value)
             for arity in (1, 2)
-            for value in sf._log_series_sums(np.array([p for p in plans if len(p) == 2 + arity]))
+            for value in _sums(np.array([p for p in plans if len(p) == 2 + arity]))
         ]
         rejected = []
         for plan in plans:
