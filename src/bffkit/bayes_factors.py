@@ -32,17 +32,18 @@ a _StudyPart.  A TestStatistic builds its study part once, when it is built.
 The rest is computed by one of two routes, chosen by the shape of the call.
 A single value (log_bf10 and the six one-value forms, through _evaluate) is
 _item and _assemble on plain floats, calling log_1f1/log_2f1: the reference
-route, with the lowest overhead per call.  Many values at once
-(log_bf10_batch, over the columns of _study_columns) are the same steps on
+route, with the lowest overhead per call.  Many values at once (a column
+pass of evidence, over the columns of _study_columns) are the same steps on
 numpy columns, with every transcendental still a per-element math call, and
 one batched kernel pass per function.  They are two steps: a layout
 (_layout) of everything that does not depend on tau_sq, from the r-free
 plan rows of the study parts (_plan_rows), with each function's
 specfun._Blocks, and the x step (_log_bf_items).  evidence builds a layout
-once per pass of r over a study set, and keeps the one that repeats at
-every omega, whose ratio rows _Blocks' reuse rule holds.  There, screens
-flag and _evaluate decides: the one-value route evaluates every item a
-column test flags, so the two routes agree bit for bit, errors included.
+once per pass of r over a study set, whose rs it has checked, and keeps the
+one that repeats at every omega, whose ratio rows _Blocks' reuse rule
+holds.  There, screens flag and _evaluate decides: the one-value route
+evaluates every item a column test flags, so the two routes agree bit for
+bit, errors included.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -401,10 +402,9 @@ class _Plans(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """The omega-free part of log_bf10_batch over m copies of n study parts,
+    """The omega-free part of a column pass over m copies of n study parts,
     copy i at the r of row i of an array r of shape (m, n): the parts'
-    columns; r; the items whose r is not finite and >= 1 (bad, of the
-    shape of r); the masks of the parts' 2F1 series and signs; a = c + r,
+    columns; r; the masks of the parts' 2F1 series and signs; a = c + r,
     sign, log_ratio and log_gamma_half_ratio(r + 1/2) (where signed) per
     item; and the _Plans of each function, whose _Blocks every evaluation
     of the layout reads.  Every signed item has a second-series row, whether
@@ -413,7 +413,6 @@ class _Layout(NamedTuple):
 
     parts: np.ndarray
     r: np.ndarray
-    bad: np.ndarray
     is_2f1: np.ndarray
     signed: np.ndarray
     a: np.ndarray
@@ -425,19 +424,19 @@ class _Layout(NamedTuple):
 
 def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray) -> _Layout:
     """The _Layout of the study parts parts (the columns of _study_columns),
-    whose _plan_rows are rows, at r, an array of m rows of len(parts[0]).
-    Each function's _Blocks lasts as long as the layout (see its reuse
-    rule)."""
+    whose _plan_rows are rows, at r, an array of m rows of len(parts[0]),
+    every one finite and >= 1 (evidence._Pass checks them; nothing here
+    does).  Each function's _Blocks lasts as long as the layout (see its
+    reuse rule)."""
     c, b, s, sign, log_ratio = parts
     is_2f1, signed, series = rows
     m, n = r.shape
-    good = (r >= 1.0) & (r < math.inf)
     with np.errstate(over="ignore"):  # c + r can pass the largest double (the planner rejects it)
         a = (c + r).ravel()
     if m > 1:
         sign, log_ratio = np.tile(sign, m), np.tile(log_ratio, m)
     log_ratio_r = np.zeros(m * n)
-    with_r = (signed & good).ravel().nonzero()[0]
+    with_r = np.tile(signed, m).nonzero()[0]
     if len(with_r):
         r_signed = r.ravel()[with_r].tolist()
         by_r = {v: log_gamma_half_ratio(v + 0.5) for v in dict.fromkeys(r_signed)}
@@ -452,42 +451,33 @@ def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray) -> _Layout:
         if other is not None:
             num = [np.minimum(num[0], other), np.maximum(num[0], other)]
         plans.append(_Plans(owner, f, _Blocks(num, den)))
-    return _Layout(parts, r, ~good, is_2f1, signed, a, sign, log_ratio, log_ratio_r, tuple(plans))
-
-
-def log_bf10_batch(parts: np.ndarray, tau_sq: np.ndarray, r: np.ndarray) -> list:
-    """log BF10 of every item j, the study part parts[:, j] (the columns of
-    _study_columns) at (tau_sq[j], r[j]): log_bf10 bit for bit.  Where
-    log_bf10 would raise for an item, its entry in the returned list is the
-    exception, of the same type and message, instead of a float.  It is
-    _log_bf_items on a layout of its own, which it keeps nothing of."""
-    return _log_bf_items(_layout(parts, _plan_rows(parts), r[None]), tau_sq[None, None])
+    return _Layout(parts, r, is_2f1, signed, a, sign, log_ratio, log_ratio_r, tuple(plans))
 
 
 def _log_bf_items(layout: _Layout, tau_sq: np.ndarray) -> list:
     """log BF10 of the layout's items at each row of tau_sq, an array of
-    shape (k, m, n) for the layout's r of shape (m, n): the k lists of the
-    layout's entries as log_bf10_batch gives them, one after another.  The
-    x step of log_bf10_batch: everything that depends on tau_sq, from x to
-    the bracket.
+    shape (k, m, n) for the layout's r of shape (m, n), row after row: each
+    entry log_bf10 bit for bit, or the ValueError, ArithmeticError or
+    NonConvergenceError log_bf10 would raise.  This is the x step:
+    everything that depends on tau_sq, from x to the bracket.
 
     Screens flag, _evaluate decides.  The items are evaluated as columns:
     every step of _item and _assemble is a column operation, and every log,
     log1p and exp a math call per element (specfun._map), so that each value
     rounds as log_bf10's does.  A column test only flags the items it
-    concerns (a bad hyperparameter, a 2F1 argument not below 1, a plan row
-    _unclear flags, a NaN sum, a bracket not positive), and _evaluate then
-    decides each flagged item on its study part rebuilt from its columns.
-    The other items' plan rows go to one _log_series_sums pass per function,
-    as x over the rows of the layout's _Blocks; a one-sided item's two rows
-    share its x.
+    concerns (a tau_sq not finite and >= 0, a 2F1 argument not below 1, a
+    plan row _unclear flags, a NaN sum, a bracket not positive), and
+    _evaluate then decides each flagged item on its study part rebuilt from
+    its columns.  The other items' plan rows go to one _log_series_sums pass
+    per function, as x over the rows of the layout's _Blocks; a one-sided
+    item's two rows share its x.
     """
     k, m, n = tau_sq.shape
     s = layout.parts[2]
     # s tau_sq can pass the largest double; x of a flagged item is never read
     with np.errstate(over="ignore", invalid="ignore"):
         x = s * tau_sq / (1.0 + tau_sq)
-    flagged = ~((tau_sq >= 0.0) & (tau_sq < math.inf)) | layout.bad
+    flagged = ~((tau_sq >= 0.0) & (tau_sq < math.inf))
     flagged |= layout.is_2f1 & ~(x < 1.0)  # NaN too, as in _item
     live = ~flagged & (tau_sq > 0.0)
     odd = live & (x > 0.0) & layout.signed

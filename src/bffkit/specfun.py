@@ -15,7 +15,7 @@ t_{i+1}/t_i = x prod(num + i) / ((c + i)(1 + i)); one body, _plan, builds
 every row and rejects a series that cannot stop within TERM_CAP terms.  A
 block kernel then sums the plan: _log_series_sum one plan, as log_1f1 and
 log_2f1 do, or _log_series_sums many plans of one length at once, each an x
-over a plan row of a _Blocks, as bayes_factors.log_bf10_batch does (direct
+over a plan row of a _Blocks, as bayes_factors._log_bf_items does (direct
 summation, as in Pearson, Olver & Porter, arXiv:1407.7786, run over a batch
 axis).  A caller that builds its plan rows as columns screens them with
 _unclear, which tests _plan's one-ratio bound on every row at once, and
@@ -32,11 +32,12 @@ unless its terms rise too far within it for the carried sum (hundreds of
 nats, as in the first blocks of a 1F1 series at x in the tens of
 thousands): that block alone is summed in logs (_log_block).  Both kernels
 take their term ratios as x P_i, with P_i = prod(num + i) / ((c + i)(1 +
-i)) from _ratio_factors and x multiplied last, and both keep the same
-block boundaries, fold, rescaling and stopping rule, with only +, *,
-comparisons and exact scalings by powers of two between blocks, so they
-agree bit for bit; _log_series_sums, which advances each row one block at a
-time, is the reference the tests hold _log_series_sum to.
+i)) from _ratio_rows at the term indices from _indices, and x multiplied
+last, and both keep the same block boundaries, fold, rescaling and stopping
+rule, with only +, *, comparisons and exact scalings by powers of two
+between blocks, so they agree bit for bit; _log_series_sums, which
+advances each row one block at a time, is the reference the tests hold
+_log_series_sum to.
 
 P is free of the statistic: only x carries it, and the closed forms call
 the functions with many statistics at few (r, design) pairs, as simulations
@@ -50,7 +51,7 @@ its plan rows' parameters, which a caller that evaluates one set of plan
 rows at many x keeps across its calls, and which alone decides, by its
 reuse rule, what it holds.  Either kernel takes a block's ratios as its P
 times x, in one multiply: the double x P_i that it would form anyway, so no
-value depends on what is held.  One function, _ratio_rows, forms every P.
+value depends on what is held.
 
 A plan whose products prod(num + i) or (c + i)(1 + i) could overflow within
 the cap (_wide) takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)); every other
@@ -122,6 +123,16 @@ _TRIGAMMA_TAIL = (
 _PSI_SHIFT = 6.0
 
 
+def _trigamma_tail(p: float, inv2: float) -> float:
+    """sum_k _TRIGAMMA_TAIL[k] p inv2^k with inv2 = 1/x^2: the tail T(x) =
+    psi_1(x) - 1/x - 1/(2x^2) at p = 1/x^3, and x^2 T(x) at p = 1/x."""
+    tail = 0.0
+    for c in _TRIGAMMA_TAIL:
+        tail += c * p
+        p *= inv2
+    return tail
+
+
 def trigamma(x: float) -> float:
     """psi_1(x) = d^2/dx^2 ln Gamma(x) for x > 0."""
     if not x > 0.0:
@@ -132,12 +143,7 @@ def trigamma(x: float) -> float:
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    tail = 0.0
-    p = inv2 * inv
-    for c in _TRIGAMMA_TAIL:
-        tail += c * p
-        p *= inv2
-    return acc + inv + 0.5 * inv2 + tail
+    return acc + inv + 0.5 * inv2 + _trigamma_tail(inv2 * inv, inv2)
 
 
 _HALF_RATIO_SWITCH = 50.0
@@ -161,41 +167,49 @@ def _stirling_tail(y: float) -> float:
     return acc
 
 
-def log_gamma_half_ratio(x: float) -> float:
-    """ln Gamma(x + 1/2) - ln Gamma(x), with absolute error near machine
-    precision for all finite x > 0.
-
-    Direct lgamma subtraction carries the absolute rounding of two huge
-    values when x is large; past x = 50 the difference is formed from the
-    Stirling series, whose leading terms cancel analytically via log1p
-    (the difference enters cancellation-prone brackets where absolute log
-    errors are amplified).
-    """
-    if not 0.0 < x < math.inf:  # inf would reach the Stirling branch as inf * 0
-        raise ValueError(f"log_gamma_half_ratio requires finite x > 0, got {x}")
-    if x < _HALF_RATIO_SWITCH:
-        return math.lgamma(x + 0.5) - math.lgamma(x)
+def _log_gamma_ratio(z: float, d: float) -> float:
+    """ln Gamma(z + d) - ln Gamma(z) for z > 0 and d >= 0, with absolute error
+    near machine precision: from z = 50 up, the Stirling series (DLMF
+    5.11.1), whose leading terms cancel analytically via log1p, where two
+    lgamma values near 1e18 would lose hundreds of nats to their rounding."""
+    if z < _HALF_RATIO_SWITCH:
+        return math.lgamma(z + d) - math.lgamma(z)
+    y = z + d
     return (
-        0.5 * math.log(x)
-        + x * math.log1p(0.5 / x)
-        - 0.5
-        + _stirling_tail(x + 0.5)
-        - _stirling_tail(x)
+        0.5 * math.log(z)
+        + z * math.log1p(d / z)
+        + (d - 0.5) * math.log(y)
+        - d
+        + _stirling_tail(y)
+        - _stirling_tail(z)
     )
 
 
-_IDX = np.arange(_BLOCK, dtype=np.float64)
+def log_gamma_half_ratio(x: float) -> float:
+    """ln Gamma(x + 1/2) - ln Gamma(x) for finite x > 0 (_log_gamma_ratio),
+    which enters cancellation-prone brackets where absolute log errors are
+    amplified."""
+    if not 0.0 < x < math.inf:  # inf would reach the Stirling branch as inf * 0
+        raise ValueError(f"log_gamma_half_ratio requires finite x > 0, got {x}")
+    return _log_gamma_ratio(x, 0.5)
+
+
 # Most blocks _log_series_sum takes in one numpy call (_blocks sizes each
-# call), and the offsets of the term indices of those blocks from the first
-# one's start: row j is j * _BLOCK + _IDX.  A plan's series runs over
-# i0 + _IDX (_log_series_sums) or i0 + _IDX_ROWS[:k] (_log_series_sum), the
-# same indices either way, and both kernels round each parameter plus an
-# index once.
+# call), and the term indices i of the first _MAX_BLOCKS blocks, block j in
+# row j, with 1 + i (exact), so that a block within them forms neither.
 _MAX_BLOCKS = 32
-_IDX_ROWS = _BLOCK * np.arange(_MAX_BLOCKS, dtype=np.float64)[:, None] + _IDX
-# 1 + i over the same rows (exact), so that a fill of _ROWS, or of a
-# _Blocks' first _MAX_BLOCKS blocks, forms none
+_IDX_ROWS = np.arange(_MAX_BLOCKS * _BLOCK, dtype=np.float64).reshape(_MAX_BLOCKS, _BLOCK)
 _ONE_ROWS = 1.0 + _IDX_ROWS
+
+
+def _indices(j: int, k: int) -> tuple:
+    """The term indices i of blocks j to j + k - 1, the rows of a (k, _BLOCK)
+    array, and 1 + i: every block's indices, for both kernels, as slices of
+    _IDX_ROWS and _ONE_ROWS where those reach, else computed (exactly)."""
+    if j + k <= _MAX_BLOCKS:
+        return _IDX_ROWS[j : j + k], _ONE_ROWS[j : j + k]
+    idx = j * _BLOCK + _IDX_ROWS[:k]
+    return idx, 1.0 + idx
 
 
 # Rows per chunk of the batched kernel: large enough that a node pass of an
@@ -214,12 +228,12 @@ _CHUNK = 1024
 _QUIET_RATIO = 245.0
 _QUIET = contextlib.nullcontext()
 # The one-value kernel's P rows: the first numpy call of a series, by its
-# parameters (*num, c), the plan without x: row j holds P_i for i in j *
-# _BLOCK + _IDX.  Each array is read-only and owns its buffer (a view would
-# keep the array it was cut from alive).  They hold at most _ROWS_CAP rows of
-# 1 KiB (4 MiB), counted in _rows_held; a fill that would pass the cap clears
-# them first.  The benchmark's sim_points series take 3,342 rows over 338
-# parameter tuples.  The batched kernel keeps no entry here (see _Blocks).
+# parameters (*num, c), the plan without x: row j holds P of block j.  Each
+# array is read-only and owns its buffer (a view would keep the array it was
+# cut from alive).  They hold at most _ROWS_CAP rows of 1 KiB (4 MiB),
+# counted in _rows_held; a fill that would pass the cap clears them first.
+# The benchmark's sim_points series take 3,342 rows over 338 parameter
+# tuples.  The batched kernel keeps no entry here (see _Blocks).
 _ROWS: dict = {}
 _ROWS_CAP = 4096
 _rows_held = 0
@@ -244,26 +258,6 @@ def _nonconvergence(plan: tuple) -> NonConvergenceError:
     )
 
 
-def _log_rising_to_cap(p: float, lo: int) -> float:
-    """ln Gamma(p + TERM_CAP) - ln Gamma(p + lo), the log of the product of
-    p + i over lo <= i < TERM_CAP.
-
-    Past p + lo = 50 the difference is formed from the Stirling series, as
-    in log_gamma_half_ratio: subtracting two lgamma values near 1e18 (p
-    near 1e17) would lose hundreds of nats to their rounding.
-    """
-    z = p + lo
-    if z < _HALF_RATIO_SWITCH:
-        return math.lgamma(p + TERM_CAP) - math.lgamma(z)
-    d = TERM_CAP - lo
-    return (
-        (z - 0.5) * math.log1p(d / z)
-        + d * (math.log(p + TERM_CAP) - 1.0)
-        + _stirling_tail(p + TERM_CAP)
-        - _stirling_tail(z)
-    )
-
-
 def _check_cap(plan: tuple) -> None:
     """Raise NonConvergenceError when the series of plan cannot stop within
     TERM_CAP terms.
@@ -272,7 +266,7 @@ def _check_cap(plan: tuple) -> None:
     _LOG_TERM_FLOOR relative to the largest term.  The terms are unimodal,
     so the largest is the first whose successor is not larger, found by
     bisection on the term ratio, and the log of a term is a sum of lgamma
-    differences (Pochhammer symbols, _log_rising_to_cap).  The test leaves a
+    differences (Pochhammer symbols, _log_gamma_ratio).  The test leaves a
     margin of _CAP_MARGIN, so a series the kernel can sum is never rejected.
     """
     x, *num, c = plan
@@ -287,8 +281,8 @@ def _check_cap(plan: tuple) -> None:
             hi = i
     drop = (
         (TERM_CAP - lo) * log_x
-        + sum(_log_rising_to_cap(p, lo) for p in num)
-        - sum(_log_rising_to_cap(q, lo) for q in den)
+        + sum(_log_gamma_ratio(p + lo, TERM_CAP - lo) for p in num)
+        - sum(_log_gamma_ratio(q + lo, TERM_CAP - lo) for q in den)
     )
     if drop > _LOG_TERM_FLOOR + _CAP_MARGIN:
         raise _nonconvergence(plan)
@@ -376,30 +370,32 @@ def _wide(num, c):
     return wide
 
 
-def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray, wide) -> np.ndarray:
-    """P_i = prod(num + i) / ((c + i)(1 + i)) for the indices i of a block
-    (or of rows of blocks), from a plan's parameters plus the indices: num_i,
-    each p + i of num, c_i = c + i, which it may overwrite, and one_i = 1 +
-    i.  wide is _wide of the plan, or, for rows of plans, the mask of the
-    wide rows or False for none.  A wide plan takes P_i as ((a + i)/(c +
-    i))((b + i)/(1 + i)), or (a + i)/(c + i)/(1 + i) for a 1F1, whose
-    factors cannot overflow where the products can; every other plan takes
-    the form above, in its order.  A mask's wide rows are formed both ways
-    under the caller's np.errstate, and keep the wide form.
+def _ratio_rows(num, c, wide, idx, one) -> np.ndarray:
+    """Every P either kernel takes: P_i = prod(num + i) / ((c + i)(1 + i))
+    at the indices i = idx, with one = 1 + idx (_indices), as a new array,
+    of the plan (x, *num, c) of floats, whose _wide is wide, or of the plan
+    rows of the columns num and c, of shape (n, 1), whose mask of wide rows
+    is wide (False for none).  A wide plan takes P_i as ((a + i)/(c + i))((b
+    + i)/(1 + i)), or (a + i)/(c + i)/(1 + i) for a 1F1, whose factors
+    cannot overflow where the products can; every other plan takes the form
+    above, in its order.  A mask's wide rows are formed both ways under the
+    caller's np.errstate, and keep the wide form.
 
     The term ratio t_{i+1}/t_i of the plan (x, *num, c) is x P_i, with x
     multiplied last by either kernel: P is free of the statistic, which only
     x carries, so a ratio is the same double whether its P was formed for
     this x or taken from _ROWS or a _Blocks."""
+    num_i = [p + idx for p in num]
+    c_i = c + idx
     if wide is True:
-        return _wide_factors(num_i, c_i, one_i)
+        return _wide_factors(num_i, c_i, one)
     mask = wide is not False and wide.any()
     if mask:
-        rows = _wide_factors([p_i[wide] for p_i in num_i], c_i[wide], one_i)
+        rows = _wide_factors([p_i[wide] for p_i in num_i], c_i[wide], one)
     inc = num_i[0]
     for p_i in num_i[1:]:
         inc *= p_i
-    c_i *= one_i
+    c_i *= one
     inc /= c_i
     if mask:
         inc[wide] = rows
@@ -407,22 +403,13 @@ def _ratio_factors(num_i, c_i: np.ndarray, one_i: np.ndarray, wide) -> np.ndarra
 
 
 def _wide_factors(num_i, c_i, one_i):
-    """_ratio_factors' wide form, as a new array."""
+    """_ratio_rows' wide form of num_i = num + i, c_i = c + i and one_i."""
     inc = num_i[0] / c_i
     if len(num_i) == 2:
         inc *= num_i[1] / one_i
     else:
         inc /= one_i
     return inc
-
-
-def _ratio_rows(num, c, wide, idx, one) -> np.ndarray:
-    """P (_ratio_factors) at the indices idx, with one = 1 + idx, as a new
-    array: of the plan (x, *num, c) of floats, whose _wide is wide, over
-    rows of blocks, or of the plan rows of the columns num and c, of shape
-    (n, 1), whose mask of wide rows is wide, over a block.  Every P either
-    kernel takes is formed here."""
-    return _ratio_factors([p + idx for p in num], c + idx, one, wide)
 
 
 def _log_block(ratios: np.ndarray) -> tuple:
@@ -528,14 +515,12 @@ def _blocks(x: float, num: list, c: float) -> int:
 
 def _fill_rows(key: tuple, num: list, c: float, k: int) -> np.ndarray:
     """The new entry of _ROWS for key, read-only: the P rows of the first k
-    blocks of the plan (*num, c).  It replaces the key's entry, if any.  An
-    entry of more rows than the cap is returned but not kept."""
+    blocks of the plan (*num, c), k at most _MAX_BLOCKS, below _ROWS_CAP.
+    It replaces the key's entry, if any."""
     global _rows_held
-    rows = _ratio_rows(num, c, _wide(num, c), _IDX_ROWS[:k], _ONE_ROWS[:k])
+    rows = _ratio_rows(num, c, _wide(num, c), *_indices(0, k))
     rows.setflags(write=False)
     _rows_held -= len(_ROWS.pop(key, ()))
-    if len(rows) > _ROWS_CAP:
-        return rows
     if _rows_held + len(rows) > _ROWS_CAP:
         _ROWS.clear()
         _rows_held = 0
@@ -551,9 +536,9 @@ class _Blocks:
     _Blocks for them across its _log_series_sums calls.
 
     The reuse rule: in the kernel's first call on a _Blocks (the kernel
-    counts its calls in calls), P of block j, P_i for i in j * _BLOCK +
-    _IDX, is formed for the rows asked for only, as rows evaluated once gain
-    nothing from a block of all rows.  From the second call on, block j is
+    counts its calls in calls), P of block j, P_i for i in j * _BLOCK to
+    (j + 1) * _BLOCK - 1, is formed for the rows asked for only, as rows
+    evaluated once gain nothing from a block of all rows.  From the second call on, block j is
     formed once for every row, held read-only, owning its buffer, and
     gathered from, while the held blocks stay within _PASS_CAP rows; a block
     past the cap is formed for the rows asked for.  Both ways form P by
@@ -582,11 +567,7 @@ class _Blocks:
         return self._form(j, rows, out)
 
     def _form(self, j: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if j < _MAX_BLOCKS:  # the term indices i of block j, and 1 + i
-            idx, one = _IDX_ROWS[j], _ONE_ROWS[j]
-        else:
-            idx = j * _BLOCK + _IDX
-            one = 1.0 + idx
+        idx, one = _indices(j, 1)
         wide = self.wide
         if wide is None:
             wide = _wide(self.num, self.c)
@@ -664,8 +645,7 @@ def _log_series_sum(plan: tuple) -> float:
             if i0:
                 if wide is None:
                     wide = _wide(num, c)
-                idx = i0 + _IDX_ROWS[:k]
-                ratios = _ratio_rows(num, c, wide, idx, 1.0 + idx)
+                ratios = _ratio_rows(num, c, wide, *_indices(i0 // _BLOCK, k))
                 ratios *= x
             else:
                 ratios = first[:k] * x

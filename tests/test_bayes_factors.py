@@ -21,7 +21,6 @@ from bffkit.bayes_factors import (
     StatFamily,
     TestStatistic,
     log_bf10,
-    log_bf10_batch,
     log_bf10_chisq,
     log_bf10_f,
     log_bf10_t_one,
@@ -267,11 +266,13 @@ class TestDispatcher:
 
 
 def _batch(items):
-    """log_bf10_batch of (stat, tau_sq, r) items, as the columns of their
-    study parts, tau_sq and r."""
+    """The column route's entries for (stat, tau_sq, r) items, r finite and
+    >= 1: _log_bf_items on a layout of their own study parts' columns, one
+    item per column, at their r and tau_sq."""
     stats, tau_sq, r = zip(*items)
     parts = bf._study_columns([stat._part for stat in stats])
-    return log_bf10_batch(parts, np.array(tau_sq, dtype=float), np.array(r, dtype=float))
+    layout = bf._layout(parts, bf._plan_rows(parts), np.array(r, dtype=float)[None])
+    return bf._log_bf_items(layout, np.array(tau_sq, dtype=float)[None, None])
 
 
 def _forbid_kernels(monkeypatch):
@@ -357,14 +358,14 @@ class TestDomainGuards:
         _forbid_kernels(monkeypatch)
         stat = TestStatistic(StatFamily.T, 1.0, Sidedness.ONE_SIDED, nu=10.0)
         big = TestStatistic(StatFamily.T, 1e9, Sidedness.TWO_SIDED, nu=10.0)
-        out = _batch([(stat, NAN, 1.0), (stat, 1.0, INF), (big, 1e17, 1.0)])
+        out = _batch([(stat, NAN, 1.0), (big, 1e17, 1.0)])
         assert all(isinstance(v, ValueError) for v in out)
 
 
 class TestBeyondDoublePrecision:
     """Statistics whose series cannot be summed in double precision fail
-    typed at plan time, through log_bf10, log_bf10_batch and the column
-    route of a study set (per_study_log_bf) alike, instead of spinning to
+    typed at plan time, through log_bf10, the column route (_batch) and
+    that of a study set (per_study_log_bf) alike, instead of spinning to
     the term cap or returning a wrong number.  Each case's design gives its
     tau_sq at omega = 1 and r = 1."""
 
@@ -450,7 +451,8 @@ def _record_evaluate(monkeypatch):
 
 
 class TestBatch:
-    """log_bf10_batch against log_bf10, item by item and bit for bit."""
+    """The column route (_batch) against log_bf10, item by item and bit for
+    bit."""
 
     def _items(self):
         rng = np.random.default_rng(5)

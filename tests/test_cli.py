@@ -136,6 +136,9 @@ class TestParsing:
             # a row's cells must match the header's columns one for one
             ("z,two,1.5,,,,50,,,,one_sample_z,extra", "12 cells, the header has 11"),
             ("z,two,1.5,,,,50", "7 cells, the header has 11"),
+            # a rho cell is a Fisher-z correlation
+            ("t,one,,49,,,50,,,0.3,correlation_z", "rho entry requires test=z, design=correlation_z"),
+            ("z,one,,,,,50,,,0.3,one_sample_z", "rho entry requires test=z, design=correlation_z"),
         ],
     )
     def test_rejected_row(self, tmp_path, capsys, row, message):
@@ -144,6 +147,16 @@ class TestParsing:
         code, _, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
         assert code == 2
         assert f"row 3: {message}" in err
+
+    @pytest.mark.parametrize(
+        "lines, message", [([], "empty file"), (["test,sided,stat,n,design"], "no study rows")]
+    )
+    def test_table_without_rows(self, tmp_path, capsys, lines, message):
+        f = tmp_path / "s.csv"
+        f.write_text("".join(line + "\n" for line in lines))
+        code, out, err = run(capsys, "point", "--file", str(f), "--omega", "0.1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: {message}\n"
 
     @pytest.mark.parametrize("indent", [None, 1])
     def test_json_file_rejected(self, tmp_path, capsys, indent):
@@ -410,6 +423,26 @@ class TestBoundaryWarning:
         )
         assert code == 0
         assert "warning: r* at search boundary" in out
+
+    def test_curve_counts_the_points_at_r_cap(self, tmp_path, capsys):
+        f, out_file = tmp_path / "consistent.csv", tmp_path / "curve.csv"
+        write_rows(
+            f,
+            [
+                "t,one,4.0,49,,,50,,,,one_sample_t",
+                "t,one,4.4,79,,,80,,,,one_sample_t",
+                "t,one,3.8,59,,,60,,,,one_sample_t",
+            ],
+        )
+        code, out, _ = run(
+            capsys,
+            "curve", "--file", str(f), "--omega-min", "0.3", "--omega-max", "0.7",
+            "--omega-step", "0.1", "--r-max", "1.2", "--out", str(out_file),
+        )
+        assert code == 0
+        rows, _ = parse_curve_file(str(out_file))
+        assert [r_star for _, r_star, _ in rows] == [1.0, 1.0, 1.2, 1.2, 1.0]
+        assert out.endswith("# warning: r* at search boundary for 2 grid point(s)\n")
 
 
 class TestPublicApi:

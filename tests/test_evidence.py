@@ -180,6 +180,27 @@ class TestMmap:
             with pytest.raises(ValueError, match="^r must be finite and >= 1"):
                 FixedR(r)
 
+    def test_r_max_one_is_the_single_point(self):
+        studies = StudySet.build([t_study(3.0, 50), t_study(2.0, 50)])
+        res = mmap_r(studies, 0.5, r_max=1.0)
+        assert res.r_star == 1.0 and res.at_boundary
+        per_study = per_study_log_bf(studies, 0.5, 1.0)
+        assert res.per_study_log_bf == tuple(per_study)
+        assert res.objective == sum(per_study) + studies.jeffreys_log_prior(1.0)
+        # no other r to fall back on: a bracket that cancels at r = 1 raises,
+        # tagged with its study
+        opposed = StudySet.build([t_study(3.0, 50), t_study(-12.0, 50)])
+        with pytest.raises(ArithmeticError, match="^study 1: hypergeometric bracket not positive"):
+            mmap_r(opposed, 0.5, r_max=1.0)
+
+    def test_huge_r_max(self):
+        # the nodes of [1, 1e20] include r = 4.79e15, where the normal-moment
+        # Jeffreys prior's direct radicand came out not positive
+        studies = StudySet.build([t_study(3.0, 50)])
+        assert any(4e15 < r < 5e15 for r in _node_rs(studies, 0.5, 1e20))
+        res = mmap_r(studies, 0.5, r_max=1e20)
+        assert res.r_star == 1.0 and not res.at_boundary
+
     def test_gamma_family_uses_gamma_jeffreys(self):
         studies = StudySet.build(
             [chisq_study(9.0, 2.0, 60), chisq_study(7.0, 2.0, 90)]

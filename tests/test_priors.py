@@ -3,6 +3,7 @@ Jeffreys priors on r."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,26 @@ class TestJeffreys:
             jeffreys_log_prior_nm(float(r))  # raises if radicand <= 0
             for k in range(1, 21):
                 jeffreys_log_prior_gamma(float(r), float(k))
+
+    def test_against_mpmath_over_the_whole_domain(self):
+        # each radicand is psi_1 less terms of size 1/r and is itself of size
+        # 1/(2 r^2); its direct form was off by 1e-6 at r = 1e10 and not
+        # positive past about 1e16
+        rs = [1.0, 2.5, 200.0, math.nextafter(200.0, math.inf), 201.0, 4.79e15]
+        rs += np.logspace(0.5, 300.0, 40).tolist()
+
+        def reference(x, rest):
+            return float(0.5 * mpmath.log(mpmath.psi(1, x) - rest))
+
+        for r in rs:
+            with mpmath.workdps(40 + 2 * int(math.log10(r + 10.0))):
+                m = mpmath.mpf(r)
+                expected = reference(m + 0.5, 1 / m - 1 / (2 * m * m))
+                assert abs(jeffreys_log_prior_nm(r) - expected) <= 1e-10, r
+                for k in (1.0, 3.0, 10.0):
+                    a = m + k / 2
+                    expected = reference(a, (a - 2) / (a - 1) ** 2)
+                    assert abs(jeffreys_log_prior_gamma(r, k) - expected) <= 1e-10, (r, k)
 
     def test_domain(self):
         for r in (0.5, math.inf, math.nan):

@@ -360,10 +360,10 @@ def _count_log_blocks(monkeypatch):
     return calls
 
 
-def _count_ratio_factors(monkeypatch):
-    """The _ratio_factors calls, as a list that fills as it runs."""
-    calls, real = [], sf._ratio_factors
-    monkeypatch.setattr(sf, "_ratio_factors", lambda *args: (calls.append(1), real(*args))[1])
+def _count_ratio_rows(monkeypatch):
+    """The _ratio_rows calls, as a list that fills as it runs."""
+    calls, real = [], sf._ratio_rows
+    monkeypatch.setattr(sf, "_ratio_rows", lambda *args: (calls.append(1), real(*args))[1])
     return calls
 
 
@@ -640,9 +640,9 @@ class TestCallSchedule:
         # call more for an estimate one block short; a failed estimate falls
         # back to the doubling from a first block alone, which takes 6 calls
         # at 33 blocks.  Repeated, a series takes its first call's rows
-        # from the cache, with no call to _ratio_factors for that call.  A
+        # from the cache, with no call to _ratio_rows for that call.  A
         # plan at x = 0 forms no ratio, cold or warm.
-        calls = _count_ratio_factors(monkeypatch)
+        calls = _count_ratio_rows(monkeypatch)
 
         def cold_and_warm_calls(plan):
             _empty_rows(monkeypatch)
@@ -737,7 +737,7 @@ class TestRowCache:
                 rows[0, 0] = 1.0
 
     def test_another_statistic_takes_the_cached_rows(self, monkeypatch):
-        calls = _count_ratio_factors(monkeypatch)
+        calls = _count_ratio_rows(monkeypatch)
         expected = _sums(np.array([(10.0, 1.5, 2.0)]))[0]
         log_1f1(1.5, 2.0, 60.0)
         calls.clear()
@@ -800,7 +800,7 @@ class TestHeldBlocks:
         # filled), its third (blocks held: no ratio formed), and past caps
         # of no block, one block and three blocks, where the kernel forms
         # the later blocks for its live rows
-        calls = _count_ratio_factors(monkeypatch)
+        calls = _count_ratio_rows(monkeypatch)
         cap = sf._PASS_CAP
         for plans in _chunk_groups():
             expected = [_one_value_or_nan(plan) for plan in plans.tolist()]
@@ -960,7 +960,7 @@ class TestCapCheck:
             (1e13, 298966536.7205670035011591),
             (1e17, 390956233.788946570073632),
         ):
-            assert abs(sf._log_rising_to_cap(p, 12345) - expected) < 1e-6
+            assert abs(sf._log_gamma_ratio(p + 12345, sf.TERM_CAP - 12345) - expected) < 1e-6
 
     def test_huge_parameter_plans_decided_as_mpmath_says(self):
         # 2F1((nu + 1)/2, 3/2; 1/2; y^2) of a two-sided t with nu = 2e17, which
