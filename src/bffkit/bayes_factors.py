@@ -522,8 +522,12 @@ def _log_bf_items(layout: _Layout, tau_sq: np.ndarray) -> list:
         log_first, log_prefactor = log_first[with_odd], log_prefactor[with_odd]
         log_coef = _map(math.log, 2.0 * np.sqrt(x[pairs])) + log_ratio[pairs] + log_ratio_r[pairs]
         log_second = sums[f:] + log_coef
-        larger = np.where(log_second > log_first, log_second, log_first)
-        v = _map(math.exp, log_first - larger) + sign[pairs] * _map(math.exp, log_second - larger)
+        # one exp per pair: the term at the larger log is exp(0.0) = 1.0, and
+        # where either log is NaN, so are larger, the other term and v
+        larger = np.maximum(log_first, log_second)
+        other = _map(math.exp, np.minimum(log_first, log_second) - larger)
+        sign_pairs = sign[pairs]
+        v = np.where(log_second > log_first, other + sign_pairs, 1.0 + sign_pairs * other)
         summed = v > 0.0
         if not summed.all():
             flagged[pairs[~summed]] = True

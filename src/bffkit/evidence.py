@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebroots, chebval
 
 # log_bf10 is not called here any more; it stays bound in this module
 # because bench/tracing.py wraps this module's bindings.
@@ -351,16 +350,67 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
         )
     r_star, (obj, per_study) = rs[best], nodes[best]
     if np.isfinite(values).all():
-        coef = _FIT @ values
-        x = chebroots(chebder(coef))
-        x = x[np.isreal(x) & (abs(x) < 1.0)].real
-        predicted = chebval(x, coef)
-        if len(x) and predicted.max() > obj:
-            r = min(math.exp(half * (1.0 + x[np.argmax(predicted)])), r_max)
+        coef = (_FIT @ values).tolist()
+        x = [v.real for v in _chebroots(_chebder(coef)).tolist() if v.imag == 0.0 and abs(v) < 1.0]
+        predicted = [_chebval(v, coef) for v in x]
+        if x and max(predicted) > obj:
+            r = min(math.exp(half * (1.0 + x[predicted.index(max(predicted))])), r_max)
             ((found, found_per_study),) = _objectives(study_set, omega, (r,))
             if found > obj:
                 r_star, obj, per_study = r, found, found_per_study
     return MmapResult(r_star, obj, r_max - r_star <= _AT_R_MAX, tuple(per_study))
+
+
+# mmap_r's interpolant in the arithmetic of numpy.polynomial.chebyshev, bit
+# for bit, on plain floats: that module costs every process a few ms to
+# import, and its array set-up costs more than the sums on 14 coefficients.
+_HALF_SQRT = math.sqrt(0.5)
+
+
+def _chebder(c: list) -> list:
+    """The Chebyshev coefficients of the derivative of the series c (at
+    least three coefficients), as chebder's recurrence forms them."""
+    c = list(c)
+    n = len(c) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _chebroots(c: list) -> np.ndarray:
+    """The roots of the Chebyshev series c, sorted, as chebroots finds
+    them: c without its trailing zeros; none for a constant, -c0/c1 for a
+    line, else the eigenvalues of chebcompanion's scaled companion matrix,
+    rotated by half a turn."""
+    n = len(c) - 1
+    while n > 0 and c[n] == 0.0:
+        n -= 1
+    if n < 1:
+        return np.array([])
+    if n == 1:
+        return np.array([-c[0] / c[1]])
+    mat = np.zeros((n, n))
+    for k in range(n - 1):
+        mat[k, k + 1] = mat[k + 1, k] = 0.5 if k else _HALF_SQRT
+    for k in range(n):
+        mat[k, -1] -= (c[k] / c[n]) * ((_HALF_SQRT if k else 1.0) / _HALF_SQRT) * 0.5
+    roots = np.linalg.eigvals(mat[::-1, ::-1])
+    roots.sort()
+    return roots
+
+
+def _chebval(x: float, c: list) -> float:
+    """The Chebyshev series c (at least two coefficients) at x, by
+    chebval's Clenshaw recurrence."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ and F statistics with numerator degrees of freedom k.  Both are
 unnormalized logs, defined for finite r >= 1, the shape rule that
 _check_shape states for every module.
 
-Each radicand, of size 1/(2 r^2), is psi_1 less terms of size 1/r, which
-lose digits as r grows (1e-6 of the log at r = 1e10, a radicand not
-positive near r = 1e16).  Above _LARGE_R, the default r_max, each is taken
-in logs from an exact form in which no term cancels, with the tail T(x) =
-psi_1(x) - 1/x - 1/(2x^2) that trigamma sums (specfun._trigamma_tail).
+Each radicand is psi_1 less terms of size 1/r, or 1/a with a = k/2 + r for
+the gamma prior, and is itself of size 1/(2 r^2), or 1/(2 a^2), so it loses
+digits as r, or a by r or by k, grows (1e-6 of the log at r = 1e10, a
+radicand not positive near r = 1e16).  Above _LARGE_R, the default r_max,
+in r for the normal-moment prior and in a for the gamma prior, each is
+taken in logs from an exact form in which no term cancels, with the tail
+T(x) = psi_1(x) - 1/x - 1/(2x^2) that trigamma sums
+(specfun._trigamma_tail).
 """
 
 from __future__ import annotations
@@ -58,12 +61,13 @@ def jeffreys_log_prior_gamma(r: float, k: float) -> float:
     """Log of the (unnormalized) Jeffreys prior on r for the gamma prior
     family: 0.5 * ln(psi_1(k/2 + r) - (k/2 + r - 2)/(k/2 + r - 1)^2).
 
-    Above _LARGE_R the radicand is 1/(a (a - 1)^2) + 1/(2 a^2) + T(a), a = k/2 + r."""
+    For a = k/2 + r above _LARGE_R the radicand is 1/(a (a - 1)^2) + 1/(2 a^2)
+    + T(a): its direct form cancels as a grows, whether by r or by k."""
     _check_shape(r)
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     a = k / 2.0 + r
-    if r > _LARGE_R:
+    if a > _LARGE_R:
         inv = 1.0 / a
         # a^2 times the radicand
         scaled = 0.5 + a / (a - 1.0) / (a - 1.0) + _trigamma_tail(inv, inv * inv)

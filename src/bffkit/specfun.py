@@ -21,11 +21,16 @@ axis).  A caller that builds its plan rows as columns screens them with
 _unclear, which tests _plan's one-ratio bound on every row at once, and
 leaves the rows it flags to the one-value route, whose planners decide
 them.  The batched kernel takes its rows in chunks, and each block
-advances every live row of a chunk together.  The one-plan kernel estimates
-from the plan alone how many blocks its series needs (_blocks: the terms'
-closed-form peak and decay length) and sums them as the rows of one array,
-at most _MAX_BLOCKS per numpy call, so a series the estimate covers takes
-one call.  A series estimated at one block starts with that block alone,
+advances every live row of a chunk together, as a (rows, _BLOCK) array of
+running products along each row; but the first block of a pass that a
+_Blocks holds, of _BY_TERM rows or more, is held and summed term-major, as
+a (_BLOCK, rows) array with one vector multiply per term across the rows
+and its sums added in the order numpy adds a row (_term_major_sums), so
+that each row's products and sums are the same doubles in either layout.
+The one-plan kernel estimates from the plan alone how many blocks its
+series needs (_blocks: the terms' closed-form peak and decay length) and
+sums them as the rows of one array, at most _MAX_BLOCKS per numpy call, so
+a series the estimate covers takes one call.  A series estimated at one block starts with that block alone,
 and a series that outruns its estimate takes twice as many blocks per call
 as its last, up to _MAX_BLOCKS.  A block takes no transcendental per term,
 unless its terms rise too far within it for the carried sum (hundreds of
@@ -216,6 +221,15 @@ def _indices(j: int, k: int) -> tuple:
 # MMAP curve (14 nodes in r times a set's plan rows) is one chunk, small
 # enough to keep its work arrays at a few MiB.
 _CHUNK = 1024
+# Rows from which a held pass's block 0 is held and summed term-major
+# (_Blocks, _term_major_sums): one vector multiply per term across the rows
+# in place of a serial running product along each row, at a fixed cost of
+# _BLOCK - 1 numpy calls.  A _log_series_sums call on a held pass whose rows
+# all stop in block 0 took, row-major against term-major, 125 against 128 us
+# at 128 rows, 149 against 137 at 160, 222 against 166 at 256, 320 against
+# 198 at 384 and 461 against 273 at 560 (an MMAP node pass of 20 one-sided
+# t studies), on a 2-core Xeon VM.
+_BY_TERM = 160
 # Below this bound on every term ratio of a series, the products of each of
 # its blocks and their sum stay below the largest double (245^128 * 128 <
 # 2^1023), so _log_series_sum makes every numpy call of such a series without
@@ -538,12 +552,19 @@ class _Blocks:
     The reuse rule: in the kernel's first call on a _Blocks (the kernel
     counts its calls in calls), P of block j, P_i for i in j * _BLOCK to
     (j + 1) * _BLOCK - 1, is formed for the rows asked for only, as rows
-    evaluated once gain nothing from a block of all rows.  From the second call on, block j is
-    formed once for every row, held read-only, owning its buffer, and
-    gathered from, while the held blocks stay within _PASS_CAP rows; a block
-    past the cap is formed for the rows asked for.  Both ways form P by
-    _ratio_rows, _PIECE rows at a time, so no value depends on what is
-    held."""
+    evaluated once gain nothing from a block of all rows.  From the second
+    call on, block j is formed once for every row, held read-only, owning
+    its buffer, and read from, while the held blocks stay within _PASS_CAP
+    rows; a block past the cap is formed for the rows asked for.  Both ways
+    form P by _ratio_rows, _PIECE rows at a time, so no value depends on
+    what is held.
+
+    The layout: a held block is (rows, _BLOCK), one row per plan row, but
+    block 0 of a pass of at least _BY_TERM rows (by_term), which is held
+    term-major, (_BLOCK, rows), one column per plan row, so that the kernel
+    sums it term-major.  Each block is held in one layout only: a read in
+    the other layout (the steep rows' second read of block 0, a live set
+    below _BY_TERM rows) gathers it by column."""
 
     def __init__(self, num: list, c: np.ndarray):
         self.num = num
@@ -551,20 +572,42 @@ class _Blocks:
         self.wide = None  # _wide's mask, or False for no wide row, once formed
         self.calls = 0
         self.held = []
+        self.by_term = len(c) >= _BY_TERM
 
-    def take(self, j: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """P of block j for each row rows[i], written to row i of out and
-        returned, under the kernel's np.errstate (a wide row's products of
-        the narrow form, which it replaces, may overflow)."""
+    def hold(self, j: int):
+        """Held block j, after the held blocks before it, or None where the
+        reuse rule holds none."""
+        if self.calls < 2 or (j + 1) * len(self.c) > _PASS_CAP:
+            return None
         held = self.held
-        if self.calls > 1 and (j + 1) * len(self.c) <= _PASS_CAP:
+        while len(held) <= j:
             every = np.arange(len(self.c))
-            while len(held) <= j:
+            if not held and self.by_term:
+                block = np.empty((_BLOCK, len(every)))
+                self._form(0, every, block.T)
+            else:
                 block = self._form(len(held), every, np.empty((len(every), _BLOCK)))
-                block.setflags(write=False)
-                held.append(block)
-            return np.take(held[j], rows, axis=0, out=out, mode="clip")
-        return self._form(j, rows, out)
+            block.setflags(write=False)
+            held.append(block)
+        return held[j]
+
+    def take(self, j: int, rows: np.ndarray, out: np.ndarray, by_term: bool = False) -> np.ndarray:
+        """P of block j for each row rows[i], as row i of the result, or as
+        its column i where by_term (which only a held term-major block 0
+        takes): the held block itself where that is every row in order in
+        the same layout, else written to out, of the result's shape, and
+        returned.  Under the kernel's np.errstate (a wide row's products of
+        the narrow form, which it replaces, may overflow)."""
+        block = self.hold(j)
+        if block is None:
+            return self._form(j, rows, out)
+        term_major = j == 0 and self.by_term
+        if term_major == by_term and len(rows) == len(self.c) and np.array_equal(rows, np.arange(len(rows))):
+            return block
+        if not term_major:
+            return np.take(block, rows, axis=0, out=out, mode="clip")
+        np.take(block, rows, axis=1, out=out if by_term else out.T, mode="clip")
+        return out
 
     def _form(self, j: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         idx, one = _indices(j, 1)
@@ -673,6 +716,28 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
+def _term_major_sums(ratios: np.ndarray) -> tuple:
+    """(below, sums, maxes, lasts) of the term-major block ratios, of shape
+    (_BLOCK, rows), whose terms replace them: whether each row's last ratio
+    is below 1, and the sum, largest and last of its terms from a start of
+    1.  Bit for bit what the row-major kernel takes of the transpose: each
+    term is the product of the one before and its ratio, in turn, as in
+    np.multiply.accumulate, here one vector multiply per term across the
+    rows; and the sum is added in the order of numpy's add.reduce of a
+    contiguous row of _BLOCK = 128 doubles (pairwise summation, which
+    below 129 elements unrolls by 8): eight running partial sums of the
+    terms i = k mod 8, each in turn, then ((p0 + p1) + (p2 + p3)) + ((p4 +
+    p5) + (p6 + p7)).  The terms are never negative, so the largest does not
+    depend on order."""
+    below = ratios[-1] < 1.0
+    terms = list(ratios)
+    for prev, row in zip(terms, terms[1:]):
+        np.multiply(prev, row, row)
+    p = np.add.reduce(ratios.reshape(_BLOCK // 8, 8, -1), axis=0)
+    sums = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    return below, sums, np.maximum.reduce(ratios, axis=0), ratios[-1]
+
+
 def _log_series_sums(x: np.ndarray, blocks: _Blocks, rows: np.ndarray) -> np.ndarray:
     """_log_series_sum of each plan (x[j], *num, c) whose parameters (*num,
     c) are row rows[j] of blocks.  A plan still running at TERM_CAP comes
@@ -685,17 +750,21 @@ def _log_series_sums(x: np.ndarray, blocks: _Blocks, rows: np.ndarray) -> np.nda
     the chunk (and its columns) once it stops, so every row is bit for bit
     what _log_series_sum returns for it.  A block's ratios are its P rows
     from blocks (_Blocks.take, whose reuse rule counts this call as one)
-    times x.  The work array is allocated once per call: arrays of a
-    block's size allocated per block took about 2,000 page faults per round
-    of the benchmark's stroop_mmap workload.  The final log is taken per row
-    with math.log, as _log_series_sum takes it: numpy's log may differ from
-    it in the last bit.
+    times x: block 0 held term-major, for a live set of _BY_TERM rows or
+    more, as a term-major array summed by _term_major_sums, which rounds
+    each row as the row-major path does.  The work array is allocated once
+    per call and shaped to each block's layout: arrays of a block's size
+    allocated per block took about 2,000 page faults per round of the
+    benchmark's stroop_mmap workload.  The final log is taken per row with
+    math.log, as _log_series_sum takes it: numpy's log may differ from it
+    in the last bit.
     """
     blocks.calls += 1
     out = np.full(len(x), math.nan)
     out[x == 0.0] = 0.0
     todo = x.nonzero()[0]
-    # a block's ratios, then its terms
+    # a block's ratios, then its terms: (rows, _BLOCK), or its flat buffer
+    # as (_BLOCK, rows)
     work = np.empty((min(len(todo), _CHUNK), _BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):  # as in _log_series_sum
         for lo in range(0, len(todo), _CHUNK):
@@ -705,20 +774,26 @@ def _log_series_sums(x: np.ndarray, blocks: _Blocks, rows: np.ndarray) -> np.nda
             acc, top, term = np.ones((3, len(live)))
             j = 0
             while True:
-                ratios = blocks.take(j, index, work[: len(live)])
-                ratios *= x_live
-                below = ratios[:, -1] < 1.0
-                terms = np.multiply.accumulate(ratios, axis=1, out=ratios)
-                sums = np.add.reduce(terms, axis=1)
-                maxes = np.maximum.reduce(terms, axis=1)
-                lasts = terms[:, -1]
+                n = len(live)
+                if j == 0 and n >= _BY_TERM and blocks.by_term and blocks.hold(0) is not None:
+                    ratios = work[:n].reshape(_BLOCK, n)
+                    np.multiply(blocks.take(0, index, ratios, True), x_live.T, ratios)
+                    below, sums, maxes, lasts = _term_major_sums(ratios)
+                else:
+                    ratios = work[:n]
+                    np.multiply(blocks.take(j, index, ratios), x_live, ratios)
+                    below = ratios[:, -1] < 1.0
+                    terms = np.multiply.accumulate(ratios, axis=1, out=ratios)
+                    sums = np.add.reduce(terms, axis=1)
+                    maxes = np.maximum.reduce(terms, axis=1)
+                    lasts = terms[:, -1]
                 new = acc + term * sums
                 finite = new < math.inf
                 if not finite.all():
                     # the steep rows' ratios again, as the terms replaced them
                     steep = (~finite).nonzero()[0]
-                    steep_ratios = blocks.take(j, index[steep], np.empty((len(steep), _BLOCK)))
-                    steep_ratios *= x_live[steep]
+                    steep_ratios = np.empty((len(steep), _BLOCK))
+                    np.multiply(blocks.take(j, index[steep], steep_ratios), x_live[steep], steep_ratios)
                     shift, steep_sums, maxes[steep], lasts[steep] = _log_block(steep_ratios)
                     acc[steep] = np.ldexp(acc[steep], -shift)
                     top[steep] = np.ldexp(top[steep], -shift)

@@ -250,6 +250,34 @@ class TestMmap:
         assert res.objective == max(values) and res.r_star == rs[int(np.argmax(values))]
 
 
+    def test_interpolant_is_numpy_polynomial_bit_for_bit(self):
+        # mmap_r's plain-float chebder, chebroots and chebval against
+        # numpy.polynomial.chebyshev as the oracle: on node vectors through
+        # _FIT, random and smooth, and on coefficient vectors with trailing
+        # exact zeros down to a constant, whose derivatives are trimmed to
+        # degree 1 (one root), 0 and all zeros (none)
+        from numpy.polynomial import chebyshev as C
+
+        rng = np.random.default_rng(11)
+        vectors = [ev._FIT @ (rng.normal(size=_NODES) * 10.0 ** rng.uniform(-3, 3)) for _ in range(1000)]
+        vectors += [ev._FIT @ rng.normal(size=_NODES).cumsum() for _ in range(200)]
+        for nonzero in range(1, _NODES):
+            coef = np.zeros(_NODES)
+            coef[:nonzero] = rng.normal(size=nonzero)
+            vectors.append(coef)
+        vectors.append(np.full(_NODES, 2.5))
+        degrees = set()
+        for coef in vectors:
+            der = C.chebder(coef)
+            assert ev._chebder(coef.tolist()) == der.tolist()
+            roots = C.chebroots(der)
+            got = ev._chebroots(der.tolist())
+            assert got.dtype == roots.dtype and got.tolist() == roots.tolist()
+            degrees.add(len(roots))
+            x = roots[np.isreal(roots) & (abs(roots) < 1.0)].real
+            assert [ev._chebval(v, coef.tolist()) for v in x.tolist()] == C.chebval(x, coef).tolist()
+        assert {0, 1, 2, _NODES - 2} <= degrees
+
     def test_worse_fitted_point_loses_to_the_best_node(self, monkeypatch):
         # the fitted point's exact objective can come back lower than the
         # best node's, or -inf from a cancelling bracket: the node wins
@@ -834,7 +862,8 @@ def _held_rows(studies) -> int:
     holds."""
     if studies._nodes is None:
         return 0
-    return sum(len(block) for plans in studies._nodes[1].layout.plans for block in plans.blocks.held)
+    plans = studies._nodes[1].layout.plans
+    return sum(block.size // sf._BLOCK for one in plans for block in one.blocks.held)
 
 
 def _kernel_cap(monkeypatch, cap) -> list:

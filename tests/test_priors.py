@@ -214,6 +214,17 @@ class TestJeffreys:
                     expected = reference(a, (a - 2) / (a - 1) ** 2)
                     assert abs(jeffreys_log_prior_gamma(r, k) - expected) <= 1e-10, (r, k)
 
+    def test_gamma_at_large_k_against_mpmath(self):
+        # a = k/2 + r is large at every r when k is: the direct radicand was
+        # off by 3e-7 at k = 1e10, by 0.45 at k = 1e16, and not positive at
+        # k = 1e32
+        for k in (1e4, 1e10, 1e16, 1e32):
+            for r in (1.0, 50.0, 200.0):
+                with mpmath.workdps(60 + 2 * int(math.log10(k))):
+                    a = mpmath.mpf(r) + mpmath.mpf(k) / 2
+                    expected = float(0.5 * mpmath.log(mpmath.psi(1, a) - (a - 2) / (a - 1) ** 2))
+                assert abs(jeffreys_log_prior_gamma(r, k) - expected) <= 2 * math.ulp(expected), (r, k)
+
     def test_domain(self):
         for r in (0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="^r must be finite and >= 1"):

@@ -850,6 +850,59 @@ class TestHeldBlocks:
                 with pytest.raises(ValueError):
                     block[0, 0] = 1.0
 
+    def test_a_large_pass_sums_block_zero_term_major(self, monkeypatch):
+        # a pass of _BY_TERM rows or more holds block 0 term-major, and its
+        # later calls sum that block so for a live set of _BY_TERM rows or
+        # more: every row is _log_series_sum's value, for rows that stop in
+        # blocks 0, 1 and 2 and later, steep rows whose block 0 overflows
+        # (1F1 at x = 2e4 and e^x there, read again by column gather for
+        # _log_block), rows past _CHUNK, and live sets of every row, of part
+        # of the rows (x = 0 in some, a subset) and of fewer than _BY_TERM
+        summed, real = [], sf._term_major_sums
+        monkeypatch.setattr(
+            sf, "_term_major_sums", lambda ratios: (summed.append(ratios.shape[1]), real(ratios))[1]
+        )
+        log_blocks = _count_log_blocks(monkeypatch)
+        ((plans, _), _) = _block_plans()
+        plans = np.concatenate([plans[1:], [plan for plan, _ in _STEEP_1F1[::2]]])
+        for n in (sf._BY_TERM, 2 * sf._BY_TERM, sf._CHUNK + 200):
+            rows = np.resize(plans, (n, 3))
+            x = rows[:, 0].copy()
+            zeros = x.copy()
+            zeros[::7] = 0.0
+            every = np.arange(n)
+            subset, small = every[every % 3 > 0], every[-sf._BY_TERM + 1 :]
+            blocks = sf._Blocks([rows[:, 1]], rows[:, 2])
+            calls = [(x, every)] * 3 + [(zeros, every), (x[subset], subset), (x[small], small)]
+            for i, (xs, index) in enumerate(calls):
+                expected = [_one_value_or_nan((v, *rows[j, 1:])) for v, j in zip(xs.tolist(), index.tolist())]
+                summed.clear()
+                log_blocks.clear()
+                assert sf._log_series_sums(xs, blocks, index).tolist() == expected, (n, i)
+                assert log_blocks, (n, i)
+                # the live rows of each chunk, summed term-major from the
+                # second call on where they are _BY_TERM or more
+                live = np.count_nonzero(xs)
+                chunks = [min(sf._CHUNK, live - lo) for lo in range(0, live, sf._CHUNK)]
+                assert summed == [k for k in chunks if k >= sf._BY_TERM and i > 0], (n, i)
+            assert blocks.held[0].shape == (sf._BLOCK, n) and blocks.held[1].shape == (n, sf._BLOCK)
+
+    def test_term_major_sums_are_the_row_major_sums(self):
+        # on random ratios whose terms run from underflow to overflow, each
+        # row's below, sum, largest and last term summed term-major are the
+        # row-major kernel's, bit for bit: numpy's order of adding a row
+        rng = np.random.default_rng(3)
+        for n in (sf._BY_TERM, 560):
+            for spread in (0.01, 3.0, 60.0):
+                ratios = np.exp(rng.normal(0.0, spread, (n, sf._BLOCK)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    below, sums, maxes, lasts = sf._term_major_sums(np.ascontiguousarray(ratios.T))
+                    terms = np.multiply.accumulate(ratios, axis=1)
+                    sums_r, maxes_r = np.add.reduce(terms, axis=1), np.maximum.reduce(terms, axis=1)
+                want = (ratios[:, -1] < 1.0, sums_r, maxes_r, terms[:, -1])
+                for got, expected in zip((below, sums, maxes, lasts), want):
+                    assert np.array_equal(got, expected, equal_nan=True), (n, spread)
+
     def test_a_pass_too_large_holds_nothing(self, monkeypatch):
         monkeypatch.setattr(sf, "_PASS_CAP", 4)
         plans = np.array([(0.5, 1.5, 2.0)] * 5)

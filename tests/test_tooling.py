@@ -70,7 +70,8 @@ def test_benchmark_cli_argv_parses_to_mmap(monkeypatch, tmp_path):
 def test_cli_import_leaves_out_scipy_and_oracle():
     code = (
         "import importlib.util, sys, bffkit, bffkit.cli; "
-        "print('scipy' in sys.modules, importlib.util.find_spec('bffkit.oracle') is None, "
+        "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules, "
+        "importlib.util.find_spec('bffkit.oracle') is None, "
         "sorted(n for n in ('PriorFamily', 'PriorSpec', 'log_density', 'mode') "
         "if hasattr(bffkit, n)))"
     )
@@ -81,7 +82,7 @@ def test_cli_import_leaves_out_scipy_and_oracle():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False True []"
+    assert out.stdout.strip() == "False False True []"
 
 
 def test_benchmark_tables_load(monkeypatch, tmp_path):
