@@ -40,10 +40,10 @@ one batched kernel pass per function.  They are two steps: a layout
 plan rows of the study parts (_plan_rows), with each function's
 specfun._Blocks, and the x step (_log_bf_items).  evidence builds a layout
 once per pass of r over a study set, whose rs it has checked, and keeps the
-one that repeats at every omega, whose ratio rows _Blocks' reuse rule
-holds.  There, screens flag and _evaluate decides: the one-value route
-evaluates every item a column test flags, so the two routes agree bit for
-bit, errors included.
+one that repeats at every omega, whose _Blocks hold its ratio rows.
+There, screens flag and _evaluate decides: the one-value route evaluates
+every item a column test flags, so the two routes agree bit for bit, errors
+included.
 
 tau_sq = 0 is accepted everywhere and returns log BF = 0 exactly (the prior
 degenerates to the null; evidence grids start at omega > 0 to keep priors
@@ -427,7 +427,7 @@ def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray) -> _Layout:
     whose _plan_rows are rows, at r, an array of m rows of len(parts[0]),
     every one finite and >= 1 (evidence._Pass checks them; nothing here
     does).  Each function's _Blocks lasts as long as the layout (see its
-    reuse rule)."""
+    holding rule)."""
     c, b, s, sign, log_ratio = parts
     is_2f1, signed, series = rows
     m, n = r.shape

@@ -98,8 +98,14 @@ class StudySet:
     (_log_bf_rows) reads, and, from its first mmap_r call on, mmap_r's node
     pass for one r_max (_node_pass): the nodes in r, the Jeffreys log prior
     at each, and the omega-free part of their column pass, with the ratio
-    rows that specfun._Blocks' reuse rule holds.  A call with another r_max
-    replaces it.
+    rows that its specfun._Blocks hold.  A call with another r_max replaces
+    it.
+
+    A set may be shared between threads: its node pass holds each block of
+    ratio rows by a rule of the block's index and the pass's size alone, and
+    stores it once, so no value depends on the order of the calls.  A
+    pickled or copied set leaves its node pass behind, and the copy builds
+    its own.
     """
 
     studies: tuple[Study, ...]
@@ -134,6 +140,9 @@ class StudySet:
     def build(cls, pairs: Iterable[tuple[TestStatistic, DesignKind]], label: str = "") -> "StudySet":
         return cls(tuple(Study(stat, design) for stat, design in pairs), label)
 
+    def __getstate__(self):
+        return {**self.__dict__, "_nodes": None}
+
     def jeffreys_log_prior(self, r: float) -> float:
         # k is None for z/t studies and shared by chi-square/F sets
         return jeffreys_log_prior(r, self.studies[0].stat.k)
@@ -157,10 +166,9 @@ class _Pass(list):
     """The omega-free part of a column pass over the items rs x studies of
     a study set, as the list of its rs, checked, with: scale, the
     denominator d (s + r - u) of each item's tau_sq; layout, that of
-    bayes_factors._layout, whose ratio rows specfun._Blocks' reuse rule
-    holds across the pass's evaluations; and log_priors, the Jeffreys log
-    prior at each r where the pass holds them (mmap_r's node pass), or
-    None."""
+    bayes_factors._layout, whose specfun._Blocks hold its ratio rows across
+    the pass's evaluations; and log_priors, the Jeffreys log prior at each r
+    where the pass holds them (mmap_r's node pass), or None."""
 
     def __init__(self, study_set: StudySet, rs: Sequence[float]):
         for r in rs:
@@ -261,8 +269,8 @@ def _node_pass(study_set: StudySet, r_max: float) -> _Pass:
     points of u = log r on [0, log r_max], whose ends are exactly r = 1 and
     r_max, with the Jeffreys log prior at each node.  The study set holds
     one, for one r_max: it is built on the first call for r_max, and
-    replaces the pass of any other r_max.  It repeats at every omega, so
-    specfun._Blocks' reuse rule holds its ratio rows."""
+    replaces the pass of any other r_max.  It repeats at every omega, and
+    its specfun._Blocks hold its ratio rows."""
     held = study_set._nodes
     if held is None or held[0] != r_max:
         half = 0.5 * math.log(r_max)
@@ -329,10 +337,10 @@ def mmap_r(study_set: StudySet, omega: float, r_max: float = MmapR.r_max) -> Mma
     Each pass is one column pass of _log_bf_rows over all its (r, study)
     items, bit for bit combined_log_bf.  The node pass is the study set's
     (_node_pass): built on the first call for r_max, with its layout, the
-    Jeffreys prior at each node and the ratio rows that specfun._Blocks'
-    reuse rule holds, so a later call computes only tau_sq, x, the screens,
-    the kernel and the bracket.  The fitted point's pass is built for the
-    call, evaluated once, and holds nothing.
+    Jeffreys prior at each node and the ratio rows that its specfun._Blocks
+    hold, so a later call computes only tau_sq, x, the screens, the kernel
+    and the bracket.  The fitted point's pass is built for the call and
+    evaluated once.
     """
     _check_shape(r_max, "r_max")
     if r_max == 1.0:
@@ -490,8 +498,8 @@ def bff_curve(
     points = []
     if isinstance(r_policy, FixedR):
         # per_study_log_bf at each omega, _OMEGAS_PER_PASS omegas per pass
-        # over one pass of r, whose ratio rows specfun._Blocks' reuse rule
-        # holds for the call
+        # over one pass of r, whose specfun._Blocks hold its ratio rows for
+        # the call
         held = _Pass(study_set, (r_policy.r,))
         for lo in range(0, len(grid.omegas), _OMEGAS_PER_PASS):
             omegas = grid.omegas[lo : lo + _OMEGAS_PER_PASS]

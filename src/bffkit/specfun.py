@@ -22,11 +22,11 @@ _unclear, which tests _plan's one-ratio bound on every row at once, and
 leaves the rows it flags to the one-value route, whose planners decide
 them.  The batched kernel takes its rows in chunks, and each block
 advances every live row of a chunk together, as a (rows, _BLOCK) array of
-running products along each row; but the first block of a pass that a
-_Blocks holds, of _BY_TERM rows or more, is held and summed term-major, as
-a (_BLOCK, rows) array with one vector multiply per term across the rows
-and its sums added in the order numpy adds a row (_term_major_sums), so
-that each row's products and sums are the same doubles in either layout.
+running products along each row; but the first block of a pass of
+_BY_TERM to _PASS_CAP rows is held and summed term-major, as a (_BLOCK,
+rows) array with one vector multiply per term across the rows and its sums
+added in the order numpy adds a row (_term_major_sums), so that each row's
+products and sums are the same doubles in either layout.
 The one-plan kernel estimates from the plan alone how many blocks its
 series needs (_blocks: the terms' closed-form peak and decay length) and
 sums them as the rows of one array, at most _MAX_BLOCKS per numpy call, so
@@ -53,10 +53,12 @@ fills, keyed by the plan's parameters (*num, c) (after _plan_2f1 puts a <=
 b), whose arrays are read-only, own their buffers, and are at most _ROWS_CAP
 rows of a block in all.  _log_series_sums takes every P from a _Blocks of
 its plan rows' parameters, which a caller that evaluates one set of plan
-rows at many x keeps across its calls, and which alone decides, by its
-reuse rule, what it holds.  Either kernel takes a block's ratios as its P
-times x, in one multiply: the double x P_i that it would form anyway, so no
-value depends on what is held.
+rows at many x keeps across its calls.  A _Blocks holds block j, formed for
+every row the first time the kernel reaches it, wherever its first j + 1
+blocks fit within _PASS_CAP rows: a rule of j and the pass's size alone, so
+a _Blocks may be shared between threads.  Either kernel takes a block's
+ratios as its P times x, in one multiply: the double x P_i that it would
+form anyway, so no value depends on what is held.
 
 A plan whose products prod(num + i) or (c + i)(1 + i) could overflow within
 the cap (_wide) takes P_i as ((a + i)/(c + i))((b + i)/(1 + i)); every other
@@ -326,11 +328,12 @@ def _plan(num: tuple, c: float, x: float) -> tuple:
     (b+1+h)/(1+h) for a second b, and 1/(1+i) at most 1/(1+h) without one,
     so the terms fall over the last h of the cap at least by the h-th power
     of x times these bounds.  A plan it does not clear goes through
-    _check_cap's exact test.
+    _check_cap's exact test, as does a NaN bound (inf over inf, of
+    parameters near the largest double).
     """
     plan = (x, *num, c)
     bound = _ratio_bound(num, c, x)
-    if bound >= 1.0 or bound ** (0.5 * TERM_CAP) > 1e-16:  # a power of a bound above 1 can overflow
+    if not bound < 1.0 or bound ** (0.5 * TERM_CAP) > 1e-16:  # a power of a bound above 1 can overflow
         _check_cap(plan)
     return plan
 
@@ -344,8 +347,8 @@ def _unclear(num, c, x) -> np.ndarray:
     not clear: every row it does not clear, the few more whose h-th power
     of the bound, tested here in logs, lies within _LOG_BOUND_FLOOR's
     margin of 1e-16, and every row whose bound is NaN (an infinite
-    parameter at x = 0), which the planners reject.  A row outside the mask
-    needs no planner."""
+    parameter at x = 0, which the planners reject, or inf over inf, which
+    they test exactly).  A row outside the mask needs no planner."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # x near the largest double; x = 0
         return ~(0.5 * TERM_CAP * np.log(_ratio_bound(num, c, x)) <= _LOG_BOUND_FLOOR)
 
@@ -549,18 +552,18 @@ class _Blocks:
     many x (an MMAP curve's node pass, a fixed-r curve's pass) keeps one
     _Blocks for them across its _log_series_sums calls.
 
-    The reuse rule: in the kernel's first call on a _Blocks (the kernel
-    counts its calls in calls), P of block j, P_i for i in j * _BLOCK to
-    (j + 1) * _BLOCK - 1, is formed for the rows asked for only, as rows
-    evaluated once gain nothing from a block of all rows.  From the second
-    call on, block j is formed once for every row, held read-only, owning
-    its buffer, and read from, while the held blocks stay within _PASS_CAP
-    rows; a block past the cap is formed for the rows asked for.  Both ways
-    form P by _ratio_rows, _PIECE rows at a time, so no value depends on
-    what is held.
+    The holding rule: P of block j, P_i for i in j * _BLOCK to (j + 1) *
+    _BLOCK - 1, is formed for every row the first time the kernel reaches
+    it, made read-only, owning its buffer, and held in held[j], wherever
+    (j + 1) * len(c) <= _PASS_CAP; a block past the cap is formed for the
+    rows asked for at each call.  The rule depends on j and the pass's size
+    alone, and a block is stored by held.setdefault, so threads that share
+    a _Blocks all read the first block stored for j, and none sees a block
+    half formed.  Both ways form P by _ratio_rows, _PIECE rows at a time,
+    so no value depends on what is held.
 
     The layout: a held block is (rows, _BLOCK), one row per plan row, but
-    block 0 of a pass of at least _BY_TERM rows (by_term), which is held
+    block 0 of a pass of _BY_TERM to _PASS_CAP rows (by_term), which is held
     term-major, (_BLOCK, rows), one column per plan row, so that the kernel
     sums it term-major.  Each block is held in one layout only: a read in
     the other layout (the steep rows' second read of block 0, a live set
@@ -570,26 +573,22 @@ class _Blocks:
         self.num = num
         self.c = c
         self.wide = None  # _wide's mask, or False for no wide row, once formed
-        self.calls = 0
-        self.held = []
-        self.by_term = len(c) >= _BY_TERM
+        self.held = {}
+        self.by_term = _BY_TERM <= len(c) <= _PASS_CAP
 
     def hold(self, j: int):
-        """Held block j, after the held blocks before it, or None where the
-        reuse rule holds none."""
-        if self.calls < 2 or (j + 1) * len(self.c) > _PASS_CAP:
-            return None
-        held = self.held
-        while len(held) <= j:
+        """Held block j, or None past the cap (see the holding rule)."""
+        block = self.held.get(j)
+        if block is None and (j + 1) * len(self.c) <= _PASS_CAP:
             every = np.arange(len(self.c))
-            if not held and self.by_term:
+            if j == 0 and self.by_term:
                 block = np.empty((_BLOCK, len(every)))
                 self._form(0, every, block.T)
             else:
-                block = self._form(len(held), every, np.empty((len(every), _BLOCK)))
+                block = self._form(j, every, np.empty((len(every), _BLOCK)))
             block.setflags(write=False)
-            held.append(block)
-        return held[j]
+            block = self.held.setdefault(j, block)
+        return block
 
     def take(self, j: int, rows: np.ndarray, out: np.ndarray, by_term: bool = False) -> np.ndarray:
         """P of block j for each row rows[i], as row i of the result, or as
@@ -664,7 +663,7 @@ def _log_series_sum(plan: tuple) -> float:
         return 0.0
     k = _blocks(x, num, c)
     # every ratio is at most x max(a, c) / c, times max(b, 1) for a second b
-    bound = x * max(num[0], c) / c * (max(num[1], 1.0) if len(num) == 2 else 1.0)
+    bound = x * (max(num[0], c) / c) * (max(num[1], 1.0) if len(num) == 2 else 1.0)
     # above it, a steep block overflows and _log_block sums it
     with _QUIET if bound < _QUIET_RATIO else np.errstate(over="ignore", invalid="ignore"):
         key = plan[1:]
@@ -749,17 +748,15 @@ def _log_series_sums(x: np.ndarray, blocks: _Blocks, rows: np.ndarray) -> np.nda
     stopping rule of _log_series_sum as column operations, and a row leaves
     the chunk (and its columns) once it stops, so every row is bit for bit
     what _log_series_sum returns for it.  A block's ratios are its P rows
-    from blocks (_Blocks.take, whose reuse rule counts this call as one)
-    times x: block 0 held term-major, for a live set of _BY_TERM rows or
-    more, as a term-major array summed by _term_major_sums, which rounds
-    each row as the row-major path does.  The work array is allocated once
-    per call and shaped to each block's layout: arrays of a block's size
-    allocated per block took about 2,000 page faults per round of the
-    benchmark's stroop_mmap workload.  The final log is taken per row with
-    math.log, as _log_series_sum takes it: numpy's log may differ from it
-    in the last bit.
+    from blocks (_Blocks.take) times x: block 0 held term-major, for a live
+    set of _BY_TERM rows or more, as a term-major array summed by
+    _term_major_sums, which rounds each row as the row-major path does.
+    The work array is allocated once per call and shaped to each block's
+    layout: arrays of a block's size allocated per block took about 2,000
+    page faults per round of the benchmark's stroop_mmap workload.  The
+    final log is taken per row with math.log, as _log_series_sum takes it:
+    numpy's log may differ from it in the last bit.
     """
-    blocks.calls += 1
     out = np.full(len(x), math.nan)
     out[x == 0.0] = 0.0
     todo = x.nonzero()[0]
@@ -775,7 +772,7 @@ def _log_series_sums(x: np.ndarray, blocks: _Blocks, rows: np.ndarray) -> np.nda
             j = 0
             while True:
                 n = len(live)
-                if j == 0 and n >= _BY_TERM and blocks.by_term and blocks.hold(0) is not None:
+                if j == 0 and n >= _BY_TERM and blocks.by_term:
                     ratios = work[:n].reshape(_BLOCK, n)
                     np.multiply(blocks.take(0, index, ratios, True), x_live.T, ratios)
                     below, sums, maxes, lasts = _term_major_sums(ratios)

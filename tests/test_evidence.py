@@ -1,6 +1,10 @@
 """Tests for study-set combination, MMAP maximization, and BFF curves."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -863,7 +867,7 @@ def _held_rows(studies) -> int:
     if studies._nodes is None:
         return 0
     plans = studies._nodes[1].layout.plans
-    return sum(block.size // sf._BLOCK for one in plans for block in one.blocks.held)
+    return sum(block.size // sf._BLOCK for one in plans for block in one.blocks.held.values())
 
 
 def _kernel_cap(monkeypatch, cap) -> list:
@@ -926,7 +930,7 @@ class TestHeldPass:
                     got = _value_or_error(ev._objectives, fresh, omega, nodes)
                     expected = _value_or_error(ev._objectives, fresh, omega, list(nodes))
                     assert _same(got, expected) if isinstance(expected, Exception) else repr(got) == repr(expected)
-                held = sum(len(b) for plans in nodes.layout.plans for b in plans.blocks.held)
+                held = _held_rows(fresh)
                 assert (held > 0) == (cap != 1), cap
         assert max(running) > 0  # some rows were still running at the kernel's cap
         assert kinds == {"float", "ArithmeticError", "ValueError", "NonConvergenceError"}
@@ -951,10 +955,10 @@ class TestHeldPass:
             assert studies._nodes[1] is not first
             assert res == mmap_r(StudySet(studies.studies), 0.885, r_max), r_max
 
-    def test_fitted_pass_and_single_points_hold_nothing(self, monkeypatch):
-        # every pass but the node pass is evaluated once, and its _Blocks
-        # holds no block after the call; the node pass holds from its
-        # second evaluation on
+    def test_fitted_pass_and_single_points_are_built_per_call(self, monkeypatch):
+        # every pass but the node pass is built for its call and evaluated
+        # once, and adds nothing to what the set holds; the node pass holds
+        # from its first evaluation on
         built, real = [], bf._Blocks
         monkeypatch.setattr(bf, "_Blocks", lambda *args: (built.append(real(*args)), built[-1])[1])
         monkeypatch.setattr(sf, "_ROWS", {})
@@ -966,27 +970,68 @@ class TestHeldPass:
         res = mmap_r(studies, 0.885)  # the node pass, then the fitted point
         assert 1.0 < res.r_star < 200.0
         (nodes,) = [plans.blocks for plans in studies._nodes[1].layout.plans]
-        assert len(built) == 4 and built[2] is nodes and _held_rows(studies) == 0
-        assert mmap_r(studies, 0.885) == res
-        assert len(built) == 5
         held = _held_rows(studies)
-        assert held > 0
+        assert len(built) == 4 and built[2] is nodes and held > 0
+        assert mmap_r(studies, 0.885) == res
+        assert len(built) == 5 and _held_rows(studies) == held
         ev._objectives(studies, 0.885, (res.r_star,))
         per_study_log_bf(studies, 0.7, res.r_star)
         assert len(built) == 7 and _held_rows(studies) == held
-        assert all(blocks.held == [] for blocks in built if blocks is not nodes)
         assert sf._ROWS == {} and sf._rows_held == 0
 
     def test_held_arrays_are_read_only_and_own_their_buffers(self):
         studies = _stroop()
-        mmap_r(studies, 0.5)
-        mmap_r(studies, 0.885)  # the node pass's second evaluation holds
-        blocks = [block for plans in studies._nodes[1].layout.plans for block in plans.blocks.held]
+        mmap_r(studies, 0.885)  # the node pass's first evaluation holds
+        blocks = [block for plans in studies._nodes[1].layout.plans for block in plans.blocks.held.values()]
         assert blocks
         for block in blocks:
             assert not block.flags.writeable and block.base is None
             with pytest.raises(ValueError):
                 block[0, 0] = 1.0
+
+    def test_a_set_shared_between_threads(self):
+        # 4 threads of 32 omegas each on a fresh set, started together and
+        # switching as often as the interpreter allows, then every
+        # default-grid omega serially on the same set, on two sets: every
+        # result is a serial reference's, bit for bit, with no error
+        omegas = EffectGrid.default().omegas
+        reference = _stroop()
+        expected = {omega: repr(mmap_r(reference, omega)) for omega in omegas}
+        for _ in range(2):
+            studies = _stroop()
+            start, got = threading.Barrier(4), [[] for _ in range(4)]
+
+            def run(i):
+                start.wait()
+                for omega in omegas[i::4][:32]:
+                    got[i].append((omega, repr(_value_or_error(mmap_r, studies, omega))))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            finally:
+                sys.setswitchinterval(interval)
+            assert [len(one) for one in got] == [32] * 4
+            assert all(value == expected[omega] for one in got for omega, value in one)
+            assert all(repr(_value_or_error(mmap_r, studies, omega)) == expected[omega] for omega in omegas)
+
+    def test_a_copy_leaves_the_node_pass_behind(self):
+        # a used set pickles to a fresh set's size, and a deep copy and a
+        # pickle round trip build their own node pass, with equal results
+        omegas = (0.3, 0.885)
+        size = len(pickle.dumps(_stroop()))
+        studies = _stroop()
+        expected = [mmap_r(studies, omega) for omega in omegas]
+        assert studies._nodes is not None and len(pickle.dumps(studies)) == size
+        for copied in (copy.deepcopy(studies), pickle.loads(pickle.dumps(studies))):
+            assert copied == studies and copied._nodes is None
+            assert [mmap_r(copied, omega) for omega in omegas] == expected
+        assert studies._nodes is not None
 
 
 # Rows of ratio-row blocks (1 KiB each) that the default-grid stroop and

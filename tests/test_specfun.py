@@ -7,7 +7,9 @@ mixed plans compares with mpmath as it runs; the other tests stay
 double-only.
 """
 
+import contextlib
 import math
+import threading
 import time
 
 import mpmath
@@ -171,6 +173,14 @@ class Test2F1:
         a = log_2f1(3.7, 1.2, 0.5, 0.42)
         b = log_2f1(1.2, 3.7, 0.5, 0.42)
         assert a == b
+
+    def test_steep_series_of_a_tiny_x_warns_nothing(self):
+        # x max(a, c) underflows to 0 here, while the term ratios reach
+        # x b / 1 = 2.1e5: a steep first block, which overflows, so the
+        # kernel must not take the series as quiet (a RuntimeWarning is an
+        # error under the tests' filterwarnings); frozen: a direct 40-digit
+        # mpmath sum of the series gives log 211878.55224682254
+        assert log_2f1(1.1544e290, 5.563e-96, 6.062e-86, 1.8356e-285) == 211878.5522468225
 
     def test_raw_series_near_one_with_c_above_a_and_b(self):
         # c - a and c - b positive, x > 0.9: the raw series, whose terms fall
@@ -788,31 +798,30 @@ class TestRowCache:
 
 
 class TestHeldBlocks:
-    """The batched kernel with a caller's _Blocks, by its reuse rule: the
-    first call holds nothing; from the second call on, each block a call
-    reaches is formed once for all the blocks' rows, read-only and owning
-    its buffer, up to _PASS_CAP rows of blocks; and no value depends on what
-    is held."""
+    """The batched kernel with a caller's _Blocks, by its holding rule: from
+    the first call on, each block a call reaches is formed once for all the
+    blocks' rows, read-only and owning its buffer, up to _PASS_CAP rows of
+    blocks; and no value depends on what is held."""
 
     def test_held_blocks_give_one_value_cold_warm_and_capped(self, monkeypatch):
         # each row is _log_series_sum's value with a new _Blocks, in the
-        # first call on a kept _Blocks (nothing held), its second (blocks
-        # filled), its third (blocks held: no ratio formed), and past caps
-        # of no block, one block and three blocks, where the kernel forms
-        # the later blocks for its live rows
+        # first call on a kept _Blocks (blocks filled), its second and third
+        # (blocks held: no ratio formed), and past caps of no block, one
+        # block and three blocks, where the kernel forms the later blocks
+        # for its live rows
         calls = _count_ratio_rows(monkeypatch)
         cap = sf._PASS_CAP
         for plans in _chunk_groups():
             expected = [_one_value_or_nan(plan) for plan in plans.tolist()]
             assert _sums(plans).tolist() == expected
             blocks, rows = _held(plans)
-            for _ in range(2):
-                assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
+            assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
             reached = len(blocks.held)
             # the longest row's blocks, all held
             assert 100 <= reached and (reached + 1) * len(blocks.c) <= cap
             calls.clear()
-            assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
+            for _ in range(2):
+                assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
             assert calls == [] and len(blocks.held) == reached
             for limit in (0, 1, 3):
                 monkeypatch.setattr(sf, "_PASS_CAP", limit * len(blocks.c))
@@ -822,29 +831,31 @@ class TestHeldBlocks:
                 assert len(capped.held) == limit
             monkeypatch.setattr(sf, "_PASS_CAP", cap)
 
-    def test_the_first_call_holds_nothing(self, monkeypatch):
+    def test_the_first_call_holds(self, monkeypatch):
         # a first call of more than _CHUNK rows, whose second chunk starts
         # at block 0 again, and whose steep rows take their first block
-        # again for _log_block, is still one call: it holds nothing, and
-        # the second call holds; every value is _log_series_sum's
+        # again for _log_block, holds every block it reaches, and the
+        # second call forms none; every value is _log_series_sum's
         log_blocks = _count_log_blocks(monkeypatch)
+        calls = _count_ratio_rows(monkeypatch)
         for plans in _chunk_groups():
             assert np.count_nonzero(plans[:, 0]) > sf._CHUNK
             expected = [_one_value_or_nan(plan) for plan in plans.tolist()]
             blocks, rows = _held(plans)
             log_blocks.clear()
             assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
-            assert log_blocks and blocks.calls == 1 and blocks.held == []
+            reached = len(blocks.held)
+            assert log_blocks and reached
+            calls.clear()
             assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
-            assert blocks.calls == 2 and blocks.held
+            assert calls == [] and len(blocks.held) == reached
 
     def test_blocks_are_read_only_and_own_their_buffers(self):
         for plans in _chunk_groups():
             blocks, rows = _held(plans)
-            for _ in range(2):
-                sf._log_series_sums(plans[:, 0], blocks, rows)
+            sf._log_series_sums(plans[:, 0], blocks, rows)
             assert blocks.held
-            for block in blocks.held:
+            for block in blocks.held.values():
                 assert block.shape == (len(blocks.c), sf._BLOCK)
                 assert not block.flags.writeable and block.base is None
                 with pytest.raises(ValueError):
@@ -852,8 +863,8 @@ class TestHeldBlocks:
 
     def test_a_large_pass_sums_block_zero_term_major(self, monkeypatch):
         # a pass of _BY_TERM rows or more holds block 0 term-major, and its
-        # later calls sum that block so for a live set of _BY_TERM rows or
-        # more: every row is _log_series_sum's value, for rows that stop in
+        # calls sum that block so for a live set of _BY_TERM rows or more:
+        # every row is _log_series_sum's value, for rows that stop in
         # blocks 0, 1 and 2 and later, steep rows whose block 0 overflows
         # (1F1 at x = 2e4 and e^x there, read again by column gather for
         # _log_block), rows past _CHUNK, and live sets of every row, of part
@@ -880,11 +891,11 @@ class TestHeldBlocks:
                 log_blocks.clear()
                 assert sf._log_series_sums(xs, blocks, index).tolist() == expected, (n, i)
                 assert log_blocks, (n, i)
-                # the live rows of each chunk, summed term-major from the
-                # second call on where they are _BY_TERM or more
+                # the live rows of each chunk, summed term-major where they
+                # are _BY_TERM or more
                 live = np.count_nonzero(xs)
                 chunks = [min(sf._CHUNK, live - lo) for lo in range(0, live, sf._CHUNK)]
-                assert summed == [k for k in chunks if k >= sf._BY_TERM and i > 0], (n, i)
+                assert summed == [k for k in chunks if k >= sf._BY_TERM], (n, i)
             assert blocks.held[0].shape == (sf._BLOCK, n) and blocks.held[1].shape == (n, sf._BLOCK)
 
     def test_term_major_sums_are_the_row_major_sums(self):
@@ -903,6 +914,39 @@ class TestHeldBlocks:
                 for got, expected in zip((below, sums, maxes, lasts), want):
                     assert np.array_equal(got, expected, equal_nan=True), (n, spread)
 
+    def test_threads_that_race_to_form_a_block(self, monkeypatch):
+        # two threads on one _Blocks of _BY_TERM rows, after a first call
+        # that reaches no block, each waiting for the other inside _form
+        # while the block it forms is not yet held, so that both form every
+        # block: every row is _log_series_sum's value in both threads, and
+        # block 0 is held once, term-major
+        ((plans, _), _) = _block_plans()
+        rows = np.resize(plans[1:], (sf._BY_TERM, 3))
+        expected = [_one_value_or_nan(plan) for plan in rows.tolist()]
+        blocks, every = sf._Blocks([rows[:, 1]], rows[:, 2]), np.arange(sf._BY_TERM)
+        assert sf._log_series_sums(np.zeros(sf._BY_TERM), blocks, every).tolist() == [0.0] * sf._BY_TERM
+        barrier, real = threading.Barrier(2, timeout=2), sf._Blocks._form
+
+        def form(self, j, index, out):
+            if j not in self.held:
+                with contextlib.suppress(threading.BrokenBarrierError):
+                    barrier.wait()
+            return real(self, j, index, out)
+
+        monkeypatch.setattr(sf._Blocks, "_form", form)
+        got = [None, None]
+
+        def run(i):
+            got[i] = _scalar_or_error(lambda: sf._log_series_sums(rows[:, 0], blocks, every).tolist())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == [expected, expected]
+        assert blocks.held[0].shape == (sf._BLOCK, sf._BY_TERM)
+
     def test_a_pass_too_large_holds_nothing(self, monkeypatch):
         monkeypatch.setattr(sf, "_PASS_CAP", 4)
         plans = np.array([(0.5, 1.5, 2.0)] * 5)
@@ -910,7 +954,7 @@ class TestHeldBlocks:
         for _ in range(3):
             sums = sf._log_series_sums(plans[:, 0], blocks, np.arange(5))
             assert sums.tolist() == [log_1f1(1.5, 2.0, 0.5)] * 5
-        assert blocks.calls == 3 and blocks.held == []
+        assert blocks.held == {}
 
 
 # Plans whose narrow products prod(num + i) or (c + i)(1 + i) overflow:
@@ -946,7 +990,7 @@ class TestWidePlans:
             expected = [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
             assert _sums(plans).tolist() == expected
             blocks, rows = _held(plans)
-            for _ in range(2):  # P formed for the rows, then held
+            for _ in range(2):  # P formed and held, then read
                 assert sf._log_series_sums(plans[:, 0], blocks, rows).tolist() == expected
             assert blocks.held
             # the distinct parameters in descending order: the narrow row last
@@ -958,6 +1002,93 @@ class TestWidePlans:
         p = math.nextafter(2.0**400, 0.0)
         assert not sf._wide([p, p], p) and not sf._wide([p], p)
         assert sf._wide([1e301, 1e10], 1.0) and sf._wide([1.0], 1e301)
+
+
+# The kernel property's pass sizes: a few rows, about _BY_TERM, and past
+# _CHUNK.
+_PASS_ROWS = st.one_of(st.integers(1, 8), st.integers(150, 170), st.integers(1000, 1050))
+# The kernel property's TERM_CAP: past every row it draws to stop, and short
+# enough that a row it draws past it runs to it in milliseconds.
+_PROPERTY_CAP = 128 * sf._BLOCK
+
+
+@st.composite
+def _kernel_passes(draw):
+    """(plans, calls, cap) of one function: its plan rows' parameters (*num,
+    c), a 2F1's with a <= b, as the rows of an array; three to five kernel
+    calls, each (x, rows), an x for each plan row rows[i]; and a _PASS_CAP
+    of at most 40 of the pass's blocks, or the real one where that is lower.
+
+    The parameters mix one to three ordinary tuples and, in half the passes,
+    a wide one.  A call's rows are every row in order, a subset in order, or
+    up to twice as many random rows, with repeats, in any order (past _CHUNK
+    for a pass of 1,000 rows or more).  Each x is of a kind: 0, subnormal,
+    small, ordinary, long enough to pass the cap, past TERM_CAP (the planner
+    raises), and for a 1F1 steep (x >= 1.1e4: its first block overflows and
+    is summed in logs)."""
+    arity = draw(st.sampled_from((1, 2)))
+    n = draw(_PASS_ROWS)
+    params = draw(st.lists(st.tuples(*[st.floats(0.5, 30.0)] * (arity + 1)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        w = draw(st.floats(1e300, 1e306))
+        params.append((w, w) if arity == 1 else (draw(st.floats(1.0, 1e3)), w, w))
+    # the kinds of x, with the share of rows of each: few rows of the kinds
+    # that run to many blocks, which cost as much for one row as for many
+    kinds = [(st.just(0.0), 8), (st.floats(5e-324, 2.2e-308), 8), (st.floats(1e-20, 1e-8), 8)]
+    if arity == 1:
+        kinds += [(st.floats(0.1, 3000.0), 60), (st.floats(6000.0, 9000.0), 10), (st.floats(2e4, 3e4), 1),
+                  (st.floats(1.1e4, 1.3e4), 5)]
+    else:
+        kinds += [(st.floats(0.1, 0.9), 60), (st.floats(0.97, 0.99), 15), (st.floats(1.0 - 1e-4, 1.0 - 1e-6), 1)]
+    pool = np.array([[draw(kind) for kind, _ in kinds] for _ in range(2)]).T
+    share = np.array([weight for _, weight in kinds]) / sum(weight for _, weight in kinds)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = np.array([sorted(p[:-1]) + [p[-1]] for p in params])
+    plans = params[rng.integers(len(params), size=n)]
+    calls = []
+    for _ in range(draw(st.integers(3, 5))):
+        order = draw(st.sampled_from(("every", "subset", "repeats")))
+        if order == "every":
+            rows = np.arange(n)
+        elif order == "subset":
+            rows = np.flatnonzero(rng.random(n) < rng.random())
+        else:
+            rows = rng.integers(n, size=rng.integers(1, 2 * n + 1))
+        calls.append((pool[rng.choice(len(kinds), len(rows), p=share), rng.integers(2, size=len(rows))], rows))
+    return plans, calls, min(sf._PASS_CAP, n * draw(st.integers(0, 40)))
+
+
+def _planned_or_nan(plan):
+    """_log_series_sum of plan, NaN where its planner raises
+    NonConvergenceError."""
+    x, *num, c = plan
+    try:
+        (sf._plan_1f1 if len(num) == 1 else sf._plan_2f1)(*num, c, x)
+    except NonConvergenceError:
+        return math.nan
+    return sf._log_series_sum(plan)
+
+
+class TestKernelPaths:
+    """The batched kernel on random passes of one _Blocks, against the
+    one-value kernel: whatever the pass holds, however many rows it has and
+    whichever rows a call takes, every path gives each row's value."""
+
+    @given(_kernel_passes())
+    @settings(max_examples=50, deadline=None)
+    def test_every_row_is_the_one_value_kernels(self, drawn):
+        plans, calls, cap = drawn
+        expected = {}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(sf, "TERM_CAP", _PROPERTY_CAP)
+            monkeypatch.setattr(sf, "_PASS_CAP", cap)
+            blocks = sf._Blocks(list(plans[:, :-1].T), plans[:, -1])
+            for x, rows in calls:
+                got = sf._log_series_sums(x, blocks, rows)
+                for value, plan in zip(got.tolist(), zip(x.tolist(), *plans[rows].T.tolist())):
+                    if plan not in expected:
+                        expected[plan] = _planned_or_nan(plan)
+                    assert repr(value) == repr(expected[plan]), plan
 
 
 class TestCapCheck:
