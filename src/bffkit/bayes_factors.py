@@ -36,11 +36,11 @@ route, with the lowest overhead per call.  Many values at once (a column
 pass of evidence, over the columns of _study_columns) are the same steps on
 numpy columns, with every transcendental still a per-element math call, and
 one batched kernel pass per function.  They are two steps: a layout
-(_layout) of everything that does not depend on tau_sq, from the r-free
-plan rows of the study parts (_plan_rows), with each function's
-specfun._Blocks, and the x step (_log_bf_items).  evidence builds a layout
-once per pass of r over a study set, whose rs it has checked, and keeps the
-one that repeats at every omega, whose _Blocks hold its ratio rows.
+(_layout) of everything that does not depend on tau_sq, built in one step
+from the study parts' columns and r, with each function's plan rows and
+their specfun._Blocks, and the x step (_log_bf_items).  evidence builds a
+layout once per pass of r over a study set, whose rs it has checked, and
+keeps the one that repeats at every omega, whose _Blocks hold its ratio rows.
 There, screens flag and _evaluate decides: the one-value route evaluates
 every item a column test flags, so the two routes agree bit for bit, errors
 included.
@@ -339,48 +339,13 @@ def _study_columns(parts) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 5).T
 
 
-class _Series(NamedTuple):
-    """The plan rows of one function (1F1 or 2F1) over a sequence of study
-    parts, free of r: each row's part (owner), the first series of its
-    parts, then the second series of the signed ones, in the same order
-    (firsts is the count of the first); each row's shift of its upper
-    parameters (0, or 1/2 for a second series), its c (den), and, for a
-    2F1, its further upper parameter plus shift (other), else None."""
-
-    owner: np.ndarray
-    firsts: int
-    shift: np.ndarray
-    den: np.ndarray
-    other: np.ndarray | None
-
-
-def _plan_rows(parts: np.ndarray) -> tuple:
-    """The r-free plan rows of the study parts (the columns of
-    _study_columns): (is_2f1, signed, series), the masks of the parts whose
-    series is a 2F1 and that have a sign, and the _Series of each function
-    the parts use, 1F1 then 2F1."""
-    c, b, s, sign, log_ratio = parts
-    is_2f1 = b == b
-    signed = sign != 0.0
-    series = []
-    for kind in (~is_2f1, is_2f1):
-        items = kind.nonzero()[0]
-        if not len(items):
-            continue
-        pairs = items[signed[items]]
-        owner = np.concatenate([items, pairs])
-        second = np.arange(len(owner)) >= len(items)
-        shift = 0.5 * second
-        other = b[owner] + shift if kind is is_2f1 else None
-        series.append(_Series(owner, len(items), shift, np.where(second, 1.5, c[owner]), other))
-    return is_2f1, signed, tuple(series)
-
-
 def _tile(owner: np.ndarray, firsts: int, copies: int, size: int) -> tuple:
     """Plan rows of owner (firsts first rows, then the second rows) over
     copies of a sequence of size items, as (owner, index, firsts): every
     copy's first rows, then every copy's second rows, each copy's items
-    after the last's, and index each row's row in owner."""
+    after the last's, and index each row's row in owner.  _log_bf_items
+    tiles a layout's rows so over the rows of tau_sq; _layout's own rows
+    over its rs come in the same order."""
     step = np.arange(0, copies * size, size)[:, None]
     index = np.arange(len(owner))
     return (
@@ -422,36 +387,40 @@ class _Layout(NamedTuple):
     plans: tuple
 
 
-def _layout(parts: np.ndarray, rows: tuple, r: np.ndarray) -> _Layout:
-    """The _Layout of the study parts parts (the columns of _study_columns),
-    whose _plan_rows are rows, at r, an array of m rows of len(parts[0]),
-    every one finite and >= 1 (evidence._Pass checks them; nothing here
-    does).  Each function's _Blocks lasts as long as the layout (see its
-    holding rule)."""
-    c, b, s, sign, log_ratio = parts
-    is_2f1, signed, series = rows
+def _layout(parts: np.ndarray, r: np.ndarray) -> _Layout:
+    """The _Layout of the study parts parts (the columns of _study_columns)
+    at r, an array of m rows of len(parts[0]), every one finite and >= 1
+    (evidence._Pass checks them; nothing here does).  Each function's plan
+    rows are its items over the m copies, then the signed ones again for
+    their second series, so every copy's first rows come before every
+    copy's second rows.  Each function's _Blocks lasts as long as the
+    layout (see its holding rule)."""
     m, n = r.shape
+    c, b, s, sign, log_ratio = np.tile(parts, m)  # each item's part, copy after copy
+    is_2f1, signed = b == b, sign != 0.0
     with np.errstate(over="ignore"):  # c + r can pass the largest double (the planner rejects it)
-        a = (c + r).ravel()
-    if m > 1:
-        sign, log_ratio = np.tile(sign, m), np.tile(log_ratio, m)
+        a = c + r.ravel()
     log_ratio_r = np.zeros(m * n)
-    with_r = np.tile(signed, m).nonzero()[0]
+    with_r = signed.nonzero()[0]
     if len(with_r):
         r_signed = r.ravel()[with_r].tolist()
         by_r = {v: log_gamma_half_ratio(v + 0.5) for v in dict.fromkeys(r_signed)}
         log_ratio_r[with_r] = np.fromiter(map(by_r.__getitem__, r_signed), float, len(r_signed))
     plans = []
-    for owner, f, shift, den, other in series:
-        if m > 1:
-            owner, index, f = _tile(owner, f, m, n)
-            shift, den = shift[index], den[index]
-            other = None if other is None else other[index]
+    for kind in (~is_2f1, is_2f1):
+        items = kind.nonzero()[0]
+        if not len(items):
+            continue
+        f = len(items)
+        owner = np.concatenate([items, items[signed[items]]])
+        shift, den = np.zeros(len(owner)), c[owner]
+        shift[f:], den[f:] = 0.5, 1.5  # a second series: upper parameters + 1/2, c = 3/2
         num = [a[owner] + shift]
-        if other is not None:
+        if kind is is_2f1:
+            other = b[owner] + shift
             num = [np.minimum(num[0], other), np.maximum(num[0], other)]
         plans.append(_Plans(owner, f, _Blocks(num, den)))
-    return _Layout(parts, r, is_2f1, signed, a, sign, log_ratio, log_ratio_r, tuple(plans))
+    return _Layout(parts, r, is_2f1[:n], signed[:n], a, sign, log_ratio, log_ratio_r, tuple(plans))
 
 
 def _log_bf_items(layout: _Layout, tau_sq: np.ndarray) -> list:

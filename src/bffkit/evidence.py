@@ -12,6 +12,7 @@ an r-independent factor (the null marginals), so the two maximizations agree.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -25,7 +26,6 @@ from .bayes_factors import (  # noqa: F401
     TestStatistic,
     _layout,
     _log_bf_items,
-    _plan_rows,
     _study_columns,
     log_bf10,
 )
@@ -59,9 +59,6 @@ _FIT[:, [0, -1]] *= 0.5
 _FIT[[0, -1], :] *= 0.5
 # an r* this close to r_max is flagged as pinned against it
 _AT_R_MAX = 2e-4
-# a fixed-r curve's omegas per column pass: enough to spread a pass's fixed
-# cost, few enough to keep its arrays as small as an MMAP node pass's
-_OMEGAS_PER_PASS = 16
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,8 @@ class StudySet:
     gamma for chi-square/F) so a single Jeffreys prior on r applies; gamma
     sets must additionally share the numerator df k, since the Jeffreys prior
     depends on it.  A built set holds, in private fields, its studies'
-    parts and prior-scale constants as columns and the r-free plan rows of
-    their series (bayes_factors._plan_rows), which every evaluation
-    (_log_bf_rows) reads, and, from its first mmap_r call on, mmap_r's node
+    parts and prior-scale constants as columns, from which every column
+    pass (_Pass) is built, and, from its first mmap_r call on, mmap_r's node
     pass for one r_max (_node_pass): the nodes in r, the Jeffreys log prior
     at each, and the omega-free part of their column pass, with the ratio
     rows that its specfun._Blocks hold.  A call with another r_max replaces
@@ -133,7 +129,7 @@ class StudySet:
         # as the rows of one array
         parts = _study_columns([s.stat._part for s in self.studies])
         scales = np.array([s._scale for s in self.studies], dtype=float).T
-        object.__setattr__(self, "_columns", (parts, scales, _plan_rows(parts)))
+        object.__setattr__(self, "_columns", (parts, scales))
         object.__setattr__(self, "_nodes", None)  # (r_max, _Pass) once mmap_r runs
 
     @classmethod
@@ -164,23 +160,27 @@ def _check_omega(omega: float) -> None:
 
 class _Pass(list):
     """The omega-free part of a column pass over the items rs x studies of
-    a study set, as the list of its rs, checked, with: scale, the
-    denominator d (s + r - u) of each item's tau_sq; layout, that of
-    bayes_factors._layout, whose specfun._Blocks hold its ratio rows across
-    the pass's evaluations; and log_priors, the Jeffreys log prior at each r
-    where the pass holds them (mmap_r's node pass), or None."""
+    a study set, built in one step from the set's columns, as the list of
+    its rs, checked, with: scale, the denominator d (s + r - u) of each
+    item's tau_sq; layout, that of bayes_factors._layout, whose
+    specfun._Blocks hold its ratio rows across the pass's evaluations; and
+    log_priors, the Jeffreys log prior at each r, formed on first read."""
 
     def __init__(self, study_set: StudySet, rs: Sequence[float]):
         for r in rs:
             _check_shape(r)
         super().__init__(rs)
-        parts, (c, d, s, u), rows = study_set._columns
+        parts, (c, d, s, u) = study_set._columns
         r = np.array(self, dtype=float)[:, None]
         with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
             self.scale = d * (s + r - u)
         self.c = c
-        self.layout = _layout(parts, rows, np.repeat(r, len(c), axis=1))
-        self.log_priors = None
+        self.k = study_set.studies[0].stat.k  # the set's one k, or None for z/t
+        self.layout = _layout(parts, np.repeat(r, len(c), axis=1))
+
+    @functools.cached_property
+    def log_priors(self) -> list[float]:
+        return [jeffreys_log_prior(r, self.k) for r in self]
 
 
 def _log_bf_rows(study_set: StudySet, omegas: Sequence[float], rs: Sequence[float]) -> list[list]:
@@ -243,7 +243,7 @@ def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[
     """(objective, per-study values) at common effect omega and each r in
     rs (a sequence, or a _Pass, as for _log_bf_rows), where the MMAP
     objective is combined_log_bf + log Jeffreys prior, all through one
-    _log_bf_rows pass.  The prior is the pass's own where it holds one.
+    _log_bf_rows pass, with the pass's log_priors.
 
     One-sided brackets with the statistic strongly opposing the prior
     direction can fall below double-precision resolution at large r (the log
@@ -253,13 +253,13 @@ def _objectives(study_set: StudySet, omega: float, rs: Sequence[float]) -> list[
     propagates, tagged with its study, even where an ArithmeticError of an
     earlier study comes first, so the result does not depend on study order.
     """
-    priors = rs.log_priors if isinstance(rs, _Pass) else None
+    held = rs if isinstance(rs, _Pass) else _Pass(study_set, rs)
+    rows = _log_bf_rows(study_set, (omega,), held)
     out = []
-    for j, (r, per_study) in enumerate(zip(rs, _log_bf_rows(study_set, (omega,), rs))):
+    for prior, per_study in zip(held.log_priors, rows):
         if _raise_first_error(per_study, ArithmeticError):
             out.append((float("-inf"), per_study))
         else:
-            prior = study_set.jeffreys_log_prior(r) if priors is None else priors[j]
             out.append((sum(per_study) + prior, per_study))
     return out
 
@@ -276,9 +276,7 @@ def _node_pass(study_set: StudySet, r_max: float) -> _Pass:
         half = 0.5 * math.log(r_max)
         rs = np.exp(half * (1.0 + np.cos(_THETA))).tolist()
         rs[0], rs[-1] = 1.0, r_max  # exp(log(r_max)) can miss r_max by an ulp
-        nodes = _Pass(study_set, rs)
-        nodes.log_priors = [study_set.jeffreys_log_prior(r) for r in rs]
-        held = (r_max, nodes)
+        held = (r_max, _Pass(study_set, rs))
         object.__setattr__(study_set, "_nodes", held)
     return held[1]
 
@@ -497,16 +495,11 @@ def bff_curve(
         raise TypeError(f"r_policy must be a FixedR or an MmapR, got {r_policy!r}")
     points = []
     if isinstance(r_policy, FixedR):
-        # per_study_log_bf at each omega, _OMEGAS_PER_PASS omegas per pass
-        # over one pass of r, whose specfun._Blocks hold its ratio rows for
-        # the call
-        held = _Pass(study_set, (r_policy.r,))
-        for lo in range(0, len(grid.omegas), _OMEGAS_PER_PASS):
-            omegas = grid.omegas[lo : lo + _OMEGAS_PER_PASS]
-            for omega, per_study in zip(omegas, _log_bf_rows(study_set, omegas, held)):
-                _raise_first_error(per_study)
-                total = sum(per_study)
-                points.append(BffPoint(omega, r_policy.r, total, tuple(per_study), objective=total))
+        # per_study_log_bf at each omega, the whole grid in one column pass
+        for omega, per_study in zip(grid.omegas, _log_bf_rows(study_set, grid.omegas, (r_policy.r,))):
+            _raise_first_error(per_study)
+            total = sum(per_study)
+            points.append(BffPoint(omega, r_policy.r, total, tuple(per_study), objective=total))
         return BffCurve(tuple(points), study_set.label)
     for omega in grid.omegas:
         res = mmap_r(study_set, omega, r_policy.r_max)

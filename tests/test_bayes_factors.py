@@ -271,7 +271,7 @@ def _batch(items):
     item per column, at their r and tau_sq."""
     stats, tau_sq, r = zip(*items)
     parts = bf._study_columns([stat._part for stat in stats])
-    layout = bf._layout(parts, bf._plan_rows(parts), np.array(r, dtype=float)[None])
+    layout = bf._layout(parts, np.array(r, dtype=float)[None])
     return bf._log_bf_items(layout, np.array(tau_sq, dtype=float)[None, None])
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bffkit.bayes_factors as bf
@@ -1075,12 +1075,12 @@ _RS = st.one_of(st.sampled_from((1.0, 2.5, 63.2, 200.0)), st.floats(1.0, 200.0))
 
 
 @st.composite
-def _nm_sets(draw):
-    """Mixed z and t studies of both sides, some against the prior's
-    direction, some beyond double precision."""
+def _nm_sets(draw, size=4, odds=4):
+    """1 to size mixed z and t studies of both sides, some against the
+    prior's direction, one in odds + 1 beyond double precision."""
     pairs = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.integers(0, 4)) == 0:
+    for _ in range(draw(st.integers(1, size))):
+        if draw(st.integers(0, odds)) == 0:
             pairs.append(draw(st.sampled_from(_BEYOND_NM)))
             continue
         value = draw(st.floats(-8.0, 8.0))
@@ -1094,13 +1094,13 @@ def _nm_sets(draw):
 
 
 @st.composite
-def _gamma_sets(draw):
-    """Chi-square and F studies with a shared k, some beyond double
-    precision."""
+def _gamma_sets(draw, size=4, odds=4):
+    """1 to size chi-square and F studies with a shared k, one in odds + 1
+    beyond double precision."""
     k = draw(st.sampled_from((1.0, 3.0)))
     pairs = []
-    for _ in range(draw(st.integers(1, 4))):
-        beyond = draw(st.integers(0, 4)) == 0
+    for _ in range(draw(st.integers(1, size))):
+        beyond = draw(st.integers(0, odds)) == 0
         if draw(st.booleans()):
             h = 1e308 if beyond else draw(st.floats(0.0, 40.0))
             pairs.append(chisq_study(h, k, draw(st.integers(5, 400))))
@@ -1160,3 +1160,46 @@ class TestColumnRoute:
     @settings(max_examples=120, deadline=None)
     def test_chisq_f_sets(self, studies, omega, rs):
         self._check(studies, omega, rs)
+
+
+def _forty_t():
+    """40 one-sided t studies: a node pass of 40 x 2 x _NODES = 1,120 rows,
+    past both _BY_TERM and _CHUNK."""
+    return StudySet.build([t_study(0.2 * i - 1.0, 20 + 7 * i) for i in range(40)])
+
+
+class TestMmapPaths:
+    """mmap_r on one set at three omegas, so that its node pass is held from
+    the second on, against mmap_r on a fresh copy at each omega, and each
+    per-study value at r* against log_bf10: bit for bit, errors included.
+    r* is often a fitted point, of a pass of its own, so every node of the
+    held pass is also held to log_bf10, at the last omega."""
+
+    def test_the_example_passes_the_kernel_thresholds(self):
+        studies = _forty_t()
+        mmap_r(studies, 0.5)
+        (plans,) = studies._nodes[1].layout.plans
+        assert len(plans.owner) > sf._CHUNK > sf._BY_TERM
+
+    @staticmethod
+    def _check_row(studies, omega, r, row):
+        for s, value in zip(studies.studies, row, strict=True):
+            tau_sq = tau_sq_for(s.design, omega, r, s.stat.k)
+            assert _same(value, _value_or_error(log_bf10, s.stat, tau_sq, r)), (omega, r)
+
+    # sets of up to 40 studies, about one in ten with a study beyond double precision
+    @given(_nm_sets(40, 200) | _gamma_sets(40, 200), st.lists(st.sampled_from(_OMEGAS) | st.floats(1e-3, 1.0), min_size=3, max_size=3))
+    @example(_forty_t(), [0.2, 0.5, 0.9])
+    @settings(max_examples=160, deadline=None)
+    def test_held_pass_is_a_fresh_set_and_log_bf10(self, studies, omegas):
+        for omega in omegas:
+            got = _value_or_error(mmap_r, studies, omega)
+            expected = _value_or_error(mmap_r, StudySet(studies.studies), omega)
+            if isinstance(expected, Exception):
+                assert _same(got, expected), omega
+                continue
+            assert repr(got) == repr(expected), omega
+            self._check_row(studies, omega, got.r_star, got.per_study_log_bf)
+        nodes = studies._nodes[1]
+        for r, row in zip(nodes, ev._log_bf_rows(studies, omegas[-1:], nodes)):
+            self._check_row(studies, omegas[-1], r, row)
