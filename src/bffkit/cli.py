@@ -29,6 +29,7 @@ import numpy as np
 from .bayes_factors import Sidedness, StatFamily, TestStatistic
 from .effect_map import DesignKind, DesignTag, fisher_z
 from .evidence import (
+    _DEFAULT_GRID,
     EffectGrid,
     FixedR,
     MmapR,
@@ -264,9 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="BFF curve over an effect-size grid")
     p_curve.add_argument("--file", required=True)
-    p_curve.add_argument("--omega-min", type=float, default=0.005)
-    p_curve.add_argument("--omega-max", type=float, default=1.0)
-    p_curve.add_argument("--omega-step", type=float, default=0.005)
+    p_curve.add_argument("--omega-min", type=float, default=_DEFAULT_GRID[0])
+    p_curve.add_argument("--omega-max", type=float, default=_DEFAULT_GRID[1])
+    p_curve.add_argument("--omega-step", type=float, default=_DEFAULT_GRID[2])
     add_policy(p_curve)
     p_curve.add_argument("--out", required=True, help="output CSV path")
     p_curve.add_argument(

@@ -88,7 +88,7 @@ def effective_n(design: DesignKind) -> float:
 
 def _tau_sq_parts(design: DesignKind, k: float | None) -> tuple[float, float, float, float]:
     """(c, d, s, u) such that tau_sq_for(design, omega, r, k) is
-    c * w * w / (d * (s + r - u)), evaluated left to right, with w = omega.
+    _tau_sq((c, d, s, u), omega, r).
 
     c is n_eff for the z/t designs, with d = 2 and s = u = 0 ((0 + r) - 0 is
     r exactly), and n k for the chi-square/F designs, with d = 4 for the
@@ -99,11 +99,20 @@ def _tau_sq_parts(design: DesignKind, k: float | None) -> tuple[float, float, fl
     if tag in _VECTOR_EFFECT:
         if k is None or not k > 0.0:
             raise ValueError(f"{tag.value} requires numerator df k > 0")
+        if k / 2.0 + 1.0 == 1.0:  # s + r - u would round to 0 at r = 1
+            raise ValueError(f"{tag.value} requires k/2 + 1 > 1 in double precision, got k={k}")
         denom = 4.0 if tag is DesignTag.LINEAR_MODEL_F else 2.0
         return design.n * k, denom, k / 2.0, 1.0
     if k is not None:
         raise ValueError(f"k is not meaningful for {tag.value}")
     return effective_n(design), 2.0, 0.0, 0.0
+
+
+def _tau_sq(parts, w, r):
+    """tau_sq_for at w = omega and r from its _tau_sq_parts, of floats or of
+    arrays that broadcast: the one expression of tau_sq."""
+    c, d, s, u = parts
+    return c * w * w / (d * (s + r - u))
 
 
 def tau_sq_for(design: DesignKind, omega: float, r: float, k: float | None = None) -> float:
@@ -117,9 +126,7 @@ def tau_sq_for(design: DesignKind, omega: float, r: float, k: float | None = Non
     _check_shape(r)
     if not 0.0 <= omega < math.inf:
         raise ValueError(f"omega must be finite and >= 0, got {omega}")
-    c, d, s, u = _tau_sq_parts(design, k)
-    w = float(omega)
-    return c * w * w / (d * (s + r - u))
+    return _tau_sq(_tau_sq_parts(design, k), float(omega), r)
 
 
 def fisher_z(

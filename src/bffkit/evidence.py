@@ -29,7 +29,7 @@ from .bayes_factors import (  # noqa: F401
     _study_columns,
     log_bf10,
 )
-from .effect_map import DesignKind, _tau_sq_parts, tau_sq_for
+from .effect_map import DesignKind, _tau_sq, _tau_sq_parts, tau_sq_for
 from .priors import _check_shape, jeffreys_log_prior_gamma, jeffreys_log_prior_nm
 
 __all__ = [
@@ -59,27 +59,21 @@ _FIT[:, [0, -1]] *= 0.5
 _FIT[[0, -1], :] *= 0.5
 # an r* this close to r_max is flagged as pinned against it
 _AT_R_MAX = 2e-4
+# EffectGrid.default's (omega_min, omega_max, step): the CLI's curve reads it
+_DEFAULT_GRID = (0.005, 1.0, 0.005)
 
 
 @dataclass(frozen=True)
 class Study:
     """A statistic and its design.  The design must fit the statistic's
     family, by tau_sq_for's rules (a chi-square/F design takes the numerator
-    df k, a z/t design none), so no prior scale of a built study fails.
-
-    A built study also holds, in a private field, the constants of its
-    prior scale (effect_map's _tau_sq_parts).  With the study part its
-    statistic holds, that is everything of its log BF10 that does not depend
-    on (omega, r), so an evaluation at (omega, r) computes only tau_sq and
-    the item part (bayes_factors._log_bf_items)."""
+    df k, a z/t design none), so no prior scale of a built study fails."""
 
     stat: TestStatistic
     design: DesignKind
-    _scale: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau_sq_for(self.design, 0.0, 1.0, self.stat.k)
-        object.__setattr__(self, "_scale", _tau_sq_parts(self.design, self.stat.k))
 
 
 @dataclass(frozen=True)
@@ -90,12 +84,13 @@ class StudySet:
     gamma for chi-square/F) so a single Jeffreys prior on r applies; gamma
     sets must additionally share the numerator df k, since the Jeffreys prior
     depends on it.  A built set holds, in private fields, its studies'
-    parts and prior-scale constants as columns, from which every column
-    pass (_Pass) is built, and, from its first mmap_r call on, mmap_r's node
-    pass for one r_max (_node_pass): the nodes in r, the Jeffreys log prior
-    at each, and the omega-free part of their column pass, with the ratio
-    rows that its specfun._Blocks hold.  A call with another r_max replaces
-    it.
+    parts and prior-scale constants (effect_map's _tau_sq_parts) as
+    columns, everything of their log BF10 that does not depend on (omega,
+    r), from which every column pass (_Pass) is built, and, from its first
+    mmap_r call on, mmap_r's node pass for one r_max (_node_pass): the
+    nodes in r, the Jeffreys log prior at each, and the omega-free part of
+    their column pass, with the ratio rows that its specfun._Blocks hold.
+    A call with another r_max replaces it.
 
     A set may be shared between threads: its node pass holds each block of
     ratio rows by a rule of the block's index and the pass's size alone, and
@@ -128,7 +123,7 @@ class StudySet:
         # the study parts' columns, and the prior-scale constants (c, d, s, u)
         # as the rows of one array
         parts = _study_columns([s.stat._part for s in self.studies])
-        scales = np.array([s._scale for s in self.studies], dtype=float).T
+        scales = np.array([_tau_sq_parts(s.design, s.stat.k) for s in self.studies]).T
         object.__setattr__(self, "_columns", (parts, scales))
         object.__setattr__(self, "_nodes", None)  # (r_max, _Pass) once mmap_r runs
 
@@ -138,10 +133,6 @@ class StudySet:
 
     def __getstate__(self):
         return {**self.__dict__, "_nodes": None}
-
-    def jeffreys_log_prior(self, r: float) -> float:
-        # k is None for z/t studies and shared by chi-square/F sets
-        return jeffreys_log_prior(r, self.studies[0].stat.k)
 
 
 def jeffreys_log_prior(r: float, k: float | None = None) -> float:
@@ -161,8 +152,7 @@ def _check_omega(omega: float) -> None:
 class _Pass(list):
     """The omega-free part of a column pass over the items rs x studies of
     a study set, built in one step from the set's columns, as the list of
-    its rs, checked, with: scale, the denominator d (s + r - u) of each
-    item's tau_sq; layout, that of bayes_factors._layout, whose
+    its rs, checked, with: layout, that of bayes_factors._layout, whose
     specfun._Blocks hold its ratio rows across the pass's evaluations; and
     log_priors, the Jeffreys log prior at each r, formed on first read."""
 
@@ -170,13 +160,9 @@ class _Pass(list):
         for r in rs:
             _check_shape(r)
         super().__init__(rs)
-        parts, (c, d, s, u) = study_set._columns
         r = np.array(self, dtype=float)[:, None]
-        with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
-            self.scale = d * (s + r - u)
-        self.c = c
         self.k = study_set.studies[0].stat.k  # the set's one k, or None for z/t
-        self.layout = _layout(parts, np.repeat(r, len(c), axis=1))
+        self.layout = _layout(study_set._columns[0], np.repeat(r, len(study_set.studies), axis=1))
 
     @functools.cached_property
     def log_priors(self) -> list[float]:
@@ -191,18 +177,19 @@ def _log_bf_rows(study_set: StudySet, omegas: Sequence[float], rs: Sequence[floa
     rs is a sequence of r, or a _Pass that the caller holds for them, which
     the call then reuses: each study was compiled when built, and the pass
     holds everything that does not depend on omega, so the call computes
-    only the array of tau_sq here and the x step in
-    bayes_factors._log_bf_items.  tau_sq is c w w / (d (s + r - u)):
-    tau_sq_for's operations in its order, so its value bit for bit.  An
-    omega that is not finite and > 0, then an r that is not finite and >= 1,
-    raises for the whole call; it concerns no study."""
+    only the array of tau_sq here, by effect_map's _tau_sq on the set's
+    prior-scale columns (so each is tau_sq_for's value bit for bit), and
+    the x step in bayes_factors._log_bf_items.  An omega that is not finite
+    and > 0, then an r that is not finite and >= 1, raises for the whole
+    call; it concerns no study."""
     for omega in omegas:
         _check_omega(omega)
     held = rs if isinstance(rs, _Pass) else _Pass(study_set, rs)
     w = np.array(omegas, dtype=float)[:, None, None]
-    with np.errstate(over="ignore"):
-        tau_sq = held.c * w * w / held.scale
-    n = len(held.c)
+    r = np.array(held, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # an r near the largest double, as tau_sq_for's inf
+        tau_sq = _tau_sq(study_set._columns[1], w, r)
+    n = len(study_set.studies)
     values = _log_bf_items(held.layout, tau_sq)
     return [values[i : i + n] for i in range(0, len(values), n)]
 
@@ -445,7 +432,7 @@ class EffectGrid:
 
     @classmethod
     def default(cls) -> "EffectGrid":
-        return cls.from_range(0.005, 1.0, 0.005)
+        return cls.from_range(*_DEFAULT_GRID)
 
 
 @dataclass(frozen=True)

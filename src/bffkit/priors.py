@@ -14,14 +14,14 @@ radicand not positive near r = 1e16).  Above _LARGE_R, the default r_max,
 in r for the normal-moment prior and in a for the gamma prior, each is
 taken in logs from an exact form in which no term cancels, with the tail
 T(x) = psi_1(x) - 1/x - 1/(2x^2) that trigamma sums
-(specfun._trigamma_tail).
+(specfun._asymptotic_tail of _TRIGAMMA_TAIL).
 """
 
 from __future__ import annotations
 
 import math
 
-from .specfun import _trigamma_tail, trigamma
+from .specfun import _TRIGAMMA_TAIL, _asymptotic_tail, trigamma
 
 __all__ = [
     "jeffreys_log_prior_nm",
@@ -49,7 +49,7 @@ def jeffreys_log_prior_nm(r: float) -> float:
         x = r + 0.5
         q, inv = r / x, 1.0 / x
         # r^2 times the radicand, with r^2 T(x) = q^2 x^2 T(x)
-        scaled = 0.5 - 0.25 * q * inv + q * q * _trigamma_tail(inv, inv * inv)
+        scaled = 0.5 - 0.25 * q * inv + q * q * _asymptotic_tail(_TRIGAMMA_TAIL, inv, inv * inv)
         return 0.5 * math.log(scaled) - math.log(r)
     radicand = trigamma(r + 0.5) - 1.0 / r + 1.0 / (2.0 * r * r)
     if not radicand > 0.0:
@@ -67,10 +67,12 @@ def jeffreys_log_prior_gamma(r: float, k: float) -> float:
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     a = k / 2.0 + r
+    if a == 1.0:  # (a - 1)^2 is 0: k below double precision at r = 1
+        raise ValueError(f"k/2 + r must exceed 1 in double precision, got r={r}, k={k}")
     if a > _LARGE_R:
         inv = 1.0 / a
         # a^2 times the radicand
-        scaled = 0.5 + a / (a - 1.0) / (a - 1.0) + _trigamma_tail(inv, inv * inv)
+        scaled = 0.5 + a / (a - 1.0) / (a - 1.0) + _asymptotic_tail(_TRIGAMMA_TAIL, inv, inv * inv)
         return 0.5 * math.log(scaled) - math.log(a)
     radicand = trigamma(a) - (a - 2.0) / ((a - 1.0) * (a - 1.0))
     if not radicand > 0.0:

@@ -130,11 +130,12 @@ _TRIGAMMA_TAIL = (
 _PSI_SHIFT = 6.0
 
 
-def _trigamma_tail(p: float, inv2: float) -> float:
-    """sum_k _TRIGAMMA_TAIL[k] p inv2^k with inv2 = 1/x^2: the tail T(x) =
-    psi_1(x) - 1/x - 1/(2x^2) at p = 1/x^3, and x^2 T(x) at p = 1/x."""
+def _asymptotic_tail(coefs: tuple, p: float, inv2: float) -> float:
+    """sum_k coefs[k] p inv2^k with inv2 = 1/x^2.  Of _TRIGAMMA_TAIL: the
+    tail T(x) = psi_1(x) - 1/x - 1/(2x^2) at p = 1/x^3, and x^2 T(x) at p =
+    1/x; of _STIRLING_TAIL, the Stirling tail at p = 1/x."""
     tail = 0.0
-    for c in _TRIGAMMA_TAIL:
+    for c in coefs:
         tail += c * p
         p *= inv2
     return tail
@@ -150,7 +151,7 @@ def trigamma(x: float) -> float:
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    return acc + inv + 0.5 * inv2 + _trigamma_tail(inv2 * inv, inv2)
+    return acc + inv + 0.5 * inv2 + _asymptotic_tail(_TRIGAMMA_TAIL, inv2 * inv, inv2)
 
 
 _HALF_RATIO_SWITCH = 50.0
@@ -162,16 +163,6 @@ _STIRLING_TAIL = (
     -1.0 / 1680.0,
     1.0 / 1188.0,
 )
-
-
-def _stirling_tail(y: float) -> float:
-    inv2 = 1.0 / (y * y)
-    acc = 0.0
-    p = 1.0 / y
-    for c in _STIRLING_TAIL:
-        acc += c * p
-        p *= inv2
-    return acc
 
 
 def _log_gamma_ratio(z: float, d: float) -> float:
@@ -187,8 +178,8 @@ def _log_gamma_ratio(z: float, d: float) -> float:
         + z * math.log1p(d / z)
         + (d - 0.5) * math.log(y)
         - d
-        + _stirling_tail(y)
-        - _stirling_tail(z)
+        + _asymptotic_tail(_STIRLING_TAIL, 1.0 / y, 1.0 / (y * y))
+        - _asymptotic_tail(_STIRLING_TAIL, 1.0 / z, 1.0 / (z * z))
     )
 
 
@@ -246,13 +237,12 @@ _QUIET = contextlib.nullcontext()
 # The one-value kernel's P rows: the first numpy call of a series, by its
 # parameters (*num, c), the plan without x: row j holds P of block j.  Each
 # array is read-only and owns its buffer (a view would keep the array it was
-# cut from alive).  They hold at most _ROWS_CAP rows of 1 KiB (4 MiB),
-# counted in _rows_held; a fill that would pass the cap clears them first.
+# cut from alive).  They hold at most _ROWS_CAP rows of 1 KiB (4 MiB): a
+# fill that would pass the cap (_fill_rows counts them) clears them first.
 # The benchmark's sim_points series take 3,342 rows over 338 parameter
 # tuples.  The batched kernel keeps no entry here (see _Blocks).
 _ROWS: dict = {}
 _ROWS_CAP = 4096
-_rows_held = 0
 # Rows of blocks a _Blocks holds at most (1 KiB each, 4 MiB).
 _PASS_CAP = 4096
 # Rows a _Blocks forms P for at a time: its parameters plus a block's
@@ -333,20 +323,20 @@ def _plan(num: tuple, c: float, x: float) -> tuple:
     """
     plan = (x, *num, c)
     bound = _ratio_bound(num, c, x)
-    if not bound < 1.0 or bound ** (0.5 * TERM_CAP) > 1e-16:  # a power of a bound above 1 can overflow
+    if not bound < 1.0 or bound ** (0.5 * TERM_CAP) > _TERM_FLOOR:  # a power of a bound above 1 can overflow
         _check_cap(plan)
     return plan
 
 
-# log(1e-16), less a margin far wider than the rounding of a column log
-_LOG_BOUND_FLOOR = math.log(1e-16) - 1.0
+# _LOG_TERM_FLOOR, less a margin far wider than the rounding of a column log
+_LOG_BOUND_FLOOR = _LOG_TERM_FLOOR - 1.0
 
 
 def _unclear(num, c, x) -> np.ndarray:
     """The mask of the rows of the columns (num, c, x) whose bound _plan may
     not clear: every row it does not clear, the few more whose h-th power
     of the bound, tested here in logs, lies within _LOG_BOUND_FLOOR's
-    margin of 1e-16, and every row whose bound is NaN (an infinite
+    margin of _TERM_FLOOR, and every row whose bound is NaN (an infinite
     parameter at x = 0, which the planners reject, or inf over inf, which
     they test exactly).  A row outside the mask needs no planner."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # x near the largest double; x = 0
@@ -533,16 +523,15 @@ def _blocks(x: float, num: list, c: float) -> int:
 def _fill_rows(key: tuple, num: list, c: float, k: int) -> np.ndarray:
     """The new entry of _ROWS for key, read-only: the P rows of the first k
     blocks of the plan (*num, c), k at most _MAX_BLOCKS, below _ROWS_CAP.
-    It replaces the key's entry, if any."""
-    global _rows_held
+    It replaces the key's entry, if any.  The count of rows held is taken
+    over a snapshot of _ROWS' values, so another thread's fill cannot break
+    it, and under threads the cap is passed by at most the fills in flight."""
     rows = _ratio_rows(num, c, _wide(num, c), *_indices(0, k))
     rows.setflags(write=False)
-    _rows_held -= len(_ROWS.pop(key, ()))
-    if _rows_held + len(rows) > _ROWS_CAP:
+    _ROWS.pop(key, None)
+    if sum(map(len, list(_ROWS.values()))) + len(rows) > _ROWS_CAP:
         _ROWS.clear()
-        _rows_held = 0
     _ROWS[key] = rows
-    _rows_held += len(rows)
     return rows
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import bffkit.specfun as sf
 from bffkit.cli import main, summarize_rows
+from bffkit.evidence import EffectGrid
 
 DATA = Path(__file__).parent / "data"
 
@@ -254,6 +255,16 @@ class TestCurve:
         assert "# max_log_bf10: 0.9733878545" in text
         crossing0 = next(l for l in text.splitlines() if "level=0:" in l)
         assert abs(float(crossing0.split(":")[1]) - 0.3143) < 5e-4
+
+    def test_default_grid(self, tmp_path, capsys):
+        # with no omega flag, the curve's rows are at EffectGrid.default()'s
+        # omegas, each written as the CLI formats a value
+        out_file = tmp_path / "curve.csv"
+        code, _, _ = run(capsys, "curve", "--file", str(DATA / "fig1.csv"), "--r", "1", "--out", str(out_file))
+        assert code == 0
+        lines = out_file.read_text().splitlines()[1:]
+        omegas = [line.split(",")[0] for line in lines if not line.startswith("#")]
+        assert omegas == [format(w, ".10g") for w in EffectGrid.default().omegas]
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

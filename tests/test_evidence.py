@@ -93,6 +93,15 @@ class TestStudySet:
         with pytest.raises(ValueError, match=f"^{message}$"):
             StudySet.build([(stat, design)])
 
+    def test_k_below_double_precision(self):
+        # below k = 2.2e-16, s + r - u = (k/2 + 1) - 1 rounds to 0 at r = 1:
+        # a typed error at build, not a ZeroDivisionError of tau_sq
+        design = DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=50)
+        for k in (1e-300, 2e-16):
+            with pytest.raises(ValueError, match=r"^multinomial_chisq requires k/2 \+ 1 > 1 in double"):
+                StudySet.build([(TestStatistic(StatFamily.CHI_SQ, 3.0, k=k), design)])
+        StudySet.build([(TestStatistic(StatFamily.CHI_SQ, 3.0, k=3e-16), design)])
+
 
 class TestCombination:
     def test_single_study_equals_direct_value(self):
@@ -143,7 +152,7 @@ class TestMmap:
         res = mmap_r(studies, omega)
 
         def objective(r):
-            return combined_log_bf(studies, omega, r) + studies.jeffreys_log_prior(r)
+            return combined_log_bf(studies, omega, r) + ev.jeffreys_log_prior(r)
 
         for r_other in (1.0, res.r_star - 1e-3, res.r_star + 1e-3, 200.0):
             if r_other >= 1.0:
@@ -190,7 +199,7 @@ class TestMmap:
         assert res.r_star == 1.0 and res.at_boundary
         per_study = per_study_log_bf(studies, 0.5, 1.0)
         assert res.per_study_log_bf == tuple(per_study)
-        assert res.objective == sum(per_study) + studies.jeffreys_log_prior(1.0)
+        assert res.objective == sum(per_study) + ev.jeffreys_log_prior(1.0)
         # no other r to fall back on: a bracket that cancels at r = 1 raises,
         # tagged with its study
         opposed = StudySet.build([t_study(3.0, 50), t_study(-12.0, 50)])
@@ -352,7 +361,7 @@ class TestBffCurve:
 
     def test_mmap_dominance(self):
         mmap = bff_curve(self.studies, self.grid, MmapR())
-        jeffreys = self.studies.jeffreys_log_prior
+        jeffreys = ev.jeffreys_log_prior  # a z/t set's, with k None
         for p in mmap.points:
             fixed_obj = combined_log_bf(self.studies, p.omega, 1.0) + jeffreys(1.0)
             assert p.objective >= fixed_obj - 1e-9
@@ -462,7 +471,7 @@ class TestBatchedObjective:
                 per_study = [
                     log_bf10(s.stat, tau_sq_for(s.design, omega, r), r) for s in studies.studies
                 ]
-                expected.append(sum(per_study) + studies.jeffreys_log_prior(r))
+                expected.append(sum(per_study) + ev.jeffreys_log_prior(r))
             except ArithmeticError:
                 expected.append(float("-inf"))
         got = [objective for objective, _ in _objectives(studies, omega, rs)]
@@ -962,7 +971,6 @@ class TestHeldPass:
         built, real = [], bf._Blocks
         monkeypatch.setattr(bf, "_Blocks", lambda *args: (built.append(real(*args)), built[-1])[1])
         monkeypatch.setattr(sf, "_ROWS", {})
-        monkeypatch.setattr(sf, "_rows_held", 0)
         studies = _stroop()  # one-sided t studies: one function, 2F1
         per_study_log_bf(studies, 0.5, 2.0)
         combined_log_bf(studies, 0.5, 2.0)
@@ -977,7 +985,7 @@ class TestHeldPass:
         ev._objectives(studies, 0.885, (res.r_star,))
         per_study_log_bf(studies, 0.7, res.r_star)
         assert len(built) == 7 and _held_rows(studies) == held
-        assert sf._ROWS == {} and sf._rows_held == 0
+        assert sf._ROWS == {}
 
     def test_held_arrays_are_read_only_and_own_their_buffers(self):
         studies = _stroop()
@@ -1047,14 +1055,13 @@ _HELD_BOUND = 2048
 class TestMemoryGuard:
     def test_rows_held_after_the_default_curves(self, monkeypatch):
         monkeypatch.setattr(sf, "_ROWS", {})
-        monkeypatch.setattr(sf, "_rows_held", 0)
         grid = EffectGrid.default()
         stroop, correlation, fig1 = _stroop(), _table("correlation"), _table("fig1")
         bff_curve(stroop, grid, MmapR())
         bff_curve(correlation, grid, MmapR())
         bff_curve(fig1, grid, FixedR(1.0))
         assert fig1._nodes is None
-        held = _held_rows(stroop) + _held_rows(correlation) + sf._rows_held
+        held = _held_rows(stroop) + _held_rows(correlation) + sum(map(len, sf._ROWS.values()))
         assert held <= _HELD_BOUND, held
 
 

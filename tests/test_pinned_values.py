@@ -1,5 +1,6 @@
-"""Pinned values: sha256 digests of the three default-grid curves and of the
-log_bf10 values of every sim_points draw, so that any change to a value's
+"""Pinned values: sha256 digests of the three default-grid curves, of the
+default-grid curves of a chi-square/F set, and of the log_bf10 values of
+every sim_points draw, so that any change to a value's
 last bit fails here.  A change meant to move values updates the digests
 and lists the moved values in CHANGES.md; a numpy or libm upgrade can move
 them too.
@@ -12,7 +13,8 @@ import pytest
 
 from bffkit.bayes_factors import Sidedness, StatFamily, TestStatistic, log_bf10
 from bffkit.cli import load_studies
-from bffkit.evidence import EffectGrid, FixedR, MmapR, bff_curve
+from bffkit.effect_map import DesignKind, DesignTag
+from bffkit.evidence import EffectGrid, FixedR, MmapR, StudySet, bff_curve
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -36,6 +38,28 @@ def _sha256(text: str) -> str:
 )
 def test_default_grid_curve(table, policy, digest):
     curve = bff_curve(load_studies(str(DATA / f"{table}.csv")), EffectGrid.default(), policy)
+    assert _sha256(repr(curve.points)) == digest, MOVED
+
+
+# the reference tables hold z and t studies only: a gamma-prior set, chi-square
+# and F studies with one k, whose MMAP r* is interior (up to 2.37) at 31 omegas
+_GAMMA_SET = [
+    (TestStatistic(StatFamily.CHI_SQ, 24.0, k=3.0), DesignKind(DesignTag.MULTINOMIAL_CHISQ, n=120)),
+    (TestStatistic(StatFamily.CHI_SQ, 31.5, k=3.0), DesignKind(DesignTag.LIKELIHOOD_RATIO_CHISQ, n=150)),
+    (TestStatistic(StatFamily.F, 9.0, k=3.0, m=96.0), DesignKind(DesignTag.LINEAR_MODEL_F, n=100)),
+    (TestStatistic(StatFamily.F, 6.5, k=3.0, m=140.0), DesignKind(DesignTag.LINEAR_MODEL_F, n=144)),
+]
+
+
+@pytest.mark.parametrize(
+    "policy, digest",
+    [
+        (MmapR(), "ba4b9ed24105b680bbef8243a5d3ebeeda3639a6926da83d06e85298255c482c"),
+        (FixedR(1.0), "2c4b94a79d45c7f592ed22031ae9fea62e91f737f1ad5b33cb86eaaec904d7b5"),
+    ],
+)
+def test_default_grid_curve_of_a_gamma_set(policy, digest):
+    curve = bff_curve(StudySet.build(_GAMMA_SET), EffectGrid.default(), policy)
     assert _sha256(repr(curve.points)) == digest, MOVED
 
 

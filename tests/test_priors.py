@@ -233,3 +233,10 @@ class TestJeffreys:
                 jeffreys_log_prior_gamma(r, 2.0)
         with pytest.raises(ValueError):
             jeffreys_log_prior_gamma(1.0, 0.0)
+
+    def test_k_below_double_precision_at_r_one(self):
+        # a = k/2 + r rounds to 1, where (a - 1)^2 is 0: a typed error, not
+        # a ZeroDivisionError; one ulp above 1 still has a value
+        with pytest.raises(ValueError, match=r"^k/2 \+ r must exceed 1 in double precision"):
+            jeffreys_log_prior_gamma(1.0, 1e-17)
+        assert math.isfinite(jeffreys_log_prior_gamma(1.0, 3e-16))

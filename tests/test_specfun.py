@@ -9,6 +9,7 @@ double-only.
 
 import contextlib
 import math
+import sys
 import threading
 import time
 
@@ -31,7 +32,6 @@ from bffkit.specfun import (
 def _empty_rows(monkeypatch):
     """Empty the one-value kernel's cache of ratio rows (specfun._ROWS)."""
     monkeypatch.setattr(sf, "_ROWS", {})
-    monkeypatch.setattr(sf, "_rows_held", 0)
 
 
 @pytest.fixture(autouse=True)
@@ -758,8 +758,7 @@ class TestRowCache:
         # batched passes of 3 to 29 rows between one-value series, twice
         # over, under a cap of 40 rows: every value is the one-value
         # kernel's from an empty cache, the entries never hold more than the
-        # cap, the count of rows held is exact, and every entry is a
-        # series' own, keyed by its parameters
+        # cap, and every entry is a series' own, keyed by its parameters
         plans = np.array([(x, a, 2.0) for a in (0.5, 1.5, 4.0, 7.0) for x in _X_1F1])
         expected = [sf._log_series_sum(tuple(plan)) for plan in plans.tolist()]
         _empty_rows(monkeypatch)
@@ -771,19 +770,17 @@ class TestRowCache:
             assert _sums(plans[j : j + n]).tolist() == expected[j : j + n], j
             assert sf._log_series_sum(tuple(plan)) == expected[j], j
             held = sum(len(rows) for rows in sf._ROWS.values())
-            assert held == sf._rows_held <= sf._ROWS_CAP, j
+            assert held <= sf._ROWS_CAP, j
             assert set(sf._ROWS) <= keys, j
 
     def test_symmetric_2f1_shares_one_entry(self):
         assert log_2f1(2.5, 3.5, 1.5, 0.9) == log_2f1(3.5, 2.5, 1.5, 0.9)
         assert list(sf._ROWS) == [(2.5, 3.5, 1.5)]
-        assert sf._rows_held == len(sf._ROWS[(2.5, 3.5, 1.5)])
 
     def test_filling_past_the_cap(self, monkeypatch):
         # 1F1 and 2F1 series of 1 to 100 blocks over 8 parameter tuples,
         # twice over, under a cap of 40 blocks: every value is the batched
-        # kernel's, the entries never hold more than the cap, and the count
-        # of blocks held is exact
+        # kernel's, and the entries never hold more than the cap
         monkeypatch.setattr(sf, "_ROWS_CAP", 40)
         one = [(x, a, 2.0) for a in (0.5, 1.5, 4.0, 7.0) for x in _X_1F1]
         two = [(x, a, 3.5, 1.5) for a in (0.5, 2.5, 6.0, 9.0) for x in _X_2F1]
@@ -792,9 +789,45 @@ class TestRowCache:
         for plan, value in list(zip(one + two, expected)) * 2:
             assert sf._log_series_sum(plan) == value, plan
             held = sum(len(rows) for rows in sf._ROWS.values())
-            assert held == sf._rows_held <= sf._ROWS_CAP, plan
+            assert held <= sf._ROWS_CAP, plan
             keys = max(keys, len(sf._ROWS))
         assert keys < 8
+
+    def test_threads_that_fill_past_the_cap(self, monkeypatch):
+        # 4 threads call log_1f1 and log_2f1 at 84 points over 12 parameter
+        # tuples, each in its own order, under a cap of 40 rows and switching as often as
+        # the interpreter allows: every value is a serial run's, bit for bit,
+        # and the rows held never pass the cap by more than one fill (the
+        # serial run's largest entry) per thread
+        monkeypatch.setattr(sf, "_ROWS_CAP", 40)
+        calls = [(log_1f1, (a, 2.0, x)) for a in (0.5, 1.5, 2.5, 4.0, 5.5, 7.0) for x in _X_1F1[::2]]
+        calls += [(log_2f1, (a, b, 1.5, x)) for a in (0.5, 2.5, 6.0) for b in (3.5, 4.5) for x in _X_2F1[::2]]
+        expected, fill = [], 0
+        for fn, args in calls:
+            expected.append(fn(*args))
+            fill = max(fill, *map(len, sf._ROWS.values()))
+        start, got, held = threading.Barrier(4, timeout=10), [{} for _ in range(4)], [0] * 4
+
+        def run(i):
+            start.wait()
+            for j in [*range(i, len(calls)), *range(i)][:: 1 if i % 2 else -1] * 2:
+                fn, args = calls[j]
+                got[i][j] = fn(*args)
+                held[i] = max(held[i], sum(map(len, list(sf._ROWS.values()))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(one == dict(enumerate(expected)) for one in got)
+        assert max(held) <= sf._ROWS_CAP + 4 * fill, (held, fill)
 
 
 class TestHeldBlocks:
